@@ -8,7 +8,8 @@ turns it into an ordinary sparse-resultant problem:
 2. measure the corank of the algebraic support matrix; corank above one
    means the bounds overshoot, so all bounds are lowered by the excess;
 3. extract the minimal essential subsystem: the lowest-ranking circuit of
-   the row matroid (dependent, every proper subset independent);
+   the row matroid (dependent, every proper subset independent), read off
+   the first row dependency;
 4. keep only rank-many algebraic variables, setting the rest to one, while
    checking that essentialness survives;
 5. re-express all supports over a basis of the lattice they generate, which
@@ -30,7 +31,6 @@ from .essanalysis import RankOracle
 from .multipoly import UniPoly, int_matrix_rank
 
 MAX_COLUMN_CANDIDATES = 1000
-EXHAUSTIVE_CIRCUIT_LIMIT = 12
 
 
 def prolong(polys, bounds):
@@ -77,83 +77,34 @@ def alg_support_matrix(tagged_polys):
 # minimal essential subsystem (circuit of the row matroid)
 # ---------------------------------------------------------------------------
 
-def _is_circuit(oracle, rows):
-    if oracle.rank(rows) != len(rows) - 1:
-        return False
-    for r in rows:
-        rest = [i for i in rows if i != r]
-        if rest and oracle.rank(rest) != len(rest):
-            return False
-    return True
-
-
-def _exhaustive_circuit(oracle, nrows):
-    if nrows > EXHAUSTIVE_CIRCUIT_LIMIT:
-        raise NoEssentialSubset("circuit search failed on a large system")
-    best = None
-    for size in range(1, nrows + 1):
-        for combo in itertools.combinations(range(nrows), size):
-            if _is_circuit(oracle, list(combo)):
-                key = tuple(sorted(combo, reverse=True))
-                if best is None or key < best[0]:
-                    best = (key, combo)
-    if best is None:
-        raise NoEssentialSubset("no essential subsystem exists")
-    return list(best[1])
-
-
 def find_minimal_essential(oracle, nrows):
     """Ranking-minimal circuit among rows 0..nrows-1 (rows are generated in
-    ascending ranking order, so index order is ranking order).
-
-    Greedy sweep from the highest-ranking row down: drop a row whenever the
-    remainder stays dependent.  Once a row becomes undroppable it stays so
-    (subsets of independent sets are independent), hence one sweep reaches a
-    circuit, and dropping high rows first makes it the ranking-minimal one
-    (circuits never nest).  The result is verified; on randomized-rank noise
-    the exhaustive search takes over.
-    """
-    keep = list(range(nrows))
-    if oracle.rank(keep) >= len(keep):
+    ascending ranking order, so index order is ranking order): the circuit
+    closed by the first row that depends on the rows before it."""
+    circuit = oracle.circuit(range(nrows))
+    if circuit is None:
         raise NoEssentialSubset("rows are independent, no resultant relation")
-    for r in reversed(range(nrows)):
-        trial = [i for i in keep if i != r]
-        if trial and oracle.rank(trial) < len(trial):
-            keep = trial
-    if not _is_circuit(oracle, keep):
-        keep = _exhaustive_circuit(oracle, nrows)
-    return tuple(keep)
+    return circuit
 
 
 # ---------------------------------------------------------------------------
 # variable reduction (set all but rank-many transform instances to one)
 # ---------------------------------------------------------------------------
 
-def _preserves_essential(oracle, ess_rows, cols, k):
-    if oracle.rank(ess_rows, cols) != k:
-        return False
-    for r in ess_rows:
-        rest = [i for i in ess_rows if i != r]
-        if rest and oracle.rank(rest, cols) != len(rest):
-            return False
-    return True
-
-
 def variable_essential_reduce(matrix, ess_rows, oracle):
     """Column subset to keep: the echelon pivots of the essential rows (the
     lexicographically earliest independent set), falling back to enumeration
-    when dropping the other columns would break essentialness."""
-    k = oracle.rank(ess_rows)
+    when the essential rows would stop being a circuit on the kept columns."""
+    k, pivots = oracle.rank_with_pivots(row_indices=ess_rows)
     if k != len(ess_rows) - 1:
         raise NoEssentialSubset("essential subsystem lost corank one")
     ncols = len(matrix.col_labels)
-    _, pivots = oracle.rank_with_pivots(row_indices=ess_rows)
     candidates = itertools.chain([tuple(pivots)],
                                  itertools.combinations(range(ncols), k))
     for tried, cols in enumerate(candidates):
         if tried > MAX_COLUMN_CANDIDATES:
             break
-        if _preserves_essential(oracle, ess_rows, cols, k):
+        if oracle.circuit(ess_rows, cols) == tuple(ess_rows):
             return tuple(cols)
     raise NoEssentialSubset("no variable subset keeps the subsystem essential")
 

@@ -9,7 +9,7 @@ the resultant computation:
     sdres resultant FILE   the full computation
 
 Exit codes: 0 success (including a "No SDResultant" verdict), 1 malformed
-input, 2 internal or degenerate-computation failure.
+input, 2 internal, degenerate-computation or out-of-memory/recursion failure.
 """
 
 import argparse
@@ -94,8 +94,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"sdres: error: {exc}", file=sys.stderr)
         return 1
-    except SDResError as exc:
-        print(f"sdres: internal error: {exc}", file=sys.stderr)
+    except (SDResError, MemoryError, RecursionError) as exc:
+        print(f"sdres: internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
 

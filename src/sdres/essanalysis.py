@@ -6,7 +6,7 @@ matrix:
 * is the system transformally essential (does the sparse difference
   resultant exist)?  --  rank test over the shift-operator field
 * which subsystem actually carries the resultant?  --  the unique
-  super-essential subset, found by greedy row removal
+  super-essential subset, the one circuit of the support matrix's rows
 * how far must each polynomial be transformed before the problem becomes
   algebraic?  --  modified Jacobi bounds of the specialized system
 
@@ -21,8 +21,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from scipy.optimize import linear_sum_assignment
-
 from .diffpoly import (
     SupportMatrix,
     norm_form,
@@ -32,7 +30,7 @@ from .diffpoly import (
     symbolic_support_vector,
 )
 from .errors import InfiniteJacobiBound, RankDrop
-from .multipoly import MultiPoly, rank_and_pivots, uni_gcd
+from .multipoly import MultiPoly, first_circuit, rank_and_pivots, uni_gcd
 
 RANK_TRIALS = 3
 RAND_BOUND = 2 ** 31
@@ -95,21 +93,35 @@ class RankOracle:
         return out
 
     def rank(self, row_indices=None, col_indices=None):
-        rank, _ = self.rank_with_pivots(row_indices, col_indices)
-        return rank
+        return self.rank_with_pivots(row_indices, col_indices)[0]
 
-    def rank_with_pivots(self, row_indices=None, col_indices=None):
-        nrows = len(self.matrix.rows)
-        ncols = len(self.matrix.col_labels)
+    def _trials(self, row_indices, col_indices):
+        nrows, ncols = len(self.matrix.rows), len(self.matrix.col_labels)
         rows = range(nrows) if row_indices is None else row_indices
         cols = range(ncols) if col_indices is None else col_indices
+        return rows, [[[numeric[r][c] for c in cols] for r in rows]
+                      for numeric in self._numeric]
+
+    def rank_with_pivots(self, row_indices=None, col_indices=None):
         best = (-1, ())
-        for numeric in self._numeric:
-            sub = [[numeric[r][c] for c in cols] for r in rows]
+        for sub in self._trials(row_indices, col_indices)[1]:
             rank, pivots = rank_and_pivots(sub)
             if rank > best[0]:
                 best = (rank, pivots)
         return best
+
+    def circuit(self, row_indices=None, col_indices=None):
+        """``first_circuit`` of the selected rows, as row indices.  A trial
+        finds a dependency no later than the generic one, and at the same
+        last row only part of its support, so the latest last row wins and
+        its trials' supports are united (one-sided, like the rank)."""
+        rows, subs = self._trials(row_indices, col_indices)
+        found = [first_circuit(sub) for sub in subs]
+        if None in found:
+            return None
+        last = max(f[-1] for f in found)
+        support = set().union(*(f for f in found if f[-1] == last))
+        return tuple(rows[i] for i in sorted(support))
 
     def report(self):
         rank, pivots = self.rank_with_pivots()
@@ -130,26 +142,14 @@ def is_transformally_essential(system, seed=0, exact=False):
 def find_super_essential(system, seed=0, exact=False):
     """The unique minimal subset T with card(T) - rank = 1.
 
-    Greedy removal in increasing index order; restarts after every
-    successful removal.  T is a circuit of the row matroid, so greedy
-    removal of any element whose absence keeps the rows dependent converges
-    to it.  Precondition: the system is transformally essential.
+    With corank one the rows hold exactly one circuit, and that circuit is
+    T.  Precondition: the system is transformally essential.
     """
     matrix = support_matrix(system.polys, system.nvars)
     oracle = RankOracle(matrix, seed=seed, exact=exact)
-    t = list(range(len(system.polys)))
-    if oracle.rank(t) != len(t) - 1:
+    if oracle.rank() != len(system.polys) - 1:
         raise RankDrop("system is not transformally essential")
-    changed = True
-    while changed:
-        changed = False
-        for i in list(t):
-            rest = [j for j in t if j != i]
-            if oracle.rank(rest) == len(rest) - 1:
-                t = rest
-                changed = True
-                break
-    return tuple(t)
+    return oracle.circuit()
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +161,52 @@ def jacobi_number(matrix):
 
     Entries are ints or None (None = -infinity, a forbidden cell).  Returns
     None when no feasible selection exists.  This is a maximum-weight
-    assignment problem; scipy's solver does the matching, the tests check it
-    against brute-force permutation enumeration.
+    assignment problem, solved exactly on ints with forbidden cells costing
+    more than any feasible selection; the tests check it against
+    brute-force permutation enumeration.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
+    if len(matrix) > len(matrix[0] if matrix else ()):
+        matrix = [list(col) for col in zip(*matrix)]
+    if not matrix:
         return 0
-    cost = []
-    for row in matrix:
-        vals = []
-        for v in row:
-            if v is None:
-                vals.append(float("-inf"))
-            else:
-                assert abs(v) < 2 ** 40, "order entry out of safe float range"
-                vals.append(float(v))
-        cost.append(vals)
-    try:
-        ri, ci = linear_sum_assignment(cost, maximize=True)
-    except ValueError:
+    allowed = [v for row in matrix for v in row if v is not None]
+    if not allowed:
         return None
-    total = 0
-    for r, c in zip(ri, ci):
-        v = matrix[r][c]
-        if v is None:
-            return None
-        total += v
-    return total
+    top = max(allowed)
+    forbidden = len(matrix) * (top - min(allowed)) + 1
+    picked = [matrix[r][c] for r, c in _min_cost_assignment(
+        [[forbidden if v is None else top - v for v in row] for row in matrix])]
+    return None if None in picked else sum(picked)
+
+
+def _min_cost_assignment(cost):
+    """(row, column) pairs of a minimum-cost matching of every row to its
+    own column, for rows <= columns: Kuhn-Munkres with potentials."""
+    n, m = len(cost), len(cost[0])
+    u, v, owner = [0] * (n + 1), [0] * (m + 1), [0] * (m + 1)  # owner: row + 1
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, way, used = [None] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], None, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if slack[j] is None or cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if delta is None or slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    return [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
 
 
 def jacobi_numbers_hat(order_mat):

@@ -527,17 +527,17 @@ class SymbolTable:
 # exact matrix work
 # ---------------------------------------------------------------------------
 
-def rank_and_pivots(matrix):
-    """Fraction-free row echelon rank over the entry ring's fraction field.
+def _echelon(matrix):
+    """Fraction-free row echelon form (Bareiss): (rows, pivot columns).
 
     Entries must support +, -, *, exact_div and is_zero (UniPoly or
-    MultiPoly).  Returns (rank, pivot_column_indices); pivot columns are the
-    lexicographically smallest column basis because elimination scans
-    left to right.
+    MultiPoly).  Pivot columns are the lexicographically smallest column
+    basis because elimination scans left to right; pivot row entries are
+    minors of the (row-permuted) input.
     """
     rows = [list(r) for r in matrix]
     if not rows:
-        return 0, ()
+        return rows, ()
     ncols = len(rows[0])
     prev = None
     rank = 0
@@ -562,7 +562,33 @@ def rank_and_pivots(matrix):
         prev = piv
         pivots.append(col)
         rank += 1
-    return rank, tuple(pivots)
+    return rows, tuple(pivots)
+
+
+def rank_and_pivots(matrix):
+    """Rank over the entry ring's fraction field, and the pivot columns."""
+    _, pivots = _echelon(matrix)
+    return len(pivots), pivots
+
+
+def first_circuit(matrix):
+    """Rows of the circuit closed by the first row j that depends on the
+    rows before it, or None for independent rows.  Rows 0..j have corank
+    one, so this is the circuit smallest by its indices read in descending
+    order.  On the transpose, j is the first non-pivot column; solving for
+    it scaled by the last pivot gives minors, so each division is exact.
+    """
+    echelon, pivots = _echelon([list(col) for col in zip(*matrix)])
+    j = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    if j == len(matrix):
+        return None
+    scaled = [None] * j
+    for i in reversed(range(j)):
+        acc = echelon[i][j] * echelon[j - 1][j - 1]
+        for c in range(i + 1, j):
+            acc = acc - echelon[i][c] * scaled[c]
+        scaled[i] = acc.exact_div(echelon[i][i])
+    return tuple(i for i in range(j) if not scaled[i].is_zero()) + (j,)
 
 
 def _zero_like(entry):

@@ -69,6 +69,7 @@ class ResultantResult(NamedTuple):
     mixed_counts: tuple
     attempts: int
     method: str
+    delta: tuple = ()     # perturbation of the subdivision (Newton path)
 
 
 def coefficient_table(zpolys):
@@ -340,7 +341,8 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES, method="auto",
             poly = quotient_resultant(pair, method=method)
             return ResultantResult(
                 poly, table, len(pair.m1), len(pair.minor_rows),
-                subdiv.mixed_counts, attempt + 1, "newton-quotient")
+                subdiv.mixed_counts, attempt + 1, "newton-quotient",
+                subdiv.delta)
         except (DegenerateLifting, NotDivisible, ZeroDenominator) as exc:
             last_error = exc
     raise RetriesExhausted(

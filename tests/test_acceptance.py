@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per shipped criterion, one PASS line each.
+"""Acceptance gate: one test per shipped criterion, one PASS line each,
+plus a cross-check of the randomized circuit searches on the same corpus.
 
 Every expected value here is frozen from an external source: the worked
 four-variable example, a hand elimination for the two-polynomial system,
@@ -248,7 +249,7 @@ def brute_force_shifted_sum_points(supports, delta):
 
 def test_criterion_3_golden_resultant():
     start = time.perf_counter()
-    _, _, red, res = full_stack(golden_system(), seed=0)
+    res = full_stack(golden_system(), seed=0)[3]
     poly = res.polynomial
     ids = ref_ids(res.symbols)
     expected = poly_from_terms(GOLDEN_TERMS, ids).sign_normalized()
@@ -272,10 +273,8 @@ def test_criterion_3_golden_resultant():
         == poly.total_degree()
     # This construction keeps one row per lattice point of the perturbed
     # Minkowski sum; count those points without the code's LPs.
-    supports, _ = extract_supports(red.zpolys)
-    delta = mixed_subdivision(supports, seed=res.attempts - 1).delta
     assert res.m1_dim == brute_force_shifted_sum_points(
-        GOLDEN_Z_SUPPORTS, delta), "numerator rows != perturbed sum points"
+        GOLDEN_Z_SUPPORTS, res.delta), "numerator rows != perturbed sum points"
     print(f"\ncriterion 3 PASS: {res.m1_dim}x{res.m1_dim} and "
           f"{res.m2_dim}x{res.m2_dim} matrices (frozen row-trimmed pair "
           f"14x14 / 7x7, same 7 mixed rows), 26-term degree-7 resultant "
@@ -383,6 +382,26 @@ def test_criterion_7_oracle_equivalences():
         done += 1
     print("\ncriterion 7 PASS: 200 jacobi matchings, 50 determinant pairs, "
           "200 exact-division round trips against brute-force oracles")
+
+
+def test_randomized_circuits_match_exact_route():
+    stacks = [(golden_system(),) + full_stack(golden_system(), seed=0)[:3]]
+    stacks.extend(case[:4] for case in random_essential_cases())
+    for system, subset, spec, red in stacks:
+        exact_red = algebraic_reduction(spec.polys, spec.bounds.modified,
+                                        exact=True)
+        assert find_super_essential(system, exact=True) == subset
+        assert (red.essential_tags, red.kept_refs) == \
+            (exact_red.essential_tags, exact_red.kept_refs)
+        for seed in (1, 2, 3):
+            assert find_super_essential(system, seed=seed) == subset
+            other = algebraic_reduction(spec.polys, spec.bounds.modified,
+                                        seed=seed)
+            assert (other.essential_tags, other.kept_refs) == \
+                (red.essential_tags, red.kept_refs)
+    print(f"\nrandomized circuits PASS: super-essential sets, essential rows "
+          f"and kept variables equal the exact route on {len(stacks)} "
+          f"systems at four seeds")
 
 
 def test_criterion_8_determinism_and_pivot_invariance():

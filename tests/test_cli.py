@@ -95,6 +95,18 @@ def test_unwritable_out_is_input_error(toy_file, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exhaustion", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_internal_error(toy_file, monkeypatch, capsys,
+                                               exhaustion):
+    def exhausted(*args, **kwargs):
+        raise exhaustion()
+
+    monkeypatch.setattr("sdres.cli.run_pipeline", exhausted)
+    assert main(["resultant", toy_file]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sdres: internal error: {exhaustion.__name__}\n"
+
+
 def test_seed_flag_changes_nothing_for_deterministic_paths(toy_file, capsys):
     assert main(["resultant", toy_file, "--seed", "0",
                  "--format", "json"]) == 0

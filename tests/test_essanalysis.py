@@ -110,6 +110,8 @@ def test_jacobi_examples():
     # rectangular: best min(m,n)-selection
     assert jacobi_number([[1, 10, 2]]) == 10
     assert jacobi_number([[1], [10], [2]]) == 10
+    # exact beyond float precision
+    assert jacobi_number([[2 ** 60 + 1, None], [None, 1]]) == 2 ** 60 + 2
 
 
 def test_jacobi_matches_brute_force():

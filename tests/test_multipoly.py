@@ -1,5 +1,7 @@
-"""Core arithmetic: ring axioms by evaluation, determinants, gcd, rank."""
+"""Core arithmetic: ring axioms by evaluation, determinants, gcd, rank,
+first circuits."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from sdres.multipoly import (
     MultiPoly,
     UniPoly,
     determinant,
+    first_circuit,
     format_unipoly,
     int_matrix_rank,
     mono_cmp,
@@ -345,3 +348,114 @@ def test_unipoly_matrix_rank():
     # rank of a matrix with a zero column skips it
     rank, pivots = rank_and_pivots([[UniPoly(), one], [UniPoly(), x]])
     assert rank == 1 and pivots == (1,)
+
+
+# ---------------------------------------------------------------------------
+# first circuit
+# ---------------------------------------------------------------------------
+
+def brute_force_circuit(nrows, rank):
+    """Exhaustive search: of all row subsets that are circuits (dependent,
+    every proper subset independent), the one whose indices read in
+    descending order are smallest.  ``rank`` maps a row tuple to its rank."""
+    best = None
+    for size in range(1, nrows + 1):
+        for combo in itertools.combinations(range(nrows), size):
+            if rank(combo) == size - 1 and all(
+                    rank(rest) == size - 1
+                    for rest in itertools.combinations(combo, size - 1)):
+                key = sorted(combo, reverse=True)
+                if best is None or key < best[0]:
+                    best = (key, combo)
+    return None if best is None else best[1]
+
+
+def planted_rows(rng, nrows, ncols, entry):
+    """nrows x ncols product of a random nrows x k and k x ncols matrix,
+    with some rows and columns zeroed and some rows repeated."""
+    k = rng.randint(0, min(nrows, ncols))
+    a = [[entry(rng) for _ in range(k)] for _ in range(nrows)]
+    b = [[entry(rng) for _ in range(ncols)] for _ in range(k)]
+    zero = entry(rng) * 0
+    m = [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
+          for j in range(ncols)] for i in range(nrows)]
+    for i in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            m[i] = [zero] * ncols
+        elif roll < 0.3 and i:
+            m[i] = list(m[rng.randrange(i)])
+    dropped = {j for j in range(ncols) if rng.random() < 0.15}
+    return [[zero if j in dropped else v for j, v in enumerate(row)]
+            for row in m]
+
+
+def exact_rank_by_grid(matrix, points, evaluate):
+    """Rank over the fraction field: the maximum rank over a grid on which
+    no nonzero minor can vanish everywhere."""
+    best = 0
+    for pt in points:
+        best = max(best, frac_gauss_rank(
+            [[evaluate(e, pt) for e in row] for row in matrix]))
+        if best == min(len(matrix), len(matrix[0]) if matrix else 0):
+            break
+    return best
+
+
+def assert_first_circuit_is_brute_force(matrix, rank_of):
+    memo = {}
+
+    def rank(rows):
+        if rows not in memo:
+            memo[rows] = rank_of([matrix[r] for r in rows])
+        return memo[rows]
+
+    assert first_circuit(matrix) == brute_force_circuit(len(matrix), rank)
+
+
+def test_first_circuit_int_matrices_vs_brute_force():
+    rng = random.Random(113)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 5)
+        m = planted_rows(rng, nrows, ncols, lambda g: g.randint(-4, 4))
+        assert_first_circuit_is_brute_force(
+            [[UniPoly.const(v) for v in row] for row in m],
+            lambda rows: exact_rank_by_grid(
+                rows, [0], lambda e, t: e.evaluate(t)))
+
+
+def test_first_circuit_unipoly_matrices_vs_brute_force():
+    rng = random.Random(114)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 3)
+        m = planted_rows(rng, nrows, ncols,
+                         lambda g: rand_unipoly(g, max_deg=1, bound=3))
+        # entries have degree <= 2, so minors have degree <= 6
+        points = range(7)
+        assert_first_circuit_is_brute_force(
+            m, lambda rows: exact_rank_by_grid(
+                rows, points, lambda e, t: e.evaluate(t)))
+
+
+def test_first_circuit_multipoly_matrices_vs_brute_force():
+    rng = random.Random(115)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 3)
+        m = planted_rows(rng, nrows, ncols,
+                         lambda g: rand_multipoly(g, nsyms=2, nterms=2,
+                                                  max_exp=1, bound=3))
+        # entries have total degree <= 4, so minors have degree <= 12
+        points = [{0: s, 1: t} for s in range(13) for t in range(13)]
+        assert_first_circuit_is_brute_force(
+            m, lambda rows: exact_rank_by_grid(
+                rows, points, lambda e, pt: e.evaluate(pt)))
+
+
+def test_first_circuit_examples():
+    one, x = UniPoly((1,)), UniPoly((0, 1))
+    zero = UniPoly()
+    # row 2 = x * row 0: the circuit skips the independent row 1
+    assert first_circuit([[one, x], [x, one], [x, x * x]]) == (0, 2)
+    assert first_circuit([[one, zero], [zero, one]]) is None
+    assert first_circuit([[zero, zero], [one, x]]) == (0,)
+    assert first_circuit([]) is None
