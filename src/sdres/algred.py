@@ -21,16 +21,12 @@ so entries may be negative (Laurent); everything downstream handles that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diffpoly import SupportMatrix, shift_poly
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
-from .multipoly import UniPoly, int_matrix_rank
-
-MAX_COLUMN_CANDIDATES = 1000
+from .multipoly import UniPoly, first_relation, rank_and_pivots
 
 
 def prolong(polys, bounds):
@@ -91,22 +87,17 @@ def find_minimal_essential(oracle, nrows):
 # variable reduction (set all but rank-many transform instances to one)
 # ---------------------------------------------------------------------------
 
-def variable_essential_reduce(matrix, ess_rows, oracle):
+def variable_essential_reduce(ess_rows, oracle):
     """Column subset to keep: the echelon pivots of the essential rows (the
-    lexicographically earliest independent set), falling back to enumeration
-    when the essential rows would stop being a circuit on the kept columns."""
+    lexicographically earliest independent set).  The rows' one left-kernel
+    vector stays the only one on a column basis, so they stay a circuit;
+    the check below only catches an unlucky randomized trial."""
     k, pivots = oracle.rank_with_pivots(row_indices=ess_rows)
     if k != len(ess_rows) - 1:
         raise NoEssentialSubset("essential subsystem lost corank one")
-    ncols = len(matrix.col_labels)
-    candidates = itertools.chain([tuple(pivots)],
-                                 itertools.combinations(range(ncols), k))
-    for tried, cols in enumerate(candidates):
-        if tried > MAX_COLUMN_CANDIDATES:
-            break
-        if oracle.circuit(ess_rows, cols) == tuple(ess_rows):
-            return tuple(cols)
-    raise NoEssentialSubset("no variable subset keeps the subsystem essential")
+    if oracle.circuit(ess_rows, pivots) != tuple(ess_rows):
+        raise NoEssentialSubset("pivot columns do not keep the subsystem essential")
+    return tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -148,44 +139,15 @@ def hermite_basis(vectors):
 
 def lattice_coordinates(basis, vector):
     """Integer coordinates of vector in the span of the basis rows, or None
-    when the vector lies outside.  Exact rational elimination throughout."""
-    r = len(basis)
-    if r == 0:
-        return () if not any(vector) else None
-    k = len(vector)
-    aug = [[Fraction(basis[j][c]) for j in range(r)] + [Fraction(vector[c])]
-           for c in range(k)]
-    row = 0
-    piv_cols = []
-    for col in range(r):
-        p = next((i for i in range(row, k) if aug[i][col] != 0), None)
-        if p is None:
-            continue
-        aug[row], aug[p] = aug[p], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for i in range(k):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    if len(piv_cols) < r:
+    when the vector lies outside: the first row relation of basis + vector,
+    which must end at the vector and divide exactly by its scale."""
+    relation = first_relation([*basis, vector])
+    if relation is None or len(relation[0]) != len(basis):
         return None
-    for i in range(row, k):
-        if aug[i][r] != 0:
-            return None
-    coords = [Fraction(0)] * r
-    for idx, col in enumerate(piv_cols):
-        coords[col] = aug[idx][r]
-    if any(c.denominator != 1 for c in coords):
+    coeffs, scale = relation
+    if any(c % scale for c in coeffs):
         return None
-    return tuple(int(c) for c in coords)
-
-
-def _int_rank(vectors):
-    rank, _ = int_matrix_rank([list(v) for v in vectors])
-    return rank
+    return tuple(c // scale for c in coeffs)
 
 
 def strong_essential_transform(supports, k):
@@ -206,7 +168,7 @@ def strong_essential_transform(supports, k):
     distinct = sorted(seen)
     if k == 0:
         basis = ()
-    elif len(distinct) == k and _int_rank(distinct) == k:
+    elif len(distinct) == k and rank_and_pivots(distinct)[0] == k:
         basis = tuple(distinct)
     else:
         basis = hermite_basis(distinct)
@@ -269,7 +231,7 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
             raise CorankLost("dependence lost after lowering the order bounds")
 
     ess = find_minimal_essential(oracle, len(rows))
-    cols = variable_essential_reduce(matrix, list(ess), oracle)
+    cols = variable_essential_reduce(list(ess), oracle)
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
     present = set()

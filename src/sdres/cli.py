@@ -54,7 +54,7 @@ def build_parser():
                        help="replace randomized rank checks by exact "
                             "symbolic elimination")
         p.add_argument("--max-retries", type=int, default=MAX_RETRIES,
-                       help="degenerate-choice retries in the resultant stage")
+                       help="liftings tried in the resultant stage")
         p.add_argument("--verbose", action="store_true",
                        help="log stage progress to stderr, include timings")
     return parser

@@ -11,8 +11,9 @@ matrix:
   algebraic?  --  modified Jacobi bounds of the specialized system
 
 Ranks are computed by substituting large random integers for the generic
-coefficients (correct with overwhelming probability; several independent
-trials are taken and an exact symbolic path is available for paranoid runs).
+coefficients and the shift indeterminate (correct with overwhelming
+probability; several independent trials are taken and an exact symbolic
+path is available for paranoid runs).
 """
 
 from __future__ import annotations
@@ -53,24 +54,29 @@ class RankOracle:
     """Rank queries against row/column subsets of one support matrix.
 
     Each trial substitutes one random integer point for all generic
-    coefficients; queries run fraction-free elimination on the selected
-    submatrix.  The reported rank is the maximum over trials (substitution
-    can only ever lower the rank).
+    coefficients and then for the shift indeterminate x, drawn from
+    [-2**31, 2**31]; queries run fraction-free elimination on plain ints.
+    An r x r minor is a polynomial of total degree at most r*(D+1), D the
+    largest shift degree, so by Schwartz-Zippel one trial loses a given
+    nonzero minor with probability at most r*(D+1)/(2**32+1).  The reported
+    rank is the maximum over the trials (substitution can only ever lower
+    the rank).  ``exact`` keeps the symbolic entries instead.
     """
 
-    def __init__(self, matrix, seed=0, trials=RANK_TRIALS, exact=False):
+    def __init__(self, matrix, seed=0, exact=False):
         self.matrix = matrix
         self.exact = exact
-        self.trials = 1 if exact else trials
         refs = sorted(matrix.coeff_refs())
         if exact:
             self._numeric = [self._symbolic_matrix(matrix, refs)]
         else:
             self._numeric = []
-            for t in range(self.trials):
+            for t in range(RANK_TRIALS):
                 rng = stage_rng(seed, f"rank-trial-{t}")
                 values = {r: rng.randint(-RAND_BOUND, RAND_BOUND) for r in refs}
-                self._numeric.append(matrix.substituted(values))
+                x0 = rng.randint(-RAND_BOUND, RAND_BOUND)
+                self._numeric.append([[e.evaluate(x0) for e in row]
+                                      for row in matrix.substituted(values)])
 
     @staticmethod
     def _symbolic_matrix(matrix, refs):
@@ -126,11 +132,11 @@ class RankOracle:
     def report(self):
         rank, pivots = self.rank_with_pivots()
         return RankReport(rank=rank, pivot_cols=pivots,
-                          trials=self.trials, exact=self.exact)
+                          trials=len(self._numeric), exact=self.exact)
 
 
-def symbolic_rank(matrix, seed=0, trials=RANK_TRIALS, exact=False):
-    return RankOracle(matrix, seed=seed, trials=trials, exact=exact).report()
+def symbolic_rank(matrix, seed=0, exact=False):
+    return RankOracle(matrix, seed=seed, exact=exact).report()
 
 
 def is_transformally_essential(system, seed=0, exact=False):

@@ -114,6 +114,8 @@ class UniPoly:
             raise NotDivisible("nonzero remainder")
         return UniPoly(q)
 
+    __floordiv__ = exact_div
+
     def content(self):
         return reduce(math.gcd, (abs(v) for v in self.coeffs), 0)
 
@@ -128,12 +130,6 @@ class UniPoly:
         for v in reversed(self.coeffs):
             acc = acc * x0 + v
         return acc
-
-    def shift_degree(self, k):
-        """Multiply by x**k."""
-        if self.is_zero() or k == 0:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -326,9 +322,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
     def const_value(self):
         return self.terms.get((), 0)
 
@@ -411,6 +404,8 @@ class MultiPoly:
                 else:
                     rem.pop(m, None)
         return MultiPoly(q)
+
+    __floordiv__ = exact_div
 
     def content(self):
         return reduce(math.gcd, (abs(c) for c in self.terms.values()), 0)
@@ -530,10 +525,10 @@ class SymbolTable:
 def _echelon(matrix):
     """Fraction-free row echelon form (Bareiss): (rows, pivot columns).
 
-    Entries must support +, -, *, exact_div and is_zero (UniPoly or
-    MultiPoly).  Pivot columns are the lexicographically smallest column
-    basis because elimination scans left to right; pivot row entries are
-    minors of the (row-permuted) input.
+    Entries are ints, UniPoly or MultiPoly: anything with +, -, *, exact
+    ``//`` and truthiness.  Pivot columns are the lexicographically smallest
+    column basis because elimination scans left to right; pivot row entries
+    are minors of the (row-permuted) input, so every division is exact.
     """
     rows = [list(r) for r in matrix]
     if not rows:
@@ -545,11 +540,7 @@ def _echelon(matrix):
     for col in range(ncols):
         if rank == len(rows):
             break
-        sel = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                sel = r
-                break
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
@@ -557,8 +548,8 @@ def _echelon(matrix):
         for r in range(rank + 1, len(rows)):
             for c in range(col + 1, ncols):
                 num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
-                rows[r][c] = num if prev is None else num.exact_div(prev)
-            rows[r][col] = _zero_like(piv)
+                rows[r][c] = num if prev is None else num // prev
+            rows[r][col] = piv * 0
         prev = piv
         pivots.append(col)
         rank += 1
@@ -571,34 +562,38 @@ def rank_and_pivots(matrix):
     return len(pivots), pivots
 
 
-def first_circuit(matrix):
-    """Rows of the circuit closed by the first row j that depends on the
-    rows before it, or None for independent rows.  Rows 0..j have corank
-    one, so this is the circuit smallest by its indices read in descending
-    order.  On the transpose, j is the first non-pivot column; solving for
-    it scaled by the last pivot gives minors, so each division is exact.
+def first_relation(matrix):
+    """(coeffs, scale) with scale * row_j == sum(coeffs[i] * row_i) for the
+    first row j = len(coeffs) that depends on the rows before it, scale
+    nonzero; None for independent rows.  On the transpose, j is the first
+    non-pivot column; solving for it scaled by the last pivot gives minors,
+    so each division is exact.
     """
     echelon, pivots = _echelon([list(col) for col in zip(*matrix)])
     j = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
     if j == len(matrix):
         return None
-    scaled = [None] * j
+    scale = echelon[j - 1][j - 1] if j else 1
+    coeffs = [None] * j
     for i in reversed(range(j)):
-        acc = echelon[i][j] * echelon[j - 1][j - 1]
+        acc = echelon[i][j] * scale
         for c in range(i + 1, j):
-            acc = acc - echelon[i][c] * scaled[c]
-        scaled[i] = acc.exact_div(echelon[i][i])
-    return tuple(i for i in range(j) if not scaled[i].is_zero()) + (j,)
+            acc = acc - echelon[i][c] * coeffs[c]
+        coeffs[i] = acc // echelon[i][i]
+    return tuple(coeffs), scale
 
 
-def _zero_like(entry):
-    return UniPoly() if isinstance(entry, UniPoly) else MultiPoly()
-
-
-def int_matrix_rank(matrix):
-    """Rank (and pivot columns) of an integer matrix, exactly."""
-    wrapped = [[UniPoly.const(v) for v in row] for row in matrix]
-    return rank_and_pivots(wrapped)
+def first_circuit(matrix):
+    """Rows of the circuit closed by the first row j that depends on the
+    rows before it, or None for independent rows: the support of
+    ``first_relation`` plus j.  Rows 0..j have corank one, so this is the
+    circuit smallest by its indices read in descending order.
+    """
+    relation = first_relation(matrix)
+    if relation is None:
+        return None
+    coeffs, _ = relation
+    return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
 
 
 def determinant(matrix, method="auto"):

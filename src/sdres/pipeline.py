@@ -53,8 +53,7 @@ class PipelineReport:
 
 
 def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
-                 max_retries=MAX_RETRIES, kept_override=None,
-                 use_sylvester=True, log=None):
+                 max_retries=MAX_RETRIES, kept_override=None, log=None):
     """Run the pipeline up to ``stage`` and collect a PipelineReport.
 
     A system that fails the existence check yields a normal report with
@@ -123,8 +122,7 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
 
     red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=seed,
                               exact=paranoid)
-    res = compute_resultant(red.zpolys, seed=seed, max_retries=max_retries,
-                            use_sylvester=use_sylvester)
+    res = compute_resultant(red.zpolys, seed=seed, max_retries=max_retries)
     report.alg_essential = red.essential_tags
     report.m1_dim = res.m1_dim
     report.m2_dim = res.m2_dim

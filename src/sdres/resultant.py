@@ -20,7 +20,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .essanalysis import stage_rng
-from .multipoly import MultiPoly, SymbolTable, determinant
+from .multipoly import MultiPoly, SymbolTable, determinant, rank_and_pivots
 from .ratlp import solve_lp
 
 LIFT_BOUND = 1 << 20
@@ -147,13 +147,13 @@ def _locate_cell(supports, lifting, delta, point):
     return fine, tuple(faces)
 
 
-def mixed_subdivision(supports, seed=0, max_retries=MAX_RETRIES):
+def mixed_subdivision(supports, seed=0, attempt=0):
     """Fine mixed subdivision data for every lattice point of the shifted sum.
 
     The perturbation is a strictly positive random rational vector; with
     supports anchored at the origin this keeps the point set minimal and
     independent of the draw, while the lifting decides the cells.  Both are
-    regenerated on any degeneracy.
+    drawn once per ``attempt``; a degenerate draw raises DegenerateLifting.
     """
     npolys = len(supports)
     k = len(supports[0].points[0])
@@ -161,40 +161,29 @@ def mixed_subdivision(supports, seed=0, max_retries=MAX_RETRIES):
         raise InternalError(f"need {k + 1} supports in {k} variables, got {npolys}")
     lo = [sum(min(b[j] for b in s.points) for s in supports) for j in range(k)]
     hi = [sum(max(b[j] for b in s.points) for s in supports) for j in range(k)]
-    last_reason = "no attempt ran"
-    for attempt in range(max_retries):
-        rng = stage_rng(seed, f"subdivision-{attempt}")
-        delta = tuple(
-            Fraction(rng.randint(1, DELTA_NUM_BOUND), DELTA_DENOM) for _ in range(k))
-        lifting = tuple(
-            tuple(rng.randint(0, LIFT_BOUND) for _ in s.points) for s in supports)
-        points, cells, counts = [], [], [0] * npolys
-        fine_everywhere = True
-        for p in product(*[range(lo[j] + 1, hi[j] + 1) for j in range(k)]):
-            located = _locate_cell(supports, lifting, delta, p)
-            if located is None:
-                continue
-            fine, faces = located
-            if not fine:
-                fine_everywhere = False
-                last_reason = f"cell at {p} is not fine"
-                break
-            vertices = [i for i in range(npolys) if len(faces[i]) == 1]
-            if not vertices:
-                fine_everywhere = False
-                last_reason = f"cell at {p} has no vertex summand"
-                break
-            content = max(vertices)
-            mixed = len(vertices) == 1
-            points.append(p)
-            cells.append(CellInfo(faces, content, faces[content][0], mixed))
-            if mixed:
-                counts[content] += 1
-        if fine_everywhere:
-            return Subdivision(supports, tuple(points), tuple(cells),
-                               delta, tuple(counts))
-    raise RetriesExhausted(
-        f"no fine subdivision after {max_retries} liftings: {last_reason}")
+    rng = stage_rng(seed, f"subdivision-{attempt}")
+    delta = tuple(
+        Fraction(rng.randint(1, DELTA_NUM_BOUND), DELTA_DENOM) for _ in range(k))
+    lifting = tuple(
+        tuple(rng.randint(0, LIFT_BOUND) for _ in s.points) for s in supports)
+    points, cells, counts = [], [], [0] * npolys
+    for p in product(*[range(lo[j] + 1, hi[j] + 1) for j in range(k)]):
+        located = _locate_cell(supports, lifting, delta, p)
+        if located is None:
+            continue
+        fine, faces = located
+        if not fine:
+            raise DegenerateLifting(f"cell at {p} is not fine")
+        vertices = [i for i in range(npolys) if len(faces[i]) == 1]
+        if not vertices:
+            raise DegenerateLifting(f"cell at {p} has no vertex summand")
+        content = max(vertices)
+        mixed = len(vertices) == 1
+        points.append(p)
+        cells.append(CellInfo(faces, content, faces[content][0], mixed))
+        if mixed:
+            counts[content] += 1
+    return Subdivision(supports, tuple(points), tuple(cells), delta, tuple(counts))
 
 
 def build_matrices(subdiv):
@@ -224,33 +213,12 @@ def build_matrices(subdiv):
                             tuple(minor_rows))
 
 
-def _numeric_det(rows):
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(n):
-        sel = next((r for r in range(c, n) if m[r][c]), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for cc in range(c + 1, n):
-                m[r][cc] = (m[r][cc] * m[c][c] - m[r][c] * m[c][cc]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1] if n else 1
-
-
-def _minor_nonzero_check(pair, seed):
+def _minor_nonzero_check(pair, seed, attempt):
     """Vanishing precheck of the denominator minor by random evaluation."""
     rows = pair.minor_rows
     if not rows:
         return True
-    rng = stage_rng(seed, "minor-check")
+    rng = stage_rng(seed, f"minor-check-{attempt}")
     for _ in range(2):
         values = {}
         numeric = []
@@ -263,17 +231,17 @@ def _minor_nonzero_check(pair, seed):
                         values[sid] = rng.randint(1, 1 << 31)
                 line.append(int(entry.evaluate(values)))
             numeric.append(line)
-        if _numeric_det(numeric) != 0:
+        if rank_and_pivots(numeric)[0] == len(rows):
             return True
     return False
 
 
-def quotient_resultant(pair, method="auto"):
+def quotient_resultant(pair):
     """Exact determinant quotient, primitive and sign-normalized."""
-    det1 = determinant([list(r) for r in pair.m1], method=method)
+    det1 = determinant([list(r) for r in pair.m1])
     if pair.minor_rows:
         minor = [[pair.m1[r][c] for c in pair.minor_rows] for r in pair.minor_rows]
-        det2 = determinant(minor, method=method)
+        det2 = determinant(minor)
         if det2.is_zero():
             raise ZeroDenominator("non-mixed minor vanished symbolically")
         quotient = det1.exact_div(det2)
@@ -284,19 +252,21 @@ def quotient_resultant(pair, method="auto"):
     return quotient.primitive().sign_normalized()
 
 
-def sylvester_resultant(supports, method="auto"):
-    """Classical Sylvester determinant for two univariate supports."""
+def sylvester_resultant(supports):
+    """Classical Sylvester determinant for two univariate supports, each
+    shifted by its lowest exponent (Laurent supports)."""
     if len(supports) != 2:
         raise InternalError("Sylvester path needs exactly two polynomials")
     degs = []
     dense = []
     for s in supports:
-        d = max(p[0] for p in s.points)
+        low = min(p[0] for p in s.points)
+        d = max(p[0] for p in s.points) - low
         if d < 1:
             raise InternalError("Sylvester path needs positive degrees")
         row = [MultiPoly.zero()] * (d + 1)
         for p, coeff in zip(s.points, s.coeffs):
-            row[p[0]] = coeff
+            row[p[0] - low] = coeff
         degs.append(d)
         dense.append(row)
     d0, d1 = degs
@@ -312,13 +282,15 @@ def sylvester_resultant(supports, method="auto"):
         for m, coeff in enumerate(dense[1]):
             row[shift + m] = coeff
         rows.append(row)
-    det = determinant(rows, method=method)
+    det = determinant(rows)
     return det.primitive().sign_normalized(), size
 
 
-def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES, method="auto",
+def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES,
                       use_sylvester=True):
-    """Resultant of the lattice-form system, with degeneracy retries."""
+    """Resultant of the lattice-form system.  Attempt a draws the lifting
+    ``subdivision-{a}`` and the minor check ``minor-check-{a}`` from the
+    one seed; max_retries bounds the attempts of every kind together."""
     supports, table = extract_supports(zpolys)
     k = len(supports[0].points[0]) if supports[0].points else 0
     if k == 0:
@@ -328,17 +300,16 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES, method="auto",
         poly = supports[0].coeffs[0].primitive().sign_normalized()
         return ResultantResult(poly, table, 1, 0, (1,), 0, "constant")
     if use_sylvester and k == 1 and len(supports) == 2:
-        poly, size = sylvester_resultant(supports, method=method)
+        poly, size = sylvester_resultant(supports)
         return ResultantResult(poly, table, size, 0, (), 0, "sylvester")
     last_error = None
     for attempt in range(max_retries):
         try:
-            subdiv = mixed_subdivision(supports, seed=seed + attempt,
-                                       max_retries=max_retries)
+            subdiv = mixed_subdivision(supports, seed, attempt)
             pair = build_matrices(subdiv)
-            if not _minor_nonzero_check(pair, seed + attempt):
+            if not _minor_nonzero_check(pair, seed, attempt):
                 raise DegenerateLifting("non-mixed minor evaluated to zero")
-            poly = quotient_resultant(pair, method=method)
+            poly = quotient_resultant(pair)
             return ResultantResult(
                 poly, table, len(pair.m1), len(pair.minor_rows),
                 subdiv.mixed_counts, attempt + 1, "newton-quotient",

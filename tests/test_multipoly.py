@@ -1,5 +1,5 @@
 """Core arithmetic: ring axioms by evaluation, determinants, gcd, rank,
-first circuits."""
+first relations and circuits."""
 
 import itertools
 import random
@@ -13,8 +13,8 @@ from sdres.multipoly import (
     UniPoly,
     determinant,
     first_circuit,
+    first_relation,
     format_unipoly,
-    int_matrix_rank,
     mono_cmp,
     mono_div,
     mono_mul,
@@ -327,7 +327,7 @@ def test_int_rank_matches_fraction_gauss():
         b = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(k)]
         m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
              for i in range(nr)]
-        rank, pivots = int_matrix_rank(m)
+        rank, pivots = rank_and_pivots(m)
         assert rank == frac_gauss_rank(m)
         assert rank <= k
         assert len(pivots) == rank
@@ -411,6 +411,17 @@ def assert_first_circuit_is_brute_force(matrix, rank_of):
         return memo[rows]
 
     assert first_circuit(matrix) == brute_force_circuit(len(matrix), rank)
+    relation = first_relation(matrix)
+    if relation is not None:
+        # scale * row_j == sum(coeffs[i] * row_i), with a nonzero scale
+        coeffs, scale = relation
+        j = len(coeffs)
+        assert scale
+        for col in zip(*matrix[:j + 1]):
+            acc = scale * col[j]
+            for i in range(j):
+                acc = acc - coeffs[i] * col[i]
+            assert not acc
 
 
 def test_first_circuit_int_matrices_vs_brute_force():

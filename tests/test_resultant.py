@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from sdres import resultant
 from sdres.algred import algebraic_reduction
 from sdres.diffpoly import CoeffRef
-from sdres.errors import InternalError
+from sdres.errors import InternalError, RetriesExhausted
 from sdres.essanalysis import select_and_specialize, stage_rng
 from sdres.multipoly import MultiPoly
 from sdres.resultant import (
+    MAX_RETRIES,
     build_matrices,
     compute_resultant,
     extract_supports,
@@ -96,26 +98,32 @@ def test_toy_newton_quotient_agrees_with_sylvester():
     assert slow.polynomial == fast.polynomial
 
 
-def test_univariate_newton_quotient_beyond_toy():
-    # degree-2 against degree-1 supports, both routes must agree
+@pytest.mark.parametrize("exps", [(0, 1, 2), (0, -1), (0, -1, 2)],
+                         ids=lambda exps: "_".join(map(str, exps)))
+def test_univariate_newton_quotient_beyond_toy(exps):
+    # a (Laurent) support against a degree-1 one, both routes must agree
     zp = (
-        ((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (1,)),
-         (CoeffRef(0, 2, 0), (2,))),
+        tuple((CoeffRef(0, j, 0), (e,)) for j, e in enumerate(exps)),
         ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
     )
     fast = compute_resultant(zp, seed=0)
     slow = compute_resultant(zp, seed=0, use_sylvester=False)
     assert fast.method == "sylvester"
-    assert fast.m1_dim == 3
+    top, low = max(exps), min(exps)
+    assert fast.m1_dim == slow.m1_dim == top - low + 1
     assert slow.polynomial == fast.polynomial
-    # classical resultant of a x^2 + b x + c and d x + e: a e^2 - b d e + c d^2
+    # classical resultant of sum c_j x^(e_j - low) and d x + e:
+    # sum c_j (-e)^(e_j - low) d^(top - e_j), up to sign
     ids = ref_ids(fast.symbols)
-    a, b, c = (ids[CoeffRef(0, j, 0)] for j in (2, 1, 0))
-    d, e = (ids[CoeffRef(1, j, 0)] for j in (1, 0))
-    expected = (
-        MultiPoly.symbol(a) * MultiPoly.symbol(e) * MultiPoly.symbol(e)
-        - MultiPoly.symbol(b) * MultiPoly.symbol(d) * MultiPoly.symbol(e)
-        + MultiPoly.symbol(c) * MultiPoly.symbol(d) * MultiPoly.symbol(d))
+    d, e = (MultiPoly.symbol(ids[CoeffRef(1, j, 0)]) for j in (1, 0))
+    expected = MultiPoly.zero()
+    for j, ej in enumerate(exps):
+        term = MultiPoly.symbol(ids[CoeffRef(0, j, 0)])
+        for _ in range(ej - low):
+            term = -term * e
+        for _ in range(top - ej):
+            term = term * d
+        expected = expected + term
     assert fast.polynomial == expected.sign_normalized()
 
 
@@ -289,3 +297,29 @@ def test_matrix_rows_cover_every_point_once():
         assert len(nonzero) == len(sets[tag[0]].points)
     poly = quotient_resultant(pair)
     assert not poly.is_zero()
+
+
+@pytest.mark.parametrize("stub", [("_locate_cell", lambda *args: (False, ())),
+                                  ("_minor_nonzero_check", lambda *args: False)],
+                         ids=lambda stub: stub[0])
+def test_one_retry_budget_over_one_seed(monkeypatch, stub):
+    # every degenerate attempt, whichever check rejects it, spends the same
+    # budget and draws a fresh lifting from the same seed
+    draws = []
+
+    def recording_rng(seed, tag):
+        if tag.startswith("subdivision-"):
+            draws.append((seed, tag))
+        return stage_rng(seed, tag)
+
+    monkeypatch.setattr(resultant, "stage_rng", recording_rng)
+    monkeypatch.setattr(resultant, *stub)
+    zp = (
+        ((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (1,)),
+         (CoeffRef(0, 2, 0), (2,))),
+        ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
+    )
+    with pytest.raises(RetriesExhausted):
+        compute_resultant(zp, seed=3, use_sylvester=False)
+    assert len(set(draws)) == len(draws) == MAX_RETRIES
+    assert {seed for seed, _ in draws} == {3}
