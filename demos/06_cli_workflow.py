@@ -3,6 +3,7 @@
 # verdict too: a negative answer is an answer, not an error.
 
 import json
+import pathlib
 import tempfile
 
 from sdres.cli import main
@@ -12,20 +13,20 @@ P0 = u + u*y[1,0]
 P1 = u + u*y[1,1]
 """
 
-with tempfile.NamedTemporaryFile("w", suffix=".sys", delete=False) as handle:
-    handle.write(SYSTEM)
-    path = handle.name
+with tempfile.TemporaryDirectory() as workdir:
+    path = pathlib.Path(workdir) / "toy.sys"
+    path.write_text(SYSTEM)
+    report = pathlib.Path(workdir) / "report.json"
 
-print("== sdres check ==")
-code = main(["check", path])
-print("exit code:", code)
+    print("== sdres check ==")
+    code = main(["check", str(path)])
+    print("exit code:", code)
 
-print("== sdres bounds ==")
-main(["bounds", path])
+    print("== sdres bounds ==")
+    main(["bounds", str(path)])
 
-print("== sdres resultant --format json --out ... ==")
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as out:
-    main(["resultant", path, "--format", "json", "--out", out.name])
-    data = json.load(open(out.name))
+    print("== sdres resultant --format json --out ... ==")
+    main(["resultant", str(path), "--format", "json", "--out", str(report)])
+    data = json.loads(report.read_text())
 print("terms in the resultant:", len(data["resultant"]["terms"]))
 print("kept variables:", data["kept_vars"])

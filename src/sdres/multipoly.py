@@ -16,7 +16,6 @@ free rank) lives here too so that callers never touch floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 
 from .errors import MissingSymbol, NotDivisible
@@ -166,46 +165,29 @@ def format_unipoly(p, var="x"):
 def uni_gcd(polys):
     """Primitive gcd in Z[x] of an iterable of UniPoly, positive leading coeff.
 
-    The gcd of an empty collection (or of all-zero input) is zero.
+    The gcd of a pair is the nonzero polynomial of least degree spanned by
+    the rows of their Sylvester matrix: the last nonzero row of its echelon
+    form, with columns running from the highest degree down.  The gcd of an
+    empty collection (or of all-zero input) is zero.
     """
-    gcd_q = None
+    g = None
     for p in polys:
         if p.is_zero():
             continue
-        gcd_q = p if gcd_q is None else _gcd_pair(gcd_q, p)
-        if gcd_q.degree == 0:
+        if g is not None:
+            m, n = g.degree, p.degree
+            rows = [(0,) * i + g.coeffs[::-1] + (0,) * (n - 1 - i)
+                    for i in range(n)]
+            rows += [(0,) * i + p.coeffs[::-1] + (0,) * (m - 1 - i)
+                     for i in range(m)]
+            echelon, pivots = _echelon(rows)
+            p = UniPoly(echelon[len(pivots) - 1][::-1])
+        g = p.primitive()
+        if g.degree == 0:
             break
-    if gcd_q is None:
+    if g is None:
         return UniPoly()
-    g = gcd_q.primitive()
-    if g.leading() < 0:
-        g = -g
-    return g
-
-
-def _gcd_pair(a, b):
-    # Euclid over Q, integrality restored at the end via the primitive part.
-    fa = [Fraction(v) for v in a.coeffs]
-    fb = [Fraction(v) for v in b.coeffs]
-    while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
-    num_lcm = reduce(math.lcm, (f.denominator for f in fa), 1)
-    return UniPoly(tuple(int(f * num_lcm) for f in fa)).primitive()
-
-
-def _frac_rem(a, b):
-    a = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / lb
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return -g if g.leading() < 0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -596,67 +578,18 @@ def first_circuit(matrix):
     return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
 
 
-def determinant(matrix, method="auto"):
-    """Exact determinant of a square MultiPoly matrix.
+def determinant(matrix):
+    """Exact determinant of a square matrix of MultiPoly entries.
 
-    ``method`` is "auto", "bareiss" or "laplace".  Bareiss is fraction-free
-    elimination with exact division; laplace is minor expansion along rows
-    memoized on the set of consumed columns, which wins on the very sparse
-    matrices the resultant construction produces.  Both give the same answer
-    (tested), so auto just picks by density.
+    Minor expansion along rows, memoized on the set of consumed columns:
+    each minor is computed once, and on the sparse matrices the resultant
+    construction produces only few column sets are ever reached.
     """
     n = len(matrix)
-    if n == 0:
-        return MultiPoly.const(1)
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
-    if method == "auto":
-        nonzeros = sum(1 for row in matrix for e in row if not e.is_zero())
-        method = "laplace" if (n > 6 and nonzeros <= 4 * n) else "bareiss"
-    if method == "bareiss":
-        return _det_bareiss(matrix)
-    if method == "laplace":
-        return _det_laplace(matrix)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _det_bareiss(matrix):
-    n = len(matrix)
-    m = [list(r) for r in matrix]
-    sign = 1
-    prev = None
-    for k in range(n):
-        # pivot: the sparsest nonzero entry in column k (row swaps only)
-        sel, best = None, None
-        for r in range(k, n):
-            e = m[r][k]
-            if not e.is_zero():
-                sz = len(e.terms)
-                if best is None or sz < best:
-                    sel, best = r, sz
-        if sel is None:
-            return MultiPoly()
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = m[r][c] * piv - m[r][k] * m[k][c]
-                m[r][c] = num if prev is None else num.exact_div(prev)
-            m[r][k] = MultiPoly()
-        prev = piv
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _det_laplace(matrix):
-    n = len(matrix)
-    # rows as sparse dicts col -> entry
-    rows = []
-    for r in matrix:
-        rows.append({c: e for c, e in enumerate(r) if not e.is_zero()})
+    rows = [{c: e for c, e in enumerate(r) if not e.is_zero()} for r in matrix]
     memo = {}
     full = (1 << n) - 1
 

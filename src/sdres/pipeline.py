@@ -43,7 +43,6 @@ class PipelineReport:
     mixed_counts: tuple = None
     resultant: object = None      # MultiPoly
     symbols: object = None        # SymbolTable: id -> CoeffRef
-    method: str = None
     attempts: int = None
     timing: dict = field(default_factory=dict)
 
@@ -129,7 +128,6 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     report.mixed_counts = res.mixed_counts
     report.resultant = res.polynomial
     report.symbols = res.symbols
-    report.method = res.method
     report.attempts = res.attempts
     report.stage = "resultant"
     tick("resultant")
@@ -197,7 +195,7 @@ def _text_lines(report, verbose=False):
         inner = ", ".join(_row_label(i, l) for i, l in report.alg_essential)
         lines.append(f"algebraic essential system: {inner}")
         lines.append(f"matrix dimensions: {report.m1_dim} with a "
-                     f"{report.m2_dim}-row minor ({report.method})")
+                     f"{report.m2_dim}-row minor")
         terms = resultant_terms(report)
         lines.append(f"resultant ({len(terms)} terms, total degree "
                      f"{report.resultant.total_degree()}):")

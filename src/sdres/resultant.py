@@ -1,13 +1,16 @@
 """Newton-matrix resultant of a lattice-form (z-coordinate) system.
 
 The pipeline hands this module k+1 linear-in-z polynomials whose supports
-jointly span Z^k.  The resultant is computed as the quotient of two exact
-determinants: the full Newton matrix indexed by the lattice points of the
-perturbed Minkowski sum of the supports, and its principal minor on the
-non-mixed points.  All geometry runs over exact rationals; every cell of the
-lifted subdivision is located by a small linear program.
+jointly span Z^k.  Every such system, univariate pairs and k = 0 included,
+takes one construction: the quotient of two exact determinants, the full
+Newton matrix indexed by the lattice points of the perturbed Minkowski sum
+of the supports over its principal minor on the non-mixed points (D'Andrea
+2002).  All geometry runs over exact rationals; every cell of the lifted
+subdivision is located by a small linear program.  The classical Sylvester
+determinant stays as a reference for univariate pairs.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -27,6 +30,7 @@ LIFT_BOUND = 1 << 20
 DELTA_DENOM = 1 << 20
 DELTA_NUM_BOUND = 1 << 16
 MAX_RETRIES = 8
+MAX_BOX_POINTS = 1 << 20  # lattice points scanned, one exact LP each
 
 
 class SupportSet(NamedTuple):
@@ -68,8 +72,7 @@ class ResultantResult(NamedTuple):
     m2_dim: int
     mixed_counts: tuple
     attempts: int
-    method: str
-    delta: tuple = ()     # perturbation of the subdivision (Newton path)
+    delta: tuple = ()     # perturbation of the subdivision
 
 
 def coefficient_table(zpolys):
@@ -154,6 +157,8 @@ def mixed_subdivision(supports, seed=0, attempt=0):
     supports anchored at the origin this keeps the point set minimal and
     independent of the draw, while the lifting decides the cells.  Both are
     drawn once per ``attempt``; a degenerate draw raises DegenerateLifting.
+    A box of more than MAX_BOX_POINTS lattice points raises InternalError
+    before the first LP.
     """
     npolys = len(supports)
     k = len(supports[0].points[0])
@@ -161,6 +166,10 @@ def mixed_subdivision(supports, seed=0, attempt=0):
         raise InternalError(f"need {k + 1} supports in {k} variables, got {npolys}")
     lo = [sum(min(b[j] for b in s.points) for s in supports) for j in range(k)]
     hi = [sum(max(b[j] for b in s.points) for s in supports) for j in range(k)]
+    box = math.prod(h - l for l, h in zip(lo, hi))
+    if box > MAX_BOX_POINTS:
+        raise InternalError(f"budget: the Minkowski box has {box} lattice "
+                            f"points, more than {MAX_BOX_POINTS}")
     rng = stage_rng(seed, f"subdivision-{attempt}")
     delta = tuple(
         Fraction(rng.randint(1, DELTA_NUM_BOUND), DELTA_DENOM) for _ in range(k))
@@ -254,16 +263,17 @@ def quotient_resultant(pair):
 
 def sylvester_resultant(supports):
     """Classical Sylvester determinant for two univariate supports, each
-    shifted by its lowest exponent (Laurent supports)."""
+    shifted by its lowest exponent (Laurent supports): the reference that
+    univariate Newton quotients are tested against."""
     if len(supports) != 2:
-        raise InternalError("Sylvester path needs exactly two polynomials")
+        raise InternalError("a Sylvester matrix needs exactly two polynomials")
     degs = []
     dense = []
     for s in supports:
         low = min(p[0] for p in s.points)
         d = max(p[0] for p in s.points) - low
         if d < 1:
-            raise InternalError("Sylvester path needs positive degrees")
+            raise InternalError("a Sylvester matrix needs positive degrees")
         row = [MultiPoly.zero()] * (d + 1)
         for p, coeff in zip(s.points, s.coeffs):
             row[p[0] - low] = coeff
@@ -286,22 +296,11 @@ def sylvester_resultant(supports):
     return det.primitive().sign_normalized(), size
 
 
-def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES,
-                      use_sylvester=True):
+def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
     """Resultant of the lattice-form system.  Attempt a draws the lifting
     ``subdivision-{a}`` and the minor check ``minor-check-{a}`` from the
     one seed; max_retries bounds the attempts of every kind together."""
     supports, table = extract_supports(zpolys)
-    k = len(supports[0].points[0]) if supports[0].points else 0
-    if k == 0:
-        if len(supports) != 1:
-            raise InternalError(
-                "a zero-dimensional lattice system must be a single polynomial")
-        poly = supports[0].coeffs[0].primitive().sign_normalized()
-        return ResultantResult(poly, table, 1, 0, (1,), 0, "constant")
-    if use_sylvester and k == 1 and len(supports) == 2:
-        poly, size = sylvester_resultant(supports)
-        return ResultantResult(poly, table, size, 0, (), 0, "sylvester")
     last_error = None
     for attempt in range(max_retries):
         try:
@@ -312,8 +311,7 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES,
             poly = quotient_resultant(pair)
             return ResultantResult(
                 poly, table, len(pair.m1), len(pair.minor_rows),
-                subdiv.mixed_counts, attempt + 1, "newton-quotient",
-                subdiv.delta)
+                subdiv.mixed_counts, attempt + 1, subdiv.delta)
         except (DegenerateLifting, NotDivisible, ZeroDenominator) as exc:
             last_error = exc
     raise RetriesExhausted(

@@ -32,6 +32,7 @@ from sdres.parsing import parse_system
 from sdres.pipeline import resultant_terms, run_pipeline
 from sdres.resultant import compute_resultant, extract_supports, mixed_subdivision
 
+from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
 from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT, golden_system
 
@@ -368,10 +369,14 @@ def test_criterion_7_oracle_equivalences():
         matrix = [[None if rng.random() < 0.25 else rng.randint(0, 6)
                    for _ in range(ncols)] for _ in range(nrows)]
         assert jacobi_number(matrix) == brute_force_jacobi(matrix)
+    points = stage_rng(2024, "acceptance-det-points")
     for _ in range(50):
         m = [[random_multipoly(rng) for _ in range(5)] for _ in range(5)]
-        assert determinant(m, method="bareiss") == \
-            determinant(m, method="laplace")
+        det = determinant(m)
+        assert det == leibniz_det(m)
+        point = {sid: points.randint(-9, 9) for sid in range(4)}
+        numeric = [[e.evaluate(point) for e in row] for row in m]
+        assert det.evaluate(point) == frac_gauss_det(numeric)
     done = 0
     while done < 200:
         p = random_multipoly(rng)
@@ -380,7 +385,7 @@ def test_criterion_7_oracle_equivalences():
             continue
         assert (p * q).exact_div(q) == p
         done += 1
-    print("\ncriterion 7 PASS: 200 jacobi matchings, 50 determinant pairs, "
+    print("\ncriterion 7 PASS: 200 jacobi matchings, 50 determinants, "
           "200 exact-division round trips against brute-force oracles")
 
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +109,21 @@ def test_resource_exhaustion_is_internal_error(toy_file, monkeypatch, capsys,
     assert main(["resultant", toy_file]) == 2
     err = capsys.readouterr().err
     assert err == f"sdres: internal error: {exhaustion.__name__}\n"
+
+
+def test_oversized_box_fails_on_budget_with_exit_two():
+    # 10^11 lattice points in the Minkowski box: rejected before any LP
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sdres.cli import main; sys.exit(main(sys.argv[1:]))",
+         "resultant", "-"],
+        input="P0 = u + u*y[1,0]^99999999999\nP1 = u + u*y[1,1]\n",
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("sdres: internal error: budget")
+    assert "Traceback" not in done.stderr
 
 
 def test_seed_flag_changes_nothing_for_deterministic_paths(toy_file, capsys):

@@ -13,8 +13,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR keeps the files demo 06 writes inside the test's own directory
+    # TMPDIR points the demos' temporary files at the test's own directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == [], "the demo left files behind"

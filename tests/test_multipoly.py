@@ -22,6 +22,8 @@ from sdres.multipoly import (
     uni_gcd,
 )
 
+from det_oracles import frac_gauss_det, leibniz_det
+
 
 def rand_unipoly(rng, max_deg=4, bound=9):
     return UniPoly([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))])
@@ -212,28 +214,8 @@ def test_primitive_and_sign():
 
 
 # ---------------------------------------------------------------------------
-# determinants: dual route + multilinearity/alternation
+# determinants: independent oracles + multilinearity/alternation
 # ---------------------------------------------------------------------------
-
-def frac_gauss_det(matrix):
-    """Independent oracle: plain Gaussian elimination over Fraction."""
-    n = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        sel = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            det = -det
-        det *= m[k][k]
-        for r in range(k + 1, n):
-            f = m[r][k] / m[k][k]
-            for c in range(k, n):
-                m[r][c] -= f * m[k][c]
-    return det
-
 
 def as_const_matrix(rows):
     return [[MultiPoly.const(v) for v in row] for row in rows]
@@ -246,19 +228,22 @@ def test_determinant_int_matrices_vs_fraction_gauss():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expect = frac_gauss_det(rows)
         assert expect.denominator == 1
-        got_b = determinant(as_const_matrix(rows), method="bareiss")
-        got_l = determinant(as_const_matrix(rows), method="laplace")
-        assert got_b == got_l
-        assert got_b.const_value() == int(expect)
+        got = determinant(as_const_matrix(rows))
+        assert got == leibniz_det(as_const_matrix(rows))
+        assert got.const_value() == int(expect)
 
 
-def test_determinant_symbolic_bareiss_equals_laplace():
+def test_determinant_symbolic_matches_leibniz():
     rng = random.Random(109)
     for _ in range(25):
         n = rng.randint(1, 4)
         rows = [[rand_multipoly(rng, nsyms=3, nterms=2, max_exp=1, bound=4)
                  for _ in range(n)] for _ in range(n)]
-        assert determinant(rows, method="bareiss") == determinant(rows, method="laplace")
+        got = determinant(rows)
+        assert got == leibniz_det(rows)
+        point = rand_point(rng, 3)
+        numeric = [[e.evaluate(point) for e in row] for row in rows]
+        assert got.evaluate(point) == frac_gauss_det(numeric)
 
 
 def test_determinant_alternating_and_multilinear():

@@ -1,9 +1,10 @@
 """Newton-matrix resultant tests.
 
-The expected values come from three independent sources: a hand-derived
-closed form for the two-polynomial system, the frozen 26-term expansion for
-the four-variable example, and a convex-hull mixed-volume oracle built on
-scipy for the row multiplicities.
+The expected values come from four independent sources: a hand-derived
+closed form for the two-polynomial system, the classical Sylvester
+determinant for univariate pairs, the frozen 26-term expansion for the
+four-variable example, and a convex-hull mixed-volume oracle built on scipy
+for the row multiplicities.
 """
 
 from fractions import Fraction
@@ -17,12 +18,14 @@ from sdres.errors import InternalError, RetriesExhausted
 from sdres.essanalysis import select_and_specialize, stage_rng
 from sdres.multipoly import MultiPoly
 from sdres.resultant import (
+    MAX_BOX_POINTS,
     MAX_RETRIES,
     build_matrices,
     compute_resultant,
     extract_supports,
     mixed_subdivision,
     quotient_resultant,
+    sylvester_resultant,
 )
 
 from golden_resultant import BLOCKS, GOLDEN_TERMS
@@ -78,24 +81,27 @@ def test_extract_supports_requires_origin():
 # ---------------------------------------------------------------- toy system
 
 
+def sylvester_reference(zpolys):
+    supports, _ = extract_supports(zpolys)
+    return sylvester_resultant(supports)
+
+
 def test_toy_sylvester_matches_hand_formula():
     red = toy_reduction()
     res = compute_resultant(red.zpolys, seed=0)
-    assert res.method == "sylvester"
     assert res.m1_dim == 2
     assert res.m2_dim == 0
     ids = ref_ids(res.symbols)
     expected = poly_from_terms(
         ((+1, ((1, 0, 0), (0, 1, 1))), (-1, ((1, 1, 0), (0, 0, 1)))), ids)
     assert res.polynomial == expected.sign_normalized()
+    assert sylvester_reference(red.zpolys) == (res.polynomial, 2)
 
 
 def test_toy_newton_quotient_agrees_with_sylvester():
     red = toy_reduction()
-    fast = compute_resultant(red.zpolys, seed=0)
-    slow = compute_resultant(red.zpolys, seed=0, use_sylvester=False)
-    assert slow.method == "newton-quotient"
-    assert slow.polynomial == fast.polynomial
+    res = compute_resultant(red.zpolys, seed=0)
+    assert res.polynomial == sylvester_reference(red.zpolys)[0]
 
 
 @pytest.mark.parametrize("exps", [(0, 1, 2), (0, -1), (0, -1, 2)],
@@ -106,15 +112,14 @@ def test_univariate_newton_quotient_beyond_toy(exps):
         tuple((CoeffRef(0, j, 0), (e,)) for j, e in enumerate(exps)),
         ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
     )
-    fast = compute_resultant(zp, seed=0)
-    slow = compute_resultant(zp, seed=0, use_sylvester=False)
-    assert fast.method == "sylvester"
+    res = compute_resultant(zp, seed=0)
+    reference, size = sylvester_reference(zp)
     top, low = max(exps), min(exps)
-    assert fast.m1_dim == slow.m1_dim == top - low + 1
-    assert slow.polynomial == fast.polynomial
+    assert res.m1_dim == size == top - low + 1
+    assert res.polynomial == reference
     # classical resultant of sum c_j x^(e_j - low) and d x + e:
     # sum c_j (-e)^(e_j - low) d^(top - e_j), up to sign
-    ids = ref_ids(fast.symbols)
+    ids = ref_ids(res.symbols)
     d, e = (MultiPoly.symbol(ids[CoeffRef(1, j, 0)]) for j in (1, 0))
     expected = MultiPoly.zero()
     for j, ej in enumerate(exps):
@@ -124,7 +129,17 @@ def test_univariate_newton_quotient_beyond_toy(exps):
         for _ in range(top - ej):
             term = term * d
         expected = expected + term
-    assert fast.polynomial == expected.sign_normalized()
+    assert res.polynomial == expected.sign_normalized()
+
+
+def test_dense_univariate_pair_matches_sylvester():
+    # supports {0..6} and {0..4}: a dense Newton matrix, 58 of its 100
+    # entries nonzero
+    zp = tuple(tuple((CoeffRef(i, j, 0), (j,)) for j in range(top + 1))
+               for i, top in enumerate((6, 4)))
+    res = compute_resultant(zp, seed=0)
+    assert res.m1_dim == 10
+    assert res.polynomial == sylvester_reference(zp)[0]
 
 
 # ------------------------------------------------------------- golden system
@@ -133,7 +148,6 @@ def test_univariate_newton_quotient_beyond_toy(exps):
 def test_golden_resultant_matches_frozen_expansion():
     red = golden_reduction()
     res = compute_resultant(red.zpolys, seed=0)
-    assert res.method == "newton-quotient"
     assert res.mixed_counts == (1,) * 7
     assert res.m1_dim == 7
     assert res.m2_dim == 0
@@ -278,12 +292,23 @@ def test_mixed_counts_match_mixed_volumes_golden():
 def test_zero_dimensional_system_returns_merged_coefficient():
     zp = (((CoeffRef(0, 0, 0), ()), (CoeffRef(0, 1, 0), ())),)
     res = compute_resultant(zp, seed=0)
-    assert res.method == "constant"
     assert (res.m1_dim, res.m2_dim) == (1, 0)
+    assert res.mixed_counts == (1,)
     ids = ref_ids(res.symbols)
     expected = MultiPoly.symbol(ids[CoeffRef(0, 0, 0)]) + \
         MultiPoly.symbol(ids[CoeffRef(0, 1, 0)])
     assert res.polynomial == expected.sign_normalized()
+
+
+def test_box_budget_raises_before_any_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(resultant, "solve_lp", no_lp)
+    zp = (((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (MAX_BOX_POINTS,))),
+          ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))))
+    with pytest.raises(InternalError, match="^budget: "):
+        compute_resultant(zp, seed=0)
 
 
 def test_matrix_rows_cover_every_point_once():
@@ -320,6 +345,6 @@ def test_one_retry_budget_over_one_seed(monkeypatch, stub):
         ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
     )
     with pytest.raises(RetriesExhausted):
-        compute_resultant(zp, seed=3, use_sylvester=False)
+        compute_resultant(zp, seed=3)
     assert len(set(draws)) == len(draws) == MAX_RETRIES
     assert {seed for seed, _ in draws} == {3}
