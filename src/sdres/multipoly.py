@@ -578,6 +578,63 @@ def first_circuit(matrix):
     return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
 
 
+def det_mod(rows, p):
+    """Determinant modulo the prime p of a square matrix of sparse rows
+    ``{col: int}``, as an int in [0, p).
+
+    Columns are eliminated in order; the pivot is the sparsest row with a
+    nonzero in the column (lowest index on ties), and only the rows that
+    hold that column are updated, so fill-in stays near the nonzeros of
+    the Newton matrices.  The sign is the parity of the pivot rows'
+    permutation.
+    """
+    n = len(rows)
+    rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
+    holders = [set() for _ in range(n)]   # column -> non-pivot rows using it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    det = 1
+    pivot_of = []
+    for col in range(n):
+        live = holders[col]
+        if not live:
+            return 0
+        piv = min(live, key=lambda i: (len(rows[i]), i))
+        prow = rows[piv]
+        for c in prow:
+            holders[c].discard(piv)
+        pivot_of.append(piv)
+        det = det * prow[col] % p
+        inv = pow(prow[col], -1, p)
+        for i in tuple(live):
+            row = rows[i]
+            f = row.pop(col) * inv % p
+            for c, v in prow.items():
+                if c == col:
+                    continue
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    if c not in row:
+                        holders[c].add(i)
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(i)
+        live.clear()
+    seen = [False] * n
+    for start in range(n):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = pivot_of[i]
+            length += 1
+        if length and length % 2 == 0:
+            det = -det
+    return det % p
+
+
 def determinant(matrix):
     """Exact determinant of a square matrix of MultiPoly entries.
 

@@ -6,8 +6,11 @@ takes one construction: the quotient of two exact determinants, the full
 Newton matrix indexed by the lattice points of the perturbed Minkowski sum
 of the supports over its principal minor on the non-mixed points (D'Andrea
 2002).  All geometry runs over exact rationals; every cell of the lifted
-subdivision is located by a small linear program.  The classical Sylvester
-determinant stays as a reference for univariate pairs.
+subdivision is located by a small linear program.  Pairs of at most
+LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
+interpolated from sparse determinants modulo a prime and certified at
+random points.  The classical Sylvester determinant stays as a reference
+for univariate pairs.
 """
 
 import math
@@ -23,14 +26,24 @@ from .errors import (
     ZeroDenominator,
 )
 from .essanalysis import stage_rng
-from .multipoly import MultiPoly, SymbolTable, determinant, rank_and_pivots
+from .multipoly import MultiPoly, SymbolTable, det_mod, determinant
 from .ratlp import solve_lp
+from .sparseinterp import (
+    LinearGenerator,
+    next_prime,
+    roots_mod,
+    transposed_vandermonde,
+)
 
 LIFT_BOUND = 1 << 20
 DELTA_DENOM = 1 << 20
 DELTA_NUM_BOUND = 1 << 16
 MAX_RETRIES = 8
 MAX_BOX_POINTS = 1 << 20  # lattice points scanned, one exact LP each
+LAPLACE_MAX_DIM = 16      # larger Newton pairs are interpolated
+MINOR_CHECK_PRIME = (1 << 61) - 1
+CERTIFICATE_ROUNDS = 3
+MAX_SCALINGS = 8          # scalings (or lines) tried before det M2 counts as zero
 
 
 class SupportSet(NamedTuple):
@@ -223,7 +236,9 @@ def build_matrices(subdiv):
 
 
 def _minor_nonzero_check(pair, seed, attempt):
-    """Vanishing precheck of the denominator minor by random evaluation."""
+    """Vanishing precheck of the denominator minor by random evaluation:
+    nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
+    nonzero."""
     rows = pair.minor_rows
     if not rows:
         return True
@@ -232,21 +247,27 @@ def _minor_nonzero_check(pair, seed, attempt):
         values = {}
         numeric = []
         for r in rows:
-            line = []
-            for c in rows:
+            line = {}
+            for i, c in enumerate(rows):
                 entry = pair.m1[r][c]
                 for sid in entry.symbols():
                     if sid not in values:
                         values[sid] = rng.randint(1, 1 << 31)
-                line.append(int(entry.evaluate(values)))
+                if entry:
+                    line[i] = entry.evaluate(values)
             numeric.append(line)
-        if rank_and_pivots(numeric)[0] == len(rows):
+        if det_mod(numeric, MINOR_CHECK_PRIME):
             return True
     return False
 
 
-def quotient_resultant(pair):
-    """Exact determinant quotient, primitive and sign-normalized."""
+def quotient_resultant(pair, seed=0, attempt=0):
+    """det M1 / det M2, primitive and sign-normalized.  Pairs of at most
+    LAPLACE_MAX_DIM rows divide the two Laplace expansions; larger ones
+    are interpolated from modular evaluations drawn from ``seed`` and
+    ``attempt``."""
+    if len(pair.m1) > LAPLACE_MAX_DIM:
+        return interpolated_quotient(pair, seed, attempt)
     det1 = determinant([list(r) for r in pair.m1])
     if pair.minor_rows:
         minor = [[pair.m1[r][c] for c in pair.minor_rows] for r in pair.minor_rows]
@@ -259,6 +280,219 @@ def quotient_resultant(pair):
     if quotient.is_zero():
         raise ZeroDenominator("determinant quotient vanished")
     return quotient.primitive().sign_normalized()
+
+
+class _Evaluator:
+    """det M1 and det M2 of one Newton pair at points mod p.
+
+    Every entry is a linear form in the coefficient symbols, kept as
+    ``(sid, coeff)`` pairs, so a point needs only sums of products.
+    """
+
+    def __init__(self, pair):
+        self.forms = [
+            {c: tuple((m[0][0], v) for m, v in e.terms.items())
+             for c, e in enumerate(row) if e}
+            for row in pair.m1]
+        self.minor = {r: i for i, r in enumerate(pair.minor_rows)}
+        self.symbols = sorted({sid for row in self.forms for form in row.values()
+                               for sid, _ in form})
+
+    def dets(self, values, p):
+        full = [{c: sum(v * values[s] for s, v in form)
+                 for c, form in row.items()} for row in self.forms]
+        pos = self.minor
+        minor = [{pos[c]: v for c, v in full[r].items() if c in pos}
+                 for r in pos]
+        return det_mod(full, p), det_mod(minor, p)
+
+
+def _ratio(evaluator, values, p):
+    """det M1 / det M2 at one point mod p; None where det M2 vanishes."""
+    det1, det2 = evaluator.dets(values, p)
+    if not det2:
+        return None
+    return det1 * pow(det2, -1, p) % p
+
+
+def _blocks(pair):
+    """Per polynomial: its coefficient symbols, sorted, and the quotient's
+    degree in them (the number of its mixed rows).  Row r of M1 holds the
+    coefficients of polynomial row_tags[r][0] only, so det M1 and det M2
+    are homogeneous in each block and the quotient has that degree."""
+    minor = set(pair.minor_rows)
+    symbols, degrees = {}, {}
+    for r, (row, tag) in enumerate(zip(pair.m1, pair.row_tags)):
+        block = symbols.setdefault(tag[0], set())
+        for entry in row:
+            block |= entry.symbols()
+        degrees[tag[0]] = degrees.get(tag[0], 0) + (r not in minor)
+    return [(tuple(sorted(symbols[i])), degrees[i]) for i in sorted(symbols)]
+
+
+def _term_weights(blocks):
+    """A prime per symbol, 1 for the first of each block, and the largest
+    term value B = prod over blocks of (largest prime)^degree.
+
+    A block's first exponent is its degree minus the others, so the
+    remaining exponents are read back from a term value by trial division.
+    The smallest primes go to the blocks of highest degree, which keeps B
+    and so the interpolation prime small.
+    """
+    weights, bound, prime = {}, 1, 1
+    for syms, deg in sorted(blocks, key=lambda b: -b[1]):
+        weights[syms[0]] = 1
+        for sid in syms[1:]:
+            prime = next_prime(prime)
+            weights[sid] = prime
+        bound *= prime ** deg if len(syms) > 1 else 1
+    return weights, bound
+
+
+def _dense_terms(blocks):
+    return math.prod(math.comb(len(syms) + deg - 1, deg) for syms, deg in blocks)
+
+
+def _fits_degree_on_line(evaluator, degree, p, rng):
+    """Whether det M1 / det M2 on one random affine line a + t b fits a
+    polynomial of the quotient's degree D: its (D+1)-th finite difference
+    over t = 0..D+1 vanishes.  A polynomial quotient always passes, so a
+    failure proves that det M2 does not divide det M1."""
+    symbols = evaluator.symbols
+    for _ in range(MAX_SCALINGS):
+        a = {s: rng.randrange(p) for s in symbols}
+        b = {s: rng.randrange(p) for s in symbols}
+        diff = 0
+        for t in range(degree + 2):
+            value = _ratio(evaluator, {s: a[s] + t * b[s] for s in symbols}, p)
+            if value is None:
+                break
+            sign = -1 if (degree + 1 - t) & 1 else 1
+            diff += sign * math.comb(degree + 1, t) * value
+        else:
+            return diff % p == 0
+    raise ZeroDenominator("non-mixed minor vanished on every line tried")
+
+
+def _reconstruct(gen, blocks, weights, scale, p, rng):
+    """The polynomial behind a terminated sequence, or None when the
+    generator's roots are not term values of the blocks' degrees."""
+    roots = roots_mod(gen.generator(), p, rng)
+    if roots is None:
+        return None
+    terms = {}
+    for m, w in zip(roots, transposed_vandermonde(roots, gen.seq, p)):
+        if m == 0:
+            return None
+        mono = []
+        for syms, deg in blocks:
+            exps = []
+            for sid in syms[1:]:
+                e = 0
+                while m % weights[sid] == 0:
+                    m //= weights[sid]
+                    e += 1
+                exps.append(e)
+            if sum(exps) > deg:
+                return None
+            mono += zip(syms, [deg - sum(exps)] + exps)
+        if m != 1:
+            return None
+        mono = tuple(sorted((s, e) for s, e in mono if e))
+        unscale = math.prod(pow(scale[s], e, p) for s, e in mono)
+        c = w * pow(unscale, -1, p) % p
+        terms[mono] = c - p if c > p // 2 else c
+    return MultiPoly(terms)
+
+
+def _interpolate(evaluator, blocks, weights, p, rng, margin):
+    """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo p.
+
+    Point j is scale * q^j, with q the term weights and scale drawn from
+    ``rng``; Berlekamp-Massey stops once ``margin`` terms past twice the
+    generator's length left it unchanged.  A quotient with T terms has a
+    generator of length T, at most the dense term count, so a sequence
+    that reaches twice that count plus ``margin`` proves that det M2 does
+    not divide det M1.  A point where det M2 vanishes draws a new scale.
+    """
+    cap = 2 * _dense_terms(blocks) + margin
+    for _ in range(MAX_SCALINGS):
+        scale = {s: rng.randrange(1, p) for s in evaluator.symbols}
+        values = dict(scale)
+        gen = LinearGenerator(p)
+        while len(gen.seq) < 2 * gen.length + margin:
+            if len(gen.seq) >= cap:
+                raise NotDivisible(f"no generator of length at most "
+                                   f"{(cap - margin) // 2} found")
+            value = _ratio(evaluator, values, p)
+            if value is None:
+                break
+            gen.add(value)
+            values = {s: v * weights[s] % p for s, v in values.items()}
+        else:
+            return _reconstruct(gen, blocks, weights, scale, p, rng)
+    raise ZeroDenominator("non-mixed minor vanished at every scaling tried")
+
+
+def _eval_mod(poly, values, p):
+    return sum(c * math.prod(pow(values[s], e, p) for s, e in m)
+               for m, c in poly.terms.items()) % p
+
+
+def _certified(poly, evaluator, rng):
+    """det M1 == poly * det M2 at two random points modulo a random prime
+    in [2^62, 2^63]."""
+    prime = next_prime(rng.randrange(1 << 62, 1 << 63))
+    for _ in range(2):
+        values = {s: rng.randrange(prime) for s in evaluator.symbols}
+        det1, det2 = evaluator.dets(values, prime)
+        if (det1 - _eval_mod(poly, values, prime) * det2) % prime:
+            return False
+    return True
+
+
+def interpolated_quotient(pair, seed=0, attempt=0):
+    """det M1 / det M2 by sparse interpolation, primitive and
+    sign-normalized; raises NotDivisible when no quotient is found.
+
+    The quotient is homogeneous of known degree in each polynomial's
+    coefficients (``_blocks``), so it is interpolated with one symbol per
+    block set to weight 1, from the sequence of sparse determinants mod p
+    at the points scale * q^j (``_interpolate``).  p is the smallest
+    prime above max(4B, 2^61), B the largest term value
+    (``_term_weights``), so distinct terms have distinct values mod p.
+    Every draw comes from ``stage_rng(seed, "interpolation-{attempt}")``.
+
+    With a nonempty minor, a random line first checks that the quotient
+    is a polynomial.  The answer R is certified by det M1 == R * det M2 at
+    two random points modulo a random prime P in [2^62, 2^63]: for a wrong
+    R that P does not divide every coefficient of det M1 - R * det M2, a
+    polynomial of degree at most m1_dim, each point passes with
+    probability at most m1_dim / 2^62 (Schwartz-Zippel), so both with at
+    most (m1_dim / 2^62)^2.  About 2^56 primes lie in that range, and a
+    coefficient of size H has at most log2(H) / 62 of them as factors.
+    A failed certificate retries with a longer sequence and a prime 64
+    bits larger, CERTIFICATE_ROUNDS times in all.
+    """
+    rng = stage_rng(seed, f"interpolation-{attempt}")
+    evaluator = _Evaluator(pair)
+    blocks = _blocks(pair)
+    weights, bound = _term_weights(blocks)
+    base = max(4 * bound, 1 << 61)
+    if pair.minor_rows:
+        degree = sum(deg for _, deg in blocks)
+        if not _fits_degree_on_line(evaluator, degree, next_prime(base), rng):
+            raise NotDivisible("determinant quotient is not a polynomial "
+                               "on a random line")
+    for rnd in range(CERTIFICATE_ROUNDS):
+        p = next_prime(base << (64 * rnd))
+        quotient = _interpolate(evaluator, blocks, weights, p, rng, 2 << rnd)
+        if quotient is not None and _certified(quotient, evaluator, rng):
+            if quotient.is_zero():
+                raise ZeroDenominator("determinant quotient vanished")
+            return quotient.primitive().sign_normalized()
+    raise NotDivisible(f"interpolated quotient failed its certificate "
+                       f"{CERTIFICATE_ROUNDS} times")
 
 
 def sylvester_resultant(supports):
@@ -308,7 +542,7 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
             pair = build_matrices(subdiv)
             if not _minor_nonzero_check(pair, seed, attempt):
                 raise DegenerateLifting("non-mixed minor evaluated to zero")
-            poly = quotient_resultant(pair)
+            poly = quotient_resultant(pair, seed, attempt)
             return ResultantResult(
                 poly, table, len(pair.m1), len(pair.minor_rows),
                 subdiv.mixed_counts, attempt + 1, subdiv.delta)

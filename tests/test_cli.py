@@ -165,3 +165,41 @@ def test_golden_full_run_through_cli(tmp_path, capsys):
     assert len(data["resultant"]["terms"]) == 26
     assert all(term["coeff"] in ("1", "-1")
                for term in data["resultant"]["terms"])
+
+
+S1_TEXT = """\
+P0 = u + u*y[1,0]^6
+P1 = u + u*y[1,1]^5 + u*y[1,0]
+"""
+
+
+def test_s1_matches_two_step_classical_resultant(tmp_path, capsys):
+    # a 72-row Newton matrix, so the quotient is interpolated; with
+    # x = y[1,0] and y = y[1,1] the algebraic system is P0, dP0, P1
+    import sympy as sp
+
+    path = tmp_path / "s1.sys"
+    path.write_text(S1_TEXT)
+    answers = []
+    for seed in ("0", "1", "5"):
+        assert main(["resultant", str(path), "--seed", seed,
+                     "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["m1_dim"], data["m2_dim"]) == (72, 0)
+        answers.append(data["resultant"])
+    assert answers[0] == answers[1] == answers[2]
+    a0, a1, b0, b1, c0, c1, c2, x, y = sp.symbols("a0 a1 b0 b1 c0 c1 c2 x y")
+    names = {(0, 0, 0): a0, (0, 1, 0): a1, (0, 0, 1): b0, (0, 1, 1): b1,
+             (1, 0, 0): c0, (1, 1, 0): c1, (1, 2, 0): c2}
+    got = sp.Integer(0)
+    for term in answers[0]["terms"]:
+        value = sp.Integer(int(term["coeff"]))
+        for f in term["factors"]:
+            value *= names[(*f["u"], f["shift"])] ** f["exp"]
+        got += value
+    got = sp.Poly(got, *names.values())
+    assert len(got.terms()) == 28
+    assert got.total_degree() == 72
+    inner = sp.resultant(a0 + a1 * x**6, c0 + c1 * y**5 + c2 * x, x)
+    ref = sp.Poly(sp.resultant(b0 + b1 * y**6, inner, y), *names.values())
+    assert got in (ref, -ref)

@@ -11,6 +11,7 @@ from sdres.errors import NotDivisible
 from sdres.multipoly import (
     MultiPoly,
     UniPoly,
+    det_mod,
     determinant,
     first_circuit,
     first_relation,
@@ -277,6 +278,45 @@ def test_determinant_duplicate_row_is_zero():
 
 def test_determinant_empty_matrix_is_one():
     assert determinant([]) == MultiPoly.const(1)
+
+
+def sparse_rows(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+@pytest.mark.parametrize("p", [7, (1 << 61) - 1])
+def test_det_mod_matches_oracles_on_sparse_int_matrices(p):
+    rng = random.Random(112)
+    signs = set()
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.35 else 0
+                 for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0:
+            rows[rng.randrange(n)] = [0] * n             # a zero row
+        elif trial % 5 == 1 and n > 1:
+            rows[0] = [3 * v for v in rows[-1]]          # rank deficient
+        expect = int(frac_gauss_det(rows))
+        if n <= 5:
+            assert leibniz_det(as_const_matrix(rows)).const_value() == expect
+        assert det_mod(sparse_rows(rows), p) == expect % p
+        signs.add((expect > 0) - (expect < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_det_mod_sign_of_row_permutations():
+    p = (1 << 61) - 1
+    rng = random.Random(113)
+    for n in range(1, 8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+        sign = int(frac_gauss_det(rows))
+        assert det_mod(sparse_rows(rows), p) == sign % p
+    # pivots that are not on the diagonal and a negative determinant
+    assert det_mod([{1: 2}, {0: 3}], p) == -6 % p
+    assert det_mod([{0: 1, 2: 1}, {2: 1}, {1: 1}], p) == -1 % p
+    assert det_mod([], p) == 1
 
 
 # ---------------------------------------------------------------------------

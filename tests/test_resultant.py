@@ -4,18 +4,24 @@ The expected values come from four independent sources: a hand-derived
 closed form for the two-polynomial system, the classical Sylvester
 determinant for univariate pairs, the frozen 26-term expansion for the
 four-variable example, and a convex-hull mixed-volume oracle built on scipy
-for the row multiplicities.
+for the row multiplicities.  The interpolated quotient of large pairs is
+checked against the Laplace quotient of small ones on the same pairs.
 """
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from sdres import resultant
+from sdres import parse_system, resultant
 from sdres.algred import algebraic_reduction
 from sdres.diffpoly import CoeffRef
-from sdres.errors import InternalError, RetriesExhausted
-from sdres.essanalysis import select_and_specialize, stage_rng
+from sdres.errors import InternalError, NotDivisible, RetriesExhausted
+from sdres.essanalysis import (
+    find_super_essential,
+    select_and_specialize,
+    stage_rng,
+)
 from sdres.multipoly import MultiPoly
 from sdres.resultant import (
     MAX_BOX_POINTS,
@@ -23,6 +29,7 @@ from sdres.resultant import (
     build_matrices,
     compute_resultant,
     extract_supports,
+    interpolated_quotient,
     mixed_subdivision,
     quotient_resultant,
     sylvester_resultant,
@@ -39,6 +46,16 @@ def golden_reduction():
 
 def toy_reduction():
     spec = select_and_specialize(toy_system(), (0, 1), seed=0)
+    return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+
+
+CASES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "cases"
+
+
+def case_reduction(name):
+    system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
+    subset = find_super_essential(system, seed=0)
+    spec = select_and_specialize(system, subset, seed=0)
     return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
 
 
@@ -324,12 +341,24 @@ def test_matrix_rows_cover_every_point_once():
     assert not poly.is_zero()
 
 
-@pytest.mark.parametrize("stub", [("_locate_cell", lambda *args: (False, ())),
-                                  ("_minor_nonzero_check", lambda *args: False)],
-                         ids=lambda stub: stub[0])
-def test_one_retry_budget_over_one_seed(monkeypatch, stub):
+ORIGINAL_RECONSTRUCT = resultant._reconstruct
+
+
+def perturbed_reconstruct(*args):
+    poly = ORIGINAL_RECONSTRUCT(*args)
+    return poly + MultiPoly({next(iter(poly.terms)): 1})
+
+
+@pytest.mark.parametrize(
+    "stubs",
+    [(("_locate_cell", lambda *args: (False, ())),),
+     (("_minor_nonzero_check", lambda *args: False),),
+     (("LAPLACE_MAX_DIM", 0), ("_reconstruct", perturbed_reconstruct))],
+    ids=["_locate_cell", "_minor_nonzero_check", "certificate"])
+def test_one_retry_budget_over_one_seed(monkeypatch, stubs):
     # every degenerate attempt, whichever check rejects it, spends the same
-    # budget and draws a fresh lifting from the same seed
+    # budget and draws a fresh lifting from the same seed; an interpolated
+    # quotient with one wrong coefficient never passes its certificate
     draws = []
 
     def recording_rng(seed, tag):
@@ -338,13 +367,79 @@ def test_one_retry_budget_over_one_seed(monkeypatch, stub):
         return stage_rng(seed, tag)
 
     monkeypatch.setattr(resultant, "stage_rng", recording_rng)
-    monkeypatch.setattr(resultant, *stub)
+    for stub in stubs:
+        monkeypatch.setattr(resultant, *stub)
     zp = (
         ((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (1,)),
          (CoeffRef(0, 2, 0), (2,))),
         ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
     )
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted,
+                       match="certificate" if len(stubs) > 1 else None):
         compute_resultant(zp, seed=3)
     assert len(set(draws)) == len(draws) == MAX_RETRIES
     assert {seed for seed, _ in draws} == {3}
+
+
+# ------------------------------------------------------ interpolated quotient
+
+
+def laplace_quotient(pair, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(resultant, "LAPLACE_MAX_DIM", len(pair.m1))
+        return quotient_resultant(pair)
+
+
+@pytest.mark.parametrize("name", ["toy", "golden", "corpus1", "corpus2",
+                                  "corpus3", "corpus4", "corpus5", "s1_4_3"])
+def test_interpolated_quotient_matches_laplace(monkeypatch, name):
+    sets, _ = extract_supports(case_reduction(name).zpolys)
+    pair = build_matrices(mixed_subdivision(sets, seed=0))
+    expected = laplace_quotient(pair, monkeypatch)
+    for seed in (0, 1):
+        assert interpolated_quotient(pair, seed, 0) == expected
+
+
+def test_interpolated_quotient_rejects_non_dividing_liftings(monkeypatch):
+    # a finer perturbation gives golden pairs of 22 rows over a 15-row
+    # minor; at liftings 1 and 3 det M2 does not divide det M1
+    monkeypatch.setattr(resultant, "DELTA_NUM_BOUND", 1 << 19)
+    sets, table = extract_supports(golden_reduction().zpolys)
+    expected = poly_from_terms(GOLDEN_TERMS, ref_ids(table)).sign_normalized()
+    for attempt in range(6):
+        pair = build_matrices(mixed_subdivision(sets, 0, attempt))
+        assert (len(pair.m1), len(pair.minor_rows)) == (22, 15)
+        if attempt in (1, 3):
+            with pytest.raises(NotDivisible, match="random line"):
+                interpolated_quotient(pair, 0, attempt)
+        else:
+            assert interpolated_quotient(pair, 0, attempt) == expected
+
+
+def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
+    # det M2 vanishes at the first interpolation point: a new scaling is
+    # drawn from the same stream, and the lifting is kept
+    zpolys = case_reduction("corpus4").zpolys
+    expected = compute_resultant(zpolys, seed=0)
+    assert expected.m2_dim > 0
+    calls, tags = [], []
+    original = resultant._ratio
+
+    def vanishing_once(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else original(*args)
+
+    def recording_rng(seed, tag):
+        tags.append(tag)
+        return stage_rng(seed, tag)
+
+    monkeypatch.setattr(resultant, "LAPLACE_MAX_DIM", 0)
+    monkeypatch.setattr(resultant, "_fits_degree_on_line", lambda *args: True)
+    monkeypatch.setattr(resultant, "_ratio", vanishing_once)
+    monkeypatch.setattr(resultant, "stage_rng", recording_rng)
+    res = compute_resultant(zpolys, seed=0)
+    assert res.polynomial == expected.polynomial
+    assert (res.attempts, res.m1_dim, res.m2_dim) == (1, expected.m1_dim,
+                                                      expected.m2_dim)
+    assert tags == ["subdivision-0", "minor-check-0", "interpolation-0"]
+    assert len(calls) > 1
