@@ -26,7 +26,7 @@ from .essanalysis import (
     select_and_specialize,
     symbolic_rank,
 )
-from .multipoly import MultiPoly, SymbolTable, UniPoly, determinant, uni_gcd
+from .multipoly import MultiPoly, SymbolTable, determinant, uni_gcd
 from .parsing import SystemSource, parse_system, print_system
 from .pipeline import PipelineReport, run_pipeline, serialize
 from .resultant import (
@@ -52,7 +52,6 @@ __all__ = [
     "SDResError",
     "SymbolTable",
     "SystemSource",
-    "UniPoly",
     "VarRef",
     "algebraic_reduction",
     "compute_resultant",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .diffpoly import SupportMatrix, shift_poly
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
-from .multipoly import UniPoly, first_relation, rank_and_pivots
+from .multipoly import first_relation, rank_and_pivots
 
 
 def prolong(polys, bounds):
@@ -62,7 +62,7 @@ def alg_support_matrix(tagged_polys):
         row = [dict() for _ in cols]
         for ref, vec in sup[1:]:
             for v, e in vec.items():
-                row[col_pos[v]][ref] = UniPoly((e,))
+                row[col_pos[v]][ref] = {0: e}
         rows.append(tuple(row))
     return SupportMatrix(rows=tuple(rows),
                          row_labels=tuple(t for t, _ in tagged_polys),

@@ -6,10 +6,10 @@ of terms, each a symbolic coefficient (a CoeffRef, standing for some
 transform of an input coefficient u_ij) times a Laurent monomial in VarRefs.
 
 The symbolic support vector encodes, for each difference variable, the shift
-structure of every monomial ratio M_ik/M_i0 as a univariate polynomial in the
-shift operator: exponent e on transform k contributes e*x^k.  Stacking those
-vectors over a system gives the symbolic support matrix whose rank decides
-whether the sparse difference resultant exists at all.
+structure of every monomial ratio M_ik/M_i0 as a sparse univariate polynomial
+in the shift operator: exponent e on transform k contributes e*x^k.  Stacking
+those vectors over a system gives the symbolic support matrix whose rank
+decides whether the sparse difference resultant exists at all.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
-from .multipoly import UniPoly
 
 
 class VarRef(NamedTuple):
@@ -251,51 +250,29 @@ def specialize_poly(f, keep_vars):
 # symbolic support vectors / matrices
 # ---------------------------------------------------------------------------
 #
-# A matrix entry is a dict CoeffRef -> UniPoly: the formal sum of generic
-# coefficients weighted by shift polynomials in x.
+# A matrix entry is a dict CoeffRef -> {shift: int}: the formal sum of generic
+# coefficients weighted by sparse shift polynomials in x.
 
 def monomial_shift_poly(m, var):
-    """The x-polynomial of y_var inside a Laurent monomial: sum e * x^shift."""
-    coeffs = {}
-    for v, e in m.powers:
-        if v.var == var:
-            coeffs[v.shift] = coeffs.get(v.shift, 0) + e
-    if not coeffs:
-        return UniPoly()
-    top = max(coeffs)
-    return UniPoly(tuple(coeffs.get(k, 0) for k in range(top + 1)))
+    """The x-polynomial of y_var inside a Laurent monomial, sum e * x^shift,
+    as a sparse dict shift -> e."""
+    return {v.shift: e for v, e in m.powers if v.var == var}
 
 
 def symbolic_support_vector(f, variables):
     """One matrix row: for each variable, the sum over non-distinguished terms
     of u_ik times the shift polynomial of M_ik/M_i0."""
-    ref0, m0 = f.distinguished
-    row = []
-    for var in variables:
-        entry = {}
-        for r, m in f.terms[1:]:
-            d = monomial_shift_poly(m.ratio(m0), var)
-            if not d.is_zero():
-                if r in entry:
-                    entry[r] = entry[r] + d
-                else:
-                    entry[r] = d
-        row.append(entry)
-    return tuple(row)
+    m0 = f.distinguished[1]
+    ratios = [(r, m.ratio(m0)) for r, m in f.terms[1:]]
+    return tuple({r: d for r, m in ratios if (d := monomial_shift_poly(m, var))}
+                 for var in variables)
 
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    rows: tuple        # tuple of rows, each a tuple of {CoeffRef: UniPoly}
+    rows: tuple        # tuple of rows, each a tuple of {CoeffRef: {shift: int}}
     row_labels: tuple  # polynomial indices
     col_labels: tuple  # difference variable indices
-
-    def substituted(self, values):
-        """UniPoly matrix after substituting integers for the coefficients."""
-        out = []
-        for row in self.rows:
-            out.append([_entry_substitute(e, values) for e in row])
-        return out
 
     def coeff_refs(self):
         refs = set()
@@ -303,20 +280,6 @@ class SupportMatrix:
             for entry in row:
                 refs.update(entry.keys())
         return refs
-
-    def column_shift_polys(self, col):
-        """Every x-polynomial occurring in one column (for the gcd bound)."""
-        out = []
-        for row in self.rows:
-            out.extend(row[col].values())
-        return out
-
-
-def _entry_substitute(entry, values):
-    acc = UniPoly()
-    for r, d in entry.items():
-        acc = acc + d * values[r]
-    return acc
 
 
 def support_matrix(system_polys, nvars, row_labels=None):

@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 
 from .diffpoly import (
-    SupportMatrix,
     norm_form,
     order_matrix,
     specialize_poly,
@@ -45,9 +44,6 @@ def stage_rng(seed, tag):
 @dataclass(frozen=True)
 class RankReport:
     rank: int
-    pivot_cols: tuple   # column positions achieving the rank (lex smallest)
-    trials: int
-    exact: bool
 
 
 class RankOracle:
@@ -65,7 +61,6 @@ class RankOracle:
 
     def __init__(self, matrix, seed=0, exact=False):
         self.matrix = matrix
-        self.exact = exact
         refs = sorted(matrix.coeff_refs())
         if exact:
             self._numeric = [self._symbolic_matrix(matrix, refs)]
@@ -75,8 +70,10 @@ class RankOracle:
                 rng = stage_rng(seed, f"rank-trial-{t}")
                 values = {r: rng.randint(-RAND_BOUND, RAND_BOUND) for r in refs}
                 x0 = rng.randint(-RAND_BOUND, RAND_BOUND)
-                self._numeric.append([[e.evaluate(x0) for e in row]
-                                      for row in matrix.substituted(values)])
+                self._numeric.append([[sum(values[r] * c * x0 ** k
+                                           for r, d in e.items()
+                                           for k, c in d.items())
+                                       for e in row] for row in matrix.rows])
 
     @staticmethod
     def _symbolic_matrix(matrix, refs):
@@ -84,19 +81,9 @@ class RankOracle:
         # coefficients and the shift indeterminate
         ids = {r: i for i, r in enumerate(refs)}
         x_id = len(refs)
-        out = []
-        for row in matrix.rows:
-            out_row = []
-            for entry in row:
-                acc = MultiPoly()
-                for r, d in entry.items():
-                    for k, c in enumerate(d.coeffs):
-                        if c:
-                            acc = acc + MultiPoly({((ids[r], 1), (x_id, k)) if k
-                                                   else ((ids[r], 1),): c})
-                out_row.append(acc)
-            out.append(out_row)
-        return out
+        return [[MultiPoly({((ids[r], 1), (x_id, k)) if k else ((ids[r], 1),): c
+                            for r, d in entry.items() for k, c in d.items()})
+                 for entry in row] for row in matrix.rows]
 
     def rank(self, row_indices=None, col_indices=None):
         return self.rank_with_pivots(row_indices, col_indices)[0]
@@ -129,14 +116,9 @@ class RankOracle:
         support = set().union(*(f for f in found if f[-1] == last))
         return tuple(rows[i] for i in sorted(support))
 
-    def report(self):
-        rank, pivots = self.rank_with_pivots()
-        return RankReport(rank=rank, pivot_cols=pivots,
-                          trials=len(self._numeric), exact=self.exact)
-
 
 def symbolic_rank(matrix, seed=0, exact=False):
-    return RankOracle(matrix, seed=seed, exact=exact).report()
+    return RankReport(RankOracle(matrix, seed=seed, exact=exact).rank())
 
 
 def is_transformally_essential(system, seed=0, exact=False):
@@ -246,21 +228,14 @@ def modified_jacobi_bounds(spec_polys, kept_vars):
     """
     omat = order_matrix(spec_polys, kept_vars)
     jac = jacobi_numbers_hat(omat)
-    matrix = support_matrix_for_vars(spec_polys, kept_vars)
+    rows = [symbolic_support_vector(p, kept_vars) for p in spec_polys]
     gcd_deg = 0
-    for col in range(len(kept_vars)):
-        g = uni_gcd(matrix.column_shift_polys(col))
-        if not g.is_zero():
-            gcd_deg += g.degree
+    for col in zip(*rows):
+        g = uni_gcd(d for entry in col for d in entry.values())
+        gcd_deg += max(len(g) - 1, 0)
     modified = tuple(None if j is None else j - gcd_deg for j in jac)
     return JacobiBounds(order_mat=omat, jacobi=jac, gcd_degree=gcd_deg,
                         modified=modified)
-
-
-def support_matrix_for_vars(polys, variables):
-    rows = tuple(symbolic_support_vector(p, tuple(variables)) for p in polys)
-    return SupportMatrix(rows=rows, row_labels=tuple(range(len(polys))),
-                         col_labels=tuple(variables))
 
 
 # ---------------------------------------------------------------------------

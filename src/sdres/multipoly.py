@@ -1,12 +1,9 @@
 """Exact sparse polynomial arithmetic.
 
-Two polynomial types back everything else:
-
-* ``UniPoly``   -- dense univariate polynomials over the integers (used for the
-  entries of symbolic support matrices, where the indeterminate tracks the
-  shift operator).
-* ``MultiPoly`` -- sparse multivariate polynomials with integer coefficients
-  over an open-ended set of symbols identified by small integer ids.
+One polynomial type backs everything else: ``MultiPoly``, sparse
+multivariate polynomials with integer coefficients over an open-ended set of
+symbols identified by small integer ids.  The shift polynomials in support
+matrix entries are plain ``{shift: int}`` dicts; ``uni_gcd`` takes those.
 
 All coefficients are Python ints, so nothing ever overflows.  The term order
 is graded lexicographic on symbol ids.  Matrix work (determinants, fraction
@@ -22,172 +19,35 @@ from .errors import MissingSymbol, NotDivisible
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Z
+# gcd of sparse univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
-class UniPoly:
-    """Immutable univariate polynomial with int coefficients, low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def const(cls, n):
-        return cls((n,))
-
-    @classmethod
-    def x_power(cls, k, coeff=1):
-        return cls((0,) * k + (coeff,))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return UniPoly(out)
-
-    def __neg__(self):
-        return UniPoly(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly(tuple(v * other for v in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, va in enumerate(a):
-            if va:
-                for j, vb in enumerate(b):
-                    if vb:
-                        out[i + j] += va * vb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, other):
-        """Quotient q with q*other == self; raises NotDivisible otherwise."""
-        if other.is_zero():
-            raise NotDivisible("division by zero polynomial")
-        if self.is_zero():
-            return UniPoly()
-        rem = list(self.coeffs)
-        lb = other.leading()
-        db = other.degree
-        q = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            if c % lb:
-                raise NotDivisible("coefficient not divisible")
-            f = c // lb
-            q[i - db] = f
-            for j, vb in enumerate(other.coeffs):
-                rem[i - db + j] -= f * vb
-        if any(rem):
-            raise NotDivisible("nonzero remainder")
-        return UniPoly(q)
-
-    __floordiv__ = exact_div
-
-    def content(self):
-        return reduce(math.gcd, (abs(v) for v in self.coeffs), 0)
-
-    def primitive(self):
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return UniPoly(tuple(v // c for v in self.coeffs))
-
-    def evaluate(self, x0):
-        acc = 0
-        for v in reversed(self.coeffs):
-            acc = acc * x0 + v
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"UniPoly({format_unipoly(self)})"
-
-
-def format_unipoly(p, var="x"):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(f"{c:+d}")
-        else:
-            head = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            pw = var if e == 1 else f"{var}^{e}"
-            parts.append(f"{head}{mag}{pw}")
-    s = "".join(parts)
-    return s[1:] if s.startswith("+") else s
-
-
 def uni_gcd(polys):
-    """Primitive gcd in Z[x] of an iterable of UniPoly, positive leading coeff.
+    """Primitive gcd in Z[x] of sparse polynomials ``{degree: int}``, as a
+    coefficient tuple, low degree first, with a positive leading coefficient.
 
     The gcd of a pair is the nonzero polynomial of least degree spanned by
     the rows of their Sylvester matrix: the last nonzero row of its echelon
     form, with columns running from the highest degree down.  The gcd of an
-    empty collection (or of all-zero input) is zero.
+    empty collection (or of all-zero input) is zero, the empty tuple.
     """
-    g = None
+    g = ()
     for p in polys:
-        if p.is_zero():
+        if not p:
             continue
-        if g is not None:
-            m, n = g.degree, p.degree
-            rows = [(0,) * i + g.coeffs[::-1] + (0,) * (n - 1 - i)
-                    for i in range(n)]
-            rows += [(0,) * i + p.coeffs[::-1] + (0,) * (m - 1 - i)
-                     for i in range(m)]
+        top = max(p)
+        row = tuple(p.get(k, 0) for k in range(top, -1, -1))
+        if g:
+            m, n = len(g) - 1, top
+            rows = [(0,) * i + g + (0,) * (n - 1 - i) for i in range(n)]
+            rows += [(0,) * i + row + (0,) * (m - 1 - i) for i in range(m)]
             echelon, pivots = _echelon(rows)
-            p = UniPoly(echelon[len(pivots) - 1][::-1])
-        g = p.primitive()
-        if g.degree == 0:
+            row = tuple(echelon[len(pivots) - 1][pivots[-1]:])
+        unit = reduce(math.gcd, row, 0)
+        g = tuple(v // (unit if row[0] > 0 else -unit) for v in row)
+        if len(g) == 1:
             break
-    if g is None:
-        return UniPoly()
-    return -g if g.leading() < 0 else g
+    return g[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +367,7 @@ class SymbolTable:
 def _echelon(matrix):
     """Fraction-free row echelon form (Bareiss): (rows, pivot columns).
 
-    Entries are ints, UniPoly or MultiPoly: anything with +, -, *, exact
+    Entries are ints or MultiPoly: anything with +, -, *, exact
     ``//`` and truthiness.  Pivot columns are the lexicographically smallest
     column basis because elimination scans left to right; pivot row entries
     are minors of the (row-permuted) input, so every division is exact.

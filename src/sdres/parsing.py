@@ -15,7 +15,14 @@ all other whitespace is insignificant.
 
 from dataclasses import dataclass
 
-from .diffpoly import CoeffRef, DiffPolynomial, DiffSystem, Monomial, VarRef
+from .diffpoly import (
+    CoeffRef,
+    DiffPolynomial,
+    DiffSystem,
+    Monomial,
+    VarRef,
+    format_monomial,
+)
 from .errors import (
     DuplicatePolynomial,
     DuplicateVariable,
@@ -189,18 +196,11 @@ def parse_system(text):
     return SystemSource(polys=tuple(polys), nvars=nvars, coeffs=tuple(coeffs))
 
 
-def _format_factor(ref, exp):
-    s = f"y[{ref.var},{ref.shift}]"
-    return s if exp == 1 else f"{s}^{exp}"
-
-
 def print_system(src):
     """Canonical text form; reparsing yields a structurally identical source."""
     lines = []
     for i, poly in enumerate(src.polys):
-        terms = []
-        for _, mono in poly.terms:
-            bits = ["u"] + [_format_factor(v, e) for v, e in mono.powers]
-            terms.append("*".join(bits))
+        terms = ["u" if mono.is_one() else "u*" + format_monomial(mono)
+                 for _, mono in poly.terms]
         lines.append(f"P{i} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from sdres.diffpoly import (
     symbolic_support_vector,
 )
 from sdres.errors import DimensionMismatch
-from sdres.multipoly import UniPoly
+from sdres.essanalysis import RankOracle
 
 from systems import golden_system, mono, poly
 
@@ -59,9 +59,9 @@ def test_monomial_evaluate_laurent():
 
 def test_monomial_shift_poly():
     m = mono({(1, 0): 2, (1, 2): -1, (2, 1): 5})
-    assert monomial_shift_poly(m, 1) == UniPoly((2, 0, -1))
-    assert monomial_shift_poly(m, 2) == UniPoly((0, 5))
-    assert monomial_shift_poly(m, 3).is_zero()
+    assert monomial_shift_poly(m, 1) == {0: 2, 2: -1}
+    assert monomial_shift_poly(m, 2) == {1: 5}
+    assert monomial_shift_poly(m, 3) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +151,8 @@ def test_specialize_poly():
 # symbolic support vectors and matrix (externally checked entries)
 # ---------------------------------------------------------------------------
 
-def P(*coeffs):
-    return UniPoly(coeffs)
-
-
 def test_support_vector_shift_covariance():
     sys = golden_system()
-    x = UniPoly((0, 1))
     for p in sys.polys:
         base = symbolic_support_vector(p, (1, 2, 3, 4))
         shifted = symbolic_support_vector(shift_poly(p, 1), (1, 2, 3, 4))
@@ -165,7 +160,7 @@ def test_support_vector_shift_covariance():
             assert len(e_base) == len(e_shift)
             for r, d in e_base.items():
                 r1 = CoeffRef(r.poly, r.coeff, r.shift + 1)
-                assert e_shift[r1] == d * x
+                assert e_shift[r1] == {k + 1: c for k, c in d.items()}
 
 
 def test_support_matrix_golden_entries():
@@ -173,30 +168,30 @@ def test_support_matrix_golden_entries():
     assert m.col_labels == (1, 2, 3, 4)
     expected = [
         # P0: rows over (y1, y2, y3, y4)
-        [{u(0, 1): P(0, 2), u(0, 2): P(2)},
-         {u(0, 1): P(0, 2), u(0, 2): P(1)},
-         {u(0, 1): P(0, 1), u(0, 2): P(1)},
-         {u(0, 2): P(1, 1)}],
+        [{u(0, 1): {1: 2}, u(0, 2): {0: 2}},
+         {u(0, 1): {1: 2}, u(0, 2): {0: 1}},
+         {u(0, 1): {1: 1}, u(0, 2): {0: 1}},
+         {u(0, 2): {0: 1, 1: 1}}],
         # P1
-        [{u(1, 1): P(0, 2), u(1, 2): P(0, 2)},
-         {u(1, 1): P(0, 2), u(1, 2): P(0, 1)},
-         {u(1, 1): P(0, 1), u(1, 2): P(0, 1)},
-         {u(1, 2): P(0, 1, 1)}],
+        [{u(1, 1): {1: 2}, u(1, 2): {1: 2}},
+         {u(1, 1): {1: 2}, u(1, 2): {1: 1}},
+         {u(1, 1): {1: 1}, u(1, 2): {1: 1}},
+         {u(1, 2): {1: 1, 2: 1}}],
         # P2
-        [{u(2, 1): P(0, 0, 2), u(2, 2): P(0, 2), u(2, 3): P(2)},
-         {u(2, 1): P(0, 0, 2), u(2, 2): P(0, 2), u(2, 3): P(1)},
-         {u(2, 1): P(0, 0, 1), u(2, 2): P(0, 1), u(2, 3): P(1)},
-         {u(2, 3): P(1, 1)}],
+        [{u(2, 1): {2: 2}, u(2, 2): {1: 2}, u(2, 3): {0: 2}},
+         {u(2, 1): {2: 2}, u(2, 2): {1: 2}, u(2, 3): {0: 1}},
+         {u(2, 1): {2: 1}, u(2, 2): {1: 1}, u(2, 3): {0: 1}},
+         {u(2, 3): {0: 1, 1: 1}}],
         # P3
-        [{u(3, 1): P(0, 1), u(3, 2): P(0, 2)},
-         {u(3, 1): P(0, 1), u(3, 2): P(0, 1)},
-         {u(3, 2): P(0, 1)},
-         {u(3, 2): P(0, 0, 1)}],
+        [{u(3, 1): {1: 1}, u(3, 2): {1: 2}},
+         {u(3, 1): {1: 1}, u(3, 2): {1: 1}},
+         {u(3, 2): {1: 1}},
+         {u(3, 2): {2: 1}}],
         # P4
-        [{u(4, 1): P(0, 1), u(4, 2): P(0, 2)},
-         {u(4, 2): P(0, 0, 1)},
-         {u(4, 1): P(0, 0, 1)},
-         {u(4, 1): P(0, 1), u(4, 2): P(1)}],
+        [{u(4, 1): {1: 1}, u(4, 2): {1: 2}},
+         {u(4, 2): {2: 1}},
+         {u(4, 1): {2: 1}},
+         {u(4, 1): {1: 1}, u(4, 2): {0: 1}}],
     ]
     for row, exp_row in zip(m.rows, expected):
         for entry, exp_entry in zip(row, exp_row):
@@ -204,19 +199,24 @@ def test_support_matrix_golden_entries():
 
 
 def test_support_matrix_substitution():
+    # the exact route's entries with every u = 1: the P0 row is
+    # (2x+2, 2x+1, x+1, x+1)
     m = support_matrix(golden_system().polys, 4)
-    values = {r: 1 for r in m.coeff_refs()}
-    num = m.substituted(values)
-    # P0 row with all u = 1: (2x+2, 2x+1, x+1, x+1)
-    assert num[0] == [P(2, 2), P(1, 2), P(1, 1), P(1, 1)]
+    refs = sorted(m.coeff_refs())
+    row = RankOracle._symbolic_matrix(m, refs)[0]
+    for x0 in (0, 1, 5):
+        point = {i: 1 for i in range(len(refs))} | {len(refs): x0}
+        assert [e.evaluate(point) for e in row] == [
+            2 * x0 + 2, 2 * x0 + 1, x0 + 1, x0 + 1]
 
 
 def test_column_shift_polys():
-    m = support_matrix(golden_system().polys, 4)
-    col = m.column_shift_polys(3)   # the y4 column
-    assert P(1, 1) in col            # x+1 from P0
-    assert P(0, 1, 1) in col         # x^2+x from P1
-    assert P(0, 1) in col            # x from P4 (u41) -- actually x+... check membership only
+    # the y4 column, read as modified_jacobi_bounds reads it
+    col = [d for p in golden_system().polys
+           for d in symbolic_support_vector(p, (1, 2, 3, 4))[3].values()]
+    assert {0: 1, 1: 1} in col       # x+1 from P0
+    assert {1: 1, 2: 1} in col       # x^2+x from P1
+    assert {1: 1} in col             # x from P4 (u41)
 
 
 def test_distinct_coeff_refs_enforced():

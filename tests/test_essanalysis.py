@@ -19,6 +19,8 @@ from sdres.essanalysis import (
     symbolic_rank,
 )
 
+from sdres.parsing import parse_system
+
 from systems import golden_system, mono, poly, rank_deficient_system, toy_system
 
 
@@ -52,6 +54,12 @@ def test_shared_direction_system_not_essential():
     polys = tuple(poly(i, [mono({}), shared]) for i in range(3))
     sys2 = DiffSystem(polys=polys, nvars=2)
     assert not is_transformally_essential(sys2)
+
+
+def test_high_shift_rank_costs_terms_not_shifts():
+    # entries are sparse in the shift: transform count 100000 is two terms
+    src = parse_system("P0 = u + u*y[1,0]*y[1,100000]\nP1 = u + u*y[1,1]")
+    assert symbolic_rank(support_matrix(src.polys, src.nvars)).rank == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Core arithmetic: ring axioms by evaluation, determinants, gcd, rank,
-first relations and circuits."""
+first relations and circuits.  Univariate polynomials are one-symbol
+MultiPolys (symbol 0 plays x)."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +12,10 @@ import pytest
 from sdres.errors import NotDivisible
 from sdres.multipoly import (
     MultiPoly,
-    UniPoly,
     det_mod,
     determinant,
     first_circuit,
     first_relation,
-    format_unipoly,
     mono_cmp,
     mono_div,
     mono_mul,
@@ -26,8 +26,18 @@ from sdres.multipoly import (
 from det_oracles import frac_gauss_det, leibniz_det
 
 
+def uni(coeffs):
+    """One-symbol MultiPoly from coefficients, low degree first."""
+    return MultiPoly({((0, k),) if k else (): c for k, c in enumerate(coeffs)})
+
+
+def shift_dict(p):
+    """A one-symbol MultiPoly as the sparse ``{degree: int}`` dict of uni_gcd."""
+    return {sum(e for _, e in m): c for m, c in p.terms.items()}
+
+
 def rand_unipoly(rng, max_deg=4, bound=9):
-    return UniPoly([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))])
+    return uni([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))])
 
 
 def rand_multipoly(rng, nsyms=4, nterms=5, max_exp=3, bound=9):
@@ -46,40 +56,8 @@ def rand_point(rng, nsyms, bound=7):
 
 
 # ---------------------------------------------------------------------------
-# UniPoly
+# uni_gcd
 # ---------------------------------------------------------------------------
-
-def test_unipoly_normalizes_trailing_zeros():
-    assert UniPoly((1, 2, 0, 0)).coeffs == (1, 2)
-    assert UniPoly((0, 0)).is_zero()
-    assert UniPoly().degree == -1
-
-
-def test_unipoly_ring_ops_match_evaluation():
-    rng = random.Random(101)
-    for _ in range(200):
-        a, b = rand_unipoly(rng), rand_unipoly(rng)
-        x0 = rng.randint(-10, 10)
-        assert (a + b).evaluate(x0) == a.evaluate(x0) + b.evaluate(x0)
-        assert (a - b).evaluate(x0) == a.evaluate(x0) - b.evaluate(x0)
-        assert (a * b).evaluate(x0) == a.evaluate(x0) * b.evaluate(x0)
-
-
-def test_unipoly_exact_div_roundtrip():
-    rng = random.Random(102)
-    for _ in range(200):
-        a, b = rand_unipoly(rng), rand_unipoly(rng)
-        if b.is_zero():
-            continue
-        assert (a * b).exact_div(b) == a
-
-
-def test_unipoly_exact_div_rejects_non_multiples():
-    with pytest.raises(NotDivisible):
-        UniPoly((1, 1)).exact_div(UniPoly((0, 1)))   # (x+1)/x
-    with pytest.raises(NotDivisible):
-        UniPoly((3,)).exact_div(UniPoly((2,)))
-
 
 def test_uni_gcd_planted_factor():
     rng = random.Random(103)
@@ -89,35 +67,25 @@ def test_uni_gcd_planted_factor():
         if g.is_zero():
             continue
         a, b = rand_unipoly(rng), rand_unipoly(rng)
-        got = uni_gcd([g * a, g * b])
-        # the planted factor always divides the gcd
-        if not (g * a).is_zero() or not (g * b).is_zero():
-            got_or_zero = got
-            if not got_or_zero.is_zero():
-                assert got_or_zero.exact_div is not None
-                # primitive part of g divides got
-                gp = g.primitive()
-                if gp.leading() < 0:
-                    gp = -gp
-                got_or_zero.exact_div(gp)  # raises if not divisible
-                hits += 1
+        got = uni_gcd([shift_dict(g * a), shift_dict(g * b)])
+        if got:
+            # primitive with a positive leading coefficient
+            assert got[-1] > 0 and math.gcd(*got) == 1
+            # the planted factor's primitive part always divides the gcd
+            uni(got).exact_div(g.primitive())  # raises if not divisible
+            hits += 1
     assert hits > 50
 
 
 def test_uni_gcd_examples():
-    x = UniPoly.x_power
     # gcd(x^2+x, x+1) = x+1
-    assert uni_gcd([UniPoly((0, 1, 1)), UniPoly((1, 1))]) == UniPoly((1, 1))
+    assert uni_gcd([{1: 1, 2: 1}, {0: 1, 1: 1}]) == (1, 1)
     # contents are stripped: gcd(2x, 4) = 1
-    assert uni_gcd([UniPoly((0, 2)), UniPoly((4,))]) == UniPoly((1,))
-    assert uni_gcd([UniPoly(), UniPoly()]).is_zero()
-    assert uni_gcd([x(2, -3)]) == UniPoly((0, 0, 1))
-
-
-def test_format_unipoly():
-    assert format_unipoly(UniPoly((1, 1))) == "x+1"
-    assert format_unipoly(UniPoly((0, -2, 1))) == "x^2-2x"
-    assert format_unipoly(UniPoly()) == "0"
+    assert uni_gcd([{1: 2}, {0: 4}]) == (1,)
+    assert uni_gcd([{}, {}]) == ()
+    assert uni_gcd([{2: -3}]) == (0, 0, 1)
+    # a single negative constant comes out primitive
+    assert uni_gcd([{0: -3}]) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +330,16 @@ def test_int_rank_matches_fraction_gauss():
 
 
 def test_unipoly_matrix_rank():
-    x = UniPoly((0, 1))
-    one = UniPoly((1,))
-    two = UniPoly((2,))
+    x = MultiPoly.symbol(0)
+    one = MultiPoly.const(1)
+    two = MultiPoly.const(2)
     # rows [x, 1], [2x, 2] are proportional
     rank, pivots = rank_and_pivots([[x, one], [x * 2, two]])
     assert rank == 1 and pivots == (0,)
     rank, pivots = rank_and_pivots([[x, one], [one, x]])
     assert rank == 2 and pivots == (0, 1)
     # rank of a matrix with a zero column skips it
-    rank, pivots = rank_and_pivots([[UniPoly(), one], [UniPoly(), x]])
+    rank, pivots = rank_and_pivots([[MultiPoly(), one], [MultiPoly(), x]])
     assert rank == 1 and pivots == (1,)
 
 
@@ -455,9 +423,7 @@ def test_first_circuit_int_matrices_vs_brute_force():
         nrows, ncols = rng.randint(0, 6), rng.randint(0, 5)
         m = planted_rows(rng, nrows, ncols, lambda g: g.randint(-4, 4))
         assert_first_circuit_is_brute_force(
-            [[UniPoly.const(v) for v in row] for row in m],
-            lambda rows: exact_rank_by_grid(
-                rows, [0], lambda e, t: e.evaluate(t)))
+            m, lambda rows: exact_rank_by_grid(rows, [0], lambda e, t: e))
 
 
 def test_first_circuit_unipoly_matrices_vs_brute_force():
@@ -470,7 +436,7 @@ def test_first_circuit_unipoly_matrices_vs_brute_force():
         points = range(7)
         assert_first_circuit_is_brute_force(
             m, lambda rows: exact_rank_by_grid(
-                rows, points, lambda e, t: e.evaluate(t)))
+                rows, points, lambda e, t: e.evaluate({0: t})))
 
 
 def test_first_circuit_multipoly_matrices_vs_brute_force():
@@ -488,8 +454,8 @@ def test_first_circuit_multipoly_matrices_vs_brute_force():
 
 
 def test_first_circuit_examples():
-    one, x = UniPoly((1,)), UniPoly((0, 1))
-    zero = UniPoly()
+    one, x = MultiPoly.const(1), MultiPoly.symbol(0)
+    zero = MultiPoly()
     # row 2 = x * row 0: the circuit skips the independent row 1
     assert first_circuit([[one, x], [x, one], [x, x * x]]) == (0, 2)
     assert first_circuit([[one, zero], [zero, one]]) is None

@@ -1,8 +1,10 @@
 """Input language tests: grammar coverage, round trips, error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdres.diffpoly import CoeffRef, Monomial, VarRef
+from sdres.diffpoly import CoeffRef, DiffPolynomial, Monomial, VarRef
 from sdres.errors import (
     DimensionMismatch,
     DuplicatePolynomial,
@@ -10,7 +12,7 @@ from sdres.errors import (
     NonGenericTerm,
     ParseError,
 )
-from sdres.parsing import parse_system, print_system
+from sdres.parsing import SystemSource, parse_system, print_system
 
 from systems import (
     GOLDEN_TEXT,
@@ -37,6 +39,34 @@ def test_fixture_texts_parse_to_their_builders(text, builder):
 @pytest.mark.parametrize("text", [GOLDEN_TEXT, TOY_TEXT, RANK_DEFICIENT_TEXT])
 def test_print_parse_round_trip(text):
     src = parse_system(text)
+    assert parse_system(print_system(src)) == src
+
+
+# one term's factors: distinct VarRefs with nonzero, possibly negative exponents
+_powers = st.dictionaries(
+    st.builds(VarRef, st.integers(1, 4), st.integers(0, 5)),
+    st.integers(-3, 3).filter(bool), max_size=3)
+
+
+@st.composite
+def _sources(draw):
+    """SystemSource values shaped as parse_system builds them; a polynomial
+    may repeat a monomial."""
+    polys, coeffs = [], []
+    for i in range(draw(st.integers(1, 4))):
+        powers = draw(st.lists(_powers, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            powers.append(draw(st.sampled_from(powers)))
+        refs = [CoeffRef(i, j, 0) for j in range(len(powers))]
+        coeffs += refs
+        polys.append(DiffPolynomial(tuple(zip(refs, map(Monomial, powers)))))
+    nvars = max((v.var for p in polys for v in p.var_refs()), default=0)
+    return SystemSource(polys=tuple(polys), nvars=nvars, coeffs=tuple(coeffs))
+
+
+@settings(derandomize=True)
+@given(_sources())
+def test_print_parse_round_trip_property(src):
     assert parse_system(print_system(src)) == src
 
 
