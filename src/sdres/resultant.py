@@ -5,17 +5,17 @@ jointly span Z^k.  Every such system, univariate pairs and k = 0 included,
 takes one construction: the quotient of two exact determinants, the full
 Newton matrix indexed by the lattice points of the perturbed Minkowski sum
 of the supports over its principal minor on the non-mixed points (D'Andrea
-2002).  All geometry runs over exact rationals; every cell of the lifted
-subdivision is located by a small linear program.  Pairs of at most
-LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
-interpolated from sparse determinants modulo a prime and certified at
-random points.  The classical Sylvester determinant stays as a reference
-for univariate pairs.
+2002).  All geometry is exact: one linear program finds a first cell of the
+lifted subdivision, an integer walk over the lifted Cayley embedding
+visits the others, and each lattice point is placed in its cell by its
+barycentric coordinates.  Pairs of at most LAPLACE_MAX_DIM rows divide
+two Laplace expansions; larger ones are interpolated from sparse
+determinants modulo a prime and certified at random points.  The classical
+Sylvester determinant stays as a reference for univariate pairs.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -26,7 +26,13 @@ from .errors import (
     ZeroDenominator,
 )
 from .essanalysis import stage_rng
-from .multipoly import MultiPoly, SymbolTable, det_mod, determinant
+from .multipoly import (
+    MultiPoly,
+    SymbolTable,
+    det_mod,
+    determinant,
+    first_relation,
+)
 from .ratlp import solve_lp
 from .sparseinterp import (
     LinearGenerator,
@@ -39,7 +45,7 @@ LIFT_BOUND = 1 << 20
 DELTA_DENOM = 1 << 20
 DELTA_NUM_BOUND = 1 << 16
 MAX_RETRIES = 8
-MAX_BOX_POINTS = 1 << 20  # lattice points scanned, one exact LP each
+MAX_BOX_POINTS = 1 << 20  # lattice points in the Minkowski box
 LAPLACE_MAX_DIM = 16      # larger Newton pairs are interpolated
 MINOR_CHECK_PRIME = (1 << 61) - 1
 CERTIFICATE_ROUNDS = 3
@@ -121,57 +127,154 @@ def extract_supports(zpolys, table=None):
     return tuple(sets), table
 
 
-def _locate_cell(supports, lifting, delta, point):
-    """Lower-envelope cell of one lattice point via an exact LP.
+def _start_basis(supports, columns, costs):
+    """Optimal basis of the one LP, at the sum of the support centroids.
 
-    Returns None when the point lies outside the shifted Minkowski sum,
-    otherwise (fine, faces).
+    An optimal basis whose reduced costs are all positive is a cell even
+    when the point lies on a wall between cells, so the point needs no
+    genericity.  Fewer basic columns than rows: the sum is not
+    full-dimensional.
     """
-    k = len(point)
-    nvars = sum(len(s.points) for s in supports)
-    rows, rhs, costs = [], [], []
-    for s, lifts in zip(supports, lifting):
-        costs.extend(Fraction(v) for v in lifts)
-    col = 0
-    for s in supports:
-        row = [Fraction(0)] * nvars
-        for t in range(len(s.points)):
-            row[col + t] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-        col += len(s.points)
+    k = len(columns[0]) - len(supports)
+    centre = [sum(Fraction(sum(a[j] for a in s.points), len(s.points))
+                  for s in supports) for j in range(k)]
+    rows = [list(row) for row in zip(*columns)]
+    return solve_lp(costs, rows, [1] * len(supports) + centre).basis
+
+
+def _tableau(columns, costs, basis):
+    """(tab, scale) of a basis B with scale = +-det B: rows scale * B^-1 [A | I]
+    and, last, the reduced costs scale * (c - c_B B^-1 [A | I]) with zero
+    costs on I.  Each column is one first_relation on the Bareiss kernel,
+    whose scale is the same for all of them."""
+    m = len(basis)
+    vectors = [columns[b] for b in basis]
+    units = [tuple(int(r == j) for r in range(m)) for j in range(m)]
+    solved = []
+    for col in (*columns, *units):
+        coeffs, scale = first_relation([*vectors, col])
+        solved.append(coeffs)
+    tab = [list(row) for row in zip(*solved)]
+    full = [*costs, *[0] * m]
+    tab.append([scale * c - sum(costs[b] * row[j] for b, row in zip(basis, tab))
+                for j, c in enumerate(full)])
+    return tab, scale
+
+
+def _is_fine(tab, scale, basis):
+    """Every nonbasic reduced cost is positive: no other lifted point lies
+    on the lower facet of the basis."""
+    basic = set(basis)
+    return all(h * scale > 0 for c, h in enumerate(tab[-1][:-len(basis)])
+               if c not in basic)
+
+
+def _entering(tab, scale, r, ncols):
+    """Dual ratio test leaving position r: the column w with
+    beta_w[r] = tab[r][w] / scale < 0 that minimizes h(w) / -beta_w[r], so
+    the pivot keeps every reduced cost nonnegative; None when no column has
+    beta_w[r] < 0 (the wall bounds the Minkowski sum).  A tie leaves a
+    lifted point on the next cell's facet and raises DegenerateLifting."""
+    costs, row = tab[-1], tab[r]
+    best, tie = None, False
+    for c in range(ncols):
+        if row[c] * scale >= 0:
+            continue
+        if best is not None:
+            lhs = abs(costs[c] * row[best])
+            rhs = abs(costs[best] * row[c])
+            if lhs > rhs:
+                continue
+            if lhs == rhs:
+                tie = True
+                continue
+        best, tie = c, False
+    if tie:
+        raise DegenerateLifting(f"tie in the ratio test across wall {r}")
+    return best
+
+
+def _pivot(tab, scale, r, w):
+    """Fraction-free (Edmonds) pivot on tab[r][w]: the tableau of the basis
+    with column w in position r, whose scale is the pivot.  Every division
+    is exact because the new entries are minors."""
+    piv, prow = tab[r][w], tab[r]
+    return [row if i == r else
+            [(piv * x - row[w] * y) // scale for x, y in zip(row, prow)]
+            for i, row in enumerate(tab)], piv
+
+
+def _cell_points(supports, faces, tab, scale, nums):
+    """Lattice points p of one cell, in lexicographic order, from their
+    barycentric coordinates lambda * scale * S = adj(B) (S * 1, S * p - nums)
+    with S = DELTA_DENOM.  The scan runs over the cell's bounding box shifted
+    by delta, one coordinate at a time, and drops a prefix once some lambda
+    stays negative over the rest of the box.  A point on a wall (some lambda
+    zero) raises DegenerateLifting."""
+    npolys, k = len(supports), len(nums)
+    adj = [row[len(row) - npolys - k:] for row in tab[:-1]]
+    sign = 1 if scale > 0 else -1
+    base = [sign * (DELTA_DENOM * sum(row[:npolys])
+                    - sum(v * d for v, d in zip(row[npolys:], nums)))
+            for row in adj]
+    slopes = [[sign * DELTA_DENOM * row[npolys + j] for row in adj]
+              for j in range(k)]
+    ranges = []
     for j in range(k):
-        row = [Fraction(0)] * nvars
-        col = 0
-        for s in supports:
-            for t, b in enumerate(s.points):
-                if b[j]:
-                    row[col + t] = Fraction(b[j])
-            col += len(s.points)
-        rows.append(row)
-        rhs.append(Fraction(point[j]) - delta[j])
-    res = solve_lp(costs, rows, rhs)
-    if res.status != "optimal":
-        return None
-    positive = sum(1 for v in res.x if v > 0)
-    fine = res.unique_certified and positive == 2 * k + 1
-    faces = []
-    col = 0
-    for s in supports:
-        faces.append(tuple(t for t in range(len(s.points)) if res.x[col + t] > 0))
-        col += len(s.points)
-    return fine, tuple(faces)
+        coords = [[supports[i].points[t][j] for t in face]
+                  for i, face in enumerate(faces)]
+        ranges.append(range(sum(map(min, coords)) + 1,
+                            sum(map(max, coords)) + 1))
+    reach = [[0] * len(adj)]      # largest rest of lambda over coordinates j..
+    for slope, xs in zip(reversed(slopes), reversed(ranges)):
+        reach.append([r + max(s * xs[0], s * xs[-1])
+                      for r, s in zip(reach[-1], slope)])
+    reach.reverse()
+    inside = []
+
+    def scan(j, lam, prefix):
+        if any(v + r < 0 for v, r in zip(lam, reach[j])):
+            return
+        if j == k:
+            if min(lam) == 0:
+                raise DegenerateLifting(f"cell at {prefix} is not fine")
+            inside.append(prefix)
+            return
+        for x in ranges[j]:
+            scan(j + 1, [v + s * x for v, s in zip(lam, slopes[j])],
+                 prefix + (x,))
+
+    scan(0, base, ())
+    return inside
 
 
 def mixed_subdivision(supports, seed=0, attempt=0):
     """Fine mixed subdivision data for every lattice point of the shifted sum.
 
-    The perturbation is a strictly positive random rational vector; with
-    supports anchored at the origin this keeps the point set minimal and
-    independent of the draw, while the lifting decides the cells.  Both are
-    drawn once per ``attempt``; a degenerate draw raises DegenerateLifting.
+    The perturbation delta is a strictly positive random rational vector
+    and the lifting a random integer per support point, both drawn once per
+    ``attempt``; the lattice points p with p - delta in the Minkowski sum,
+    and so their number, depend on delta, and the cells on the lifting.  By
+    the Cayley trick (Huber-Rambau-Santos 2000) the cells are the lower
+    facets of the lifted columns (e_i, a): one LP at the centroid sum finds
+    a first cell, and a walk crosses every wall inside the sum with one
+    integer ratio test and one fraction-free pivot, so each cell is visited
+    once.  Each cell then takes the lattice points of its bounding box with
+    positive barycentric coordinates.
+
+    A non-fine cell, a tie in a ratio test or a lattice point on a wall
+    raises DegenerateLifting, as does a cell without a vertex summand.  The
+    walk checks every cell, so it also rejects a lifting whose only non-fine
+    cell holds no lattice point, which locating each point by its own LP
+    accepted.  A non-fine cell puts some support point w on the lower facet
+    of a cell of the other points; given their lifts, the lift of w does so
+    for a fixed cell with probability at most 1 / (LIFT_BOUND + 1).  With
+    the other points' subdivisions fine, a lifting thus meets a non-fine
+    cell with probability at most n * C / (LIFT_BOUND + 1), n the number of
+    support points and C the number of cells, at most k! vol(sum) since a
+    fine cell has volume at least 1 / k! (golden: 23 * 189 / 2^20 < 0.5 %).
     A box of more than MAX_BOX_POINTS lattice points raises InternalError
-    before the first LP.
+    before the LP.
     """
     npolys = len(supports)
     k = len(supports[0].points[0])
@@ -184,28 +287,51 @@ def mixed_subdivision(supports, seed=0, attempt=0):
         raise InternalError(f"budget: the Minkowski box has {box} lattice "
                             f"points, more than {MAX_BOX_POINTS}")
     rng = stage_rng(seed, f"subdivision-{attempt}")
-    delta = tuple(
-        Fraction(rng.randint(1, DELTA_NUM_BOUND), DELTA_DENOM) for _ in range(k))
+    nums = [rng.randint(1, DELTA_NUM_BOUND) for _ in range(k)]
+    delta = tuple(Fraction(v, DELTA_DENOM) for v in nums)
     lifting = tuple(
         tuple(rng.randint(0, LIFT_BOUND) for _ in s.points) for s in supports)
-    points, cells, counts = [], [], [0] * npolys
-    for p in product(*[range(lo[j] + 1, hi[j] + 1) for j in range(k)]):
-        located = _locate_cell(supports, lifting, delta, p)
-        if located is None:
-            continue
-        fine, faces = located
-        if not fine:
-            raise DegenerateLifting(f"cell at {p} is not fine")
+    owners = [(i, t) for i, s in enumerate(supports) for t in range(len(s.points))]
+    columns = [tuple(int(j == i) for j in range(npolys)) + supports[i].points[t]
+               for i, t in owners]         # (e_i, a) for point a of support i
+    costs = [v for lifts in lifting for v in lifts]
+    counts = [0] * npolys
+    basis = list(_start_basis(supports, columns, costs))
+    if len(basis) < 2 * k + 1:
+        return Subdivision(supports, (), (), delta, tuple(counts))
+    seen = {frozenset(basis)}
+    todo = [(basis, *_tableau(columns, costs, basis))]
+    located = []
+    while todo:
+        basis, tab, scale = todo.pop()
+        faces = [[] for _ in supports]
+        for c in sorted(basis):
+            faces[owners[c][0]].append(owners[c][1])
+        faces = tuple(map(tuple, faces))
+        if not _is_fine(tab, scale, basis):
+            raise DegenerateLifting(f"cell {faces} is not fine")
         vertices = [i for i in range(npolys) if len(faces[i]) == 1]
         if not vertices:
-            raise DegenerateLifting(f"cell at {p} has no vertex summand")
+            raise DegenerateLifting(f"cell {faces} has no vertex summand")
         content = max(vertices)
-        mixed = len(vertices) == 1
-        points.append(p)
-        cells.append(CellInfo(faces, content, faces[content][0], mixed))
-        if mixed:
-            counts[content] += 1
-    return Subdivision(supports, tuple(points), tuple(cells), delta, tuple(counts))
+        cell = CellInfo(faces, content, faces[content][0], len(vertices) == 1)
+        located += [(p, cell) for p in _cell_points(supports, faces, tab, scale, nums)]
+        for r, c in enumerate(basis):
+            if len(faces[owners[c][0]]) < 2:
+                continue
+            w = _entering(tab, scale, r, len(columns))
+            if w is None:
+                continue
+            step = basis[:r] + [w] + basis[r + 1:]
+            if frozenset(step) not in seen:
+                seen.add(frozenset(step))
+                todo.append((step, *_pivot(tab, scale, r, w)))
+    located.sort()
+    for _, cell in located:
+        if cell.mixed:
+            counts[cell.content_index] += 1
+    return Subdivision(supports, tuple(p for p, _ in located),
+                       tuple(cell for _, cell in located), delta, tuple(counts))
 
 
 def build_matrices(subdiv):

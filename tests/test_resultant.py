@@ -5,27 +5,37 @@ closed form for the two-polynomial system, the classical Sylvester
 determinant for univariate pairs, the frozen 26-term expansion for the
 four-variable example, and a convex-hull mixed-volume oracle built on scipy
 for the row multiplicities.  The interpolated quotient of large pairs is
-checked against the Laplace quotient of small ones on the same pairs.
+checked against the Laplace quotient of small ones on the same pairs.  The
+walk over the cells of the mixed subdivision is checked against locating
+every lattice point by its own LP (``lp_subdivision``).
 """
 
 import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sdres import parse_system, resultant
 from sdres.algred import algebraic_reduction
 from sdres.diffpoly import CoeffRef
-from sdres.errors import InternalError, NotDivisible, RetriesExhausted
+from sdres.errors import (
+    DegenerateLifting,
+    InternalError,
+    NotDivisible,
+    RetriesExhausted,
+)
 from sdres.essanalysis import (
     find_super_essential,
     select_and_specialize,
     stage_rng,
 )
-from sdres.multipoly import MultiPoly
+from sdres.multipoly import MultiPoly, rank_and_pivots
 from sdres.resultant import (
     MAX_BOX_POINTS,
     MAX_RETRIES,
+    SupportSet,
     build_matrices,
     compute_resultant,
     extract_supports,
@@ -36,6 +46,7 @@ from sdres.resultant import (
 )
 
 from golden_resultant import BLOCKS, GOLDEN_TERMS
+from lp_subdivision import lp_subdivision
 from systems import golden_system, toy_system
 
 
@@ -351,10 +362,10 @@ def perturbed_reconstruct(*args):
 
 @pytest.mark.parametrize(
     "stubs",
-    [(("_locate_cell", lambda *args: (False, ())),),
+    [(("_is_fine", lambda *args: False),),
      (("_minor_nonzero_check", lambda *args: False),),
      (("LAPLACE_MAX_DIM", 0), ("_reconstruct", perturbed_reconstruct))],
-    ids=["_locate_cell", "_minor_nonzero_check", "certificate"])
+    ids=["_is_fine", "_minor_nonzero_check", "certificate"])
 def test_one_retry_budget_over_one_seed(monkeypatch, stubs):
     # every degenerate attempt, whichever check rejects it, spends the same
     # budget and draws a fresh lifting from the same seed; an interpolated
@@ -379,6 +390,56 @@ def test_one_retry_budget_over_one_seed(monkeypatch, stubs):
         compute_resultant(zp, seed=3)
     assert len(set(draws)) == len(draws) == MAX_RETRIES
     assert {seed for seed, _ in draws} == {3}
+
+
+def test_constant_lifting_exhausts_retries_on_a_non_fine_cell(monkeypatch):
+    # with every lift 0 the whole Minkowski sum is one cell
+    monkeypatch.setattr(resultant, "LIFT_BOUND", 0)
+    with pytest.raises(RetriesExhausted, match="is not fine"):
+        compute_resultant(toy_reduction().zpolys, seed=0)
+
+
+# ------------------------------------------------------------ LP oracle
+
+
+@pytest.mark.parametrize("name", ["toy", "golden", "corpus1", "corpus2",
+                                  "corpus3", "corpus4", "corpus5", "s1_4_3",
+                                  "s1_4_5", "S1"])
+def test_cell_walk_matches_lp_per_point(name):
+    sets, _ = extract_supports(case_reduction(name).zpolys)
+    for seed in (0, 1, 5):
+        for attempt in (0, 1):
+            walk = mixed_subdivision(sets, seed, attempt)
+            oracle = lp_subdivision(sets, seed, attempt)
+            for field in walk._fields:
+                assert getattr(walk, field) == getattr(oracle, field), field
+
+
+@st.composite
+def _full_dimensional_supports(draw):
+    """k + 1 supports of 1-4 points in {0..3}^k, k <= 2, whose Minkowski
+    sum is full-dimensional."""
+    k = draw(st.integers(1, 2))
+    point = st.tuples(*[st.integers(0, 3)] * k)
+    sets = [tuple(sorted(draw(st.sets(point, min_size=1, max_size=4))))
+            for _ in range(k + 1)]
+    edges = [[a - b for a, b in zip(p, pts[0])] for pts in sets for p in pts[1:]]
+    assume(edges and rank_and_pivots(edges)[0] == k)
+    return tuple(SupportSet(i, pts, ()) for i, pts in enumerate(sets))
+
+
+def _subdivision_or_degenerate(build, supports, seed):
+    try:
+        return build(supports, seed, 0)
+    except DegenerateLifting:
+        return "degenerate"
+
+
+@settings(derandomize=True, deadline=None)
+@given(_full_dimensional_supports(), st.integers(0, 1000))
+def test_cell_walk_matches_lp_per_point_property(supports, seed):
+    assert (_subdivision_or_degenerate(mixed_subdivision, supports, seed)
+            == _subdivision_or_degenerate(lp_subdivision, supports, seed))
 
 
 # ------------------------------------------------------ interpolated quotient
