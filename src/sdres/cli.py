@@ -54,7 +54,7 @@ def build_parser():
                        help="replace randomized rank checks by exact "
                             "symbolic elimination")
         p.add_argument("--max-retries", type=int, default=MAX_RETRIES,
-                       help="liftings tried in the resultant stage")
+                       help="liftings tried in the resultant stage, at least 1")
         p.add_argument("--verbose", action="store_true",
                        help="log stage progress to stderr, include timings")
     return parser
@@ -72,7 +72,11 @@ def _read_input(path):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.max_retries < 1:
+            parser.error(f"argument --max-retries: must be at least 1, "
+                         f"got {args.max_retries}")
         log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
         src = parse_system(_read_input(args.file))
         report = run_pipeline(src, stage=args.command, seed=args.seed,

@@ -80,11 +80,15 @@ class _Cursor:
     def read_int(self, what):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.pos = start
+            self.error(f"{what} has too many digits")
 
     def read_sint(self, what):
         self.skip_ws()

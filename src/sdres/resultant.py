@@ -5,13 +5,14 @@ jointly span Z^k.  Every such system, univariate pairs and k = 0 included,
 takes one construction: the quotient of two exact determinants, the full
 Newton matrix indexed by the lattice points of the perturbed Minkowski sum
 of the supports over its principal minor on the non-mixed points (D'Andrea
-2002).  All geometry is exact: one linear program finds a first cell of the
-lifted subdivision, an integer walk over the lifted Cayley embedding
-visits the others, and each lattice point is placed in its cell by its
-barycentric coordinates.  Pairs of at most LAPLACE_MAX_DIM rows divide
-two Laplace expansions; larger ones are interpolated from sparse
-determinants modulo a prime and certified at random points.  The classical
-Sylvester determinant stays as a reference for univariate pairs.
+2002).  All geometry is exact: an integer primal simplex from the pivot
+basis of the lifted Cayley embedding finds a first cell of the lifted
+subdivision, an integer walk on the same tableau visits the others, and
+each lattice point is placed in its cell by its barycentric coordinates.
+Pairs of at most LAPLACE_MAX_DIM rows divide two Laplace expansions;
+larger ones are interpolated from sparse determinants modulo a prime and
+certified at random points.  The classical Sylvester determinant stays as
+a reference for univariate pairs.
 """
 
 import math
@@ -32,8 +33,8 @@ from .multipoly import (
     det_mod,
     determinant,
     first_relation,
+    rank_and_pivots,
 )
-from .ratlp import solve_lp
 from .sparseinterp import (
     LinearGenerator,
     next_prime,
@@ -127,21 +128,6 @@ def extract_supports(zpolys, table=None):
     return tuple(sets), table
 
 
-def _start_basis(supports, columns, costs):
-    """Optimal basis of the one LP, at the sum of the support centroids.
-
-    An optimal basis whose reduced costs are all positive is a cell even
-    when the point lies on a wall between cells, so the point needs no
-    genericity.  Fewer basic columns than rows: the sum is not
-    full-dimensional.
-    """
-    k = len(columns[0]) - len(supports)
-    centre = [sum(Fraction(sum(a[j] for a in s.points), len(s.points))
-                  for s in supports) for j in range(k)]
-    rows = [list(row) for row in zip(*columns)]
-    return solve_lp(costs, rows, [1] * len(supports) + centre).basis
-
-
 def _tableau(columns, costs, basis):
     """(tab, scale) of a basis B with scale = +-det B: rows scale * B^-1 [A | I]
     and, last, the reduced costs scale * (c - c_B B^-1 [A | I]) with zero
@@ -204,6 +190,50 @@ def _pivot(tab, scale, r, w):
             for i, row in enumerate(tab)], piv
 
 
+class LPResult(NamedTuple):
+    status: str           # "optimal" | "flat"
+    basis: list = None    # basic columns in tableau row order
+    tab: list = None
+    scale: int = 0
+
+
+def solve_lp(columns, costs):
+    """Optimal basis of min costs . x subject to sum x_c columns[c] = b,
+    x >= 0, by primal simplex on the integer tableau of ``_tableau``.
+
+    The start basis is the echelon pivot columns and b their sum, so x_B = 1
+    is feasible and no phase 1 is needed.  Bland's rule pivots: the smallest
+    column with a negative reduced cost enters, and the minimum ratio of
+    scale * B^-1 b (read from the unit block) to it leaves, ties to the
+    smallest basic column.  b lies inside the cone of the columns, so with
+    the lifting as costs the optimal basis is a lower facet.  Fewer pivots
+    than rows: status "flat", the columns span a lower dimension.
+    """
+    m, ncols = len(columns[0]), len(columns)
+    _, pivots = rank_and_pivots(list(zip(*columns)))
+    if len(pivots) < m:
+        return LPResult("flat")
+    basis = list(pivots)
+    rhs = [sum(columns[c][j] for c in basis) for j in range(m)]
+    tab, scale = _tableau(columns, costs, basis)
+    while True:
+        w = next((c for c in range(ncols) if tab[-1][c] * scale < 0), None)
+        if w is None:
+            return LPResult("optimal", basis, tab, scale)
+        leave, best = None, None
+        for r, row in enumerate(tab[:-1]):
+            if row[w] * scale <= 0:
+                continue
+            x = sum(u * v for u, v in zip(row[ncols:], rhs))
+            if leave is not None:
+                new, old = x * best[1], best[0] * row[w]
+                if new > old or (new == old and basis[r] > basis[leave]):
+                    continue
+            leave, best = r, (x, row[w])
+        tab, scale = _pivot(tab, scale, leave, w)
+        basis[leave] = w
+
+
 def _cell_points(supports, faces, tab, scale, nums):
     """Lattice points p of one cell, in lexicographic order, from their
     barycentric coordinates lambda * scale * S = adj(B) (S * 1, S * p - nums)
@@ -256,11 +286,12 @@ def mixed_subdivision(supports, seed=0, attempt=0):
     ``attempt``; the lattice points p with p - delta in the Minkowski sum,
     and so their number, depend on delta, and the cells on the lifting.  By
     the Cayley trick (Huber-Rambau-Santos 2000) the cells are the lower
-    facets of the lifted columns (e_i, a): one LP at the centroid sum finds
-    a first cell, and a walk crosses every wall inside the sum with one
-    integer ratio test and one fraction-free pivot, so each cell is visited
-    once.  Each cell then takes the lattice points of its bounding box with
-    positive barycentric coordinates.
+    facets of the lifted columns (e_i, a): an integer primal simplex from
+    their pivot basis (``solve_lp``) finds a first cell, and a walk crosses
+    every wall inside the sum with one integer ratio test and one
+    fraction-free pivot, so each cell is visited once.  Each cell then
+    takes the lattice points of its bounding box with positive barycentric
+    coordinates.
 
     A non-fine cell, a tie in a ratio test or a lattice point on a wall
     raises DegenerateLifting, as does a cell without a vertex summand.  The
@@ -274,7 +305,8 @@ def mixed_subdivision(supports, seed=0, attempt=0):
     support points and C the number of cells, at most k! vol(sum) since a
     fine cell has volume at least 1 / k! (golden: 23 * 189 / 2^20 < 0.5 %).
     A box of more than MAX_BOX_POINTS lattice points raises InternalError
-    before the LP.
+    before the simplex; columns that span fewer dimensions than the
+    Cayley rows give an empty Subdivision.
     """
     npolys = len(supports)
     k = len(supports[0].points[0])
@@ -296,11 +328,11 @@ def mixed_subdivision(supports, seed=0, attempt=0):
                for i, t in owners]         # (e_i, a) for point a of support i
     costs = [v for lifts in lifting for v in lifts]
     counts = [0] * npolys
-    basis = list(_start_basis(supports, columns, costs))
-    if len(basis) < 2 * k + 1:
+    start = solve_lp(columns, costs)
+    if start.status == "flat":
         return Subdivision(supports, (), (), delta, tuple(counts))
-    seen = {frozenset(basis)}
-    todo = [(basis, *_tableau(columns, costs, basis))]
+    seen = {frozenset(start.basis)}
+    todo = [(start.basis, start.tab, start.scale)]
     located = []
     while todo:
         basis, tab, scale = todo.pop()
@@ -365,24 +397,13 @@ def _minor_nonzero_check(pair, seed, attempt):
     """Vanishing precheck of the denominator minor by random evaluation:
     nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
     nonzero."""
-    rows = pair.minor_rows
-    if not rows:
+    if not pair.minor_rows:
         return True
     rng = stage_rng(seed, f"minor-check-{attempt}")
+    evaluator = _Evaluator(pair)
     for _ in range(2):
-        values = {}
-        numeric = []
-        for r in rows:
-            line = {}
-            for i, c in enumerate(rows):
-                entry = pair.m1[r][c]
-                for sid in entry.symbols():
-                    if sid not in values:
-                        values[sid] = rng.randint(1, 1 << 31)
-                if entry:
-                    line[i] = entry.evaluate(values)
-            numeric.append(line)
-        if det_mod(numeric, MINOR_CHECK_PRIME):
+        values = {s: rng.randint(1, 1 << 31) for s in evaluator.symbols}
+        if evaluator.minor_det(values, MINOR_CHECK_PRIME):
             return True
     return False
 
@@ -424,13 +445,22 @@ class _Evaluator:
         self.symbols = sorted({sid for row in self.forms for form in row.values()
                                for sid, _ in form})
 
-    def dets(self, values, p):
-        full = [{c: sum(v * values[s] for s, v in form)
-                 for c, form in row.items()} for row in self.forms]
+    def _row(self, r, values):
+        return {c: sum(v * values[s] for s, v in form)
+                for c, form in self.forms[r].items()}
+
+    def minor_det(self, values, p, rows=None):
+        """det M2 at one point mod p, from ``rows``, the rows of M1 already
+        evaluated there, or else from the minor's rows alone."""
         pos = self.minor
-        minor = [{pos[c]: v for c, v in full[r].items() if c in pos}
-                 for r in pos]
-        return det_mod(full, p), det_mod(minor, p)
+        if rows is None:
+            rows = {r: self._row(r, values) for r in pos}
+        return det_mod([{pos[c]: v for c, v in rows[r].items() if c in pos}
+                        for r in pos], p)
+
+    def dets(self, values, p):
+        full = [self._row(r, values) for r in range(len(self.forms))]
+        return det_mod(full, p), self.minor_det(values, p, full)
 
 
 def _ratio(evaluator, values, p):

@@ -14,7 +14,7 @@ from itertools import product
 from sdres import resultant
 from sdres.errors import DegenerateLifting
 from sdres.essanalysis import stage_rng
-from sdres.ratlp import solve_lp
+from rational_lp import solve_lp
 from sdres.resultant import CellInfo, Subdivision
 
 

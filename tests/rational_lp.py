@@ -3,8 +3,8 @@
 Small dense LPs in standard form (minimize c.x subject to A x = b, x >= 0)
 solved by two-phase primal simplex with Bland's anticycling rule.  Every
 number is a Fraction, so feasibility, optimality and uniqueness answers are
-exact; the mixed-subdivision stage depends on that for the optimal basis
-that starts its walk over the cells.
+exact; the per-point reference subdivision (``lp_subdivision``) locates
+each lattice point with one of these LPs.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Command-line interface tests: subcommands, formats, exit codes."""
 
+import contextlib
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres.cli import main
 
@@ -94,6 +98,13 @@ def test_bad_usage_is_input_error(capsys):
     assert main(["check"]) == 1
 
 
+@pytest.mark.parametrize("retries", ["0", "-3"])
+def test_max_retries_below_one_is_input_error(toy_file, capsys, retries):
+    assert main(["resultant", toy_file, "--max-retries", retries]) == 1
+    assert capsys.readouterr().err.startswith(
+        "sdres: error: argument --max-retries: must be at least 1")
+
+
 def test_unwritable_out_is_input_error(toy_file, capsys):
     assert main(["check", toy_file, "--out", "/no/such/dir/report.txt"]) == 1
     assert "cannot write" in capsys.readouterr().err
@@ -124,6 +135,38 @@ def test_oversized_box_fails_on_budget_with_exit_two():
     assert done.returncode == 2
     assert done.stderr.startswith("sdres: internal error: budget")
     assert "Traceback" not in done.stderr
+
+
+# grammar-near input: well-formed lines with out-of-range pieces, mixed with
+# token soup and arbitrary text
+_FACTOR = st.builds("y[{},{}]{}".format, st.integers(-1, 4), st.integers(-1, 3),
+                    st.sampled_from(["", "^2", "^-1", "^0", "^", "^-"]))
+_TERM = st.builds(lambda head, factors: "*".join(head + factors),
+                  st.sampled_from([["u"], [], ["2"], ["-1"], ["u", "u"]]),
+                  st.lists(_FACTOR, max_size=3))
+_LINE = st.builds(lambda i, terms: f"P{i} = " + " + ".join(terms),
+                  st.integers(-1, 4), st.lists(_TERM, max_size=4))
+_SOUP = st.lists(st.sampled_from(
+    ["P", "P0", "P1", "=", "u", "u*", "+", "*", "y", "y[", "[", "]", ",", "^",
+     "-", "0", "1", "2", "9", "\u00b2", "\u0661", "#", " ", "\t", "\n", "\r"]),
+    max_size=24).map("".join)
+_TEXT = st.lists(st.one_of(_LINE, _SOUP, st.text(max_size=12)),
+                 max_size=5).map("\n".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_TEXT)
+def test_check_never_leaks_a_traceback(text):
+    # every input ends in a documented exit code with a one-line message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.sys"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+                contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_seed_flag_changes_nothing_for_deterministic_paths(toy_file, capsys):

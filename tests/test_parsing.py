@@ -136,6 +136,8 @@ def test_parse_error_carries_line_and_column():
     "# only a comment",
     "P1 = u + u*y[1,0]",        # indices must start at 0
     "P0 = u + u*y[1,0]\nP2 = u + u*y[1,1]",  # gap in indices
+    pytest.param("P\u00b2 = u", id="non-ascii-digit"),
+    pytest.param("P0 = u*y[1," + "9" * 5000 + "]", id="too-many-digits"),
 ])
 def test_syntax_errors(text):
     with pytest.raises(ParseError):

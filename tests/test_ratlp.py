@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from sdres.ratlp import solve_lp
+from rational_lp import solve_lp
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from sdres.resultant import (
     sylvester_resultant,
 )
 
+import rational_lp
 from golden_resultant import BLOCKS, GOLDEN_TERMS
 from lp_subdivision import lp_subdivision
 from systems import golden_system, toy_system
@@ -440,6 +441,36 @@ def _subdivision_or_degenerate(build, supports, seed):
 def test_cell_walk_matches_lp_per_point_property(supports, seed):
     assert (_subdivision_or_degenerate(mixed_subdivision, supports, seed)
             == _subdivision_or_degenerate(lp_subdivision, supports, seed))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_full_dimensional_supports(), st.lists(st.integers(0, 9), min_size=12,
+                                              max_size=12))
+def test_start_simplex_matches_the_rational_lp(supports, lifts):
+    # small lifts make ties and degenerate pivots common
+    columns = [tuple(int(j == i) for j in range(len(supports))) + a
+               for i, s in enumerate(supports) for a in s.points]
+    costs = lifts[:len(columns)]
+    _, pivots = rank_and_pivots(list(zip(*columns)))
+    rhs = [sum(columns[c][j] for c in pivots) for j in range(len(columns[0]))]
+    start = resultant.solve_lp(columns, costs)
+    assert start.status == "optimal"
+    x = [Fraction(sum(u * v for u, v in zip(row[len(columns):], rhs)),
+                  start.scale) for row in start.tab[:-1]]
+    assert min(x) >= 0
+    rows = [list(row) for row in zip(*columns)]
+    assert (sum(costs[c] * v for c, v in zip(start.basis, x))
+            == rational_lp.solve_lp(costs, rows, rhs).objective)
+
+
+def test_flat_supports_give_an_empty_subdivision():
+    # three supports on one line in Z^2: the Cayley columns have rank 4 < 5
+    sets = tuple(SupportSet(i, pts, ()) for i, pts in enumerate(
+        [((0, 0), (1, 0)), ((0, 0), (2, 0)), ((0, 0), (1, 0), (3, 0))]))
+    for seed in (0, 1, 5):
+        walk = mixed_subdivision(sets, seed)
+        assert walk == lp_subdivision(sets, seed)
+        assert (walk.points, walk.cells, walk.mixed_counts) == ((), (), (0, 0, 0))
 
 
 # ------------------------------------------------------ interpolated quotient
