@@ -5,12 +5,17 @@ One polynomial per line::
     P0 = u + u*y[1,1]^2*y[2,1] + y[1,0]^-1
     P1 = u + u*y[1,1]
 
-``y[i,k]`` is the k-th transform of variable i (i >= 1, k >= 0); exponents
-are signed integers.  The bare token ``u`` marks a term's generic
-coefficient and is auto-numbered as u[i,j] in term order; a term written
-without it gets one implicitly, so every term carries exactly one fresh
-coefficient symbol.  ``#`` starts a comment, blank lines are skipped, and
-all other whitespace is insignificant.
+``y[i,k]`` is the k-th transform of variable i (i >= 1, 0 <= k <=
+MAX_TRANSFORM); exponents are signed integers.  The bare token ``u`` marks
+a term's generic coefficient and is auto-numbered as u[i,j] in term order;
+a term written without it gets one implicitly, so every term carries
+exactly one fresh coefficient symbol.  ``#`` starts a comment, blank lines
+are skipped, and all other whitespace is insignificant.
+
+MAX_TRANSFORM bounds the work of the existence check, whose cost grows
+with the transform counts (about 1 s at 10^5); a larger count is a parse
+error, exit code 1 on the command line.  Exponents are not bounded here:
+the resultant stage rejects a Minkowski box that is too large.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,8 @@ from .errors import (
     NonGenericTerm,
     ParseError,
 )
+
+MAX_TRANSFORM = 100_000   # largest k accepted in y[i,k]
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,13 @@ def _parse_factor(cur):
     if var < 1:
         cur.error("variable indices start at 1")
     cur.expect(",", "between variable index and transform count")
+    cur.skip_ws()
+    start = cur.pos
     shift = cur.read_int("a transform count")
+    if shift > MAX_TRANSFORM:
+        cur.pos = start
+        cur.error(f"transform count {shift} is above the limit "
+                  f"{MAX_TRANSFORM}")
     cur.expect("]", "after the transform count")
     exp = 1
     if cur.take("^"):

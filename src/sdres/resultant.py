@@ -10,7 +10,8 @@ basis of the lifted Cayley embedding finds a first cell of the lifted
 subdivision, an integer walk on the same tableau visits the others, and
 each lattice point is placed in its cell by its barycentric coordinates.
 Pairs of at most LAPLACE_MAX_DIM rows divide two Laplace expansions;
-larger ones are interpolated from sparse determinants modulo a prime and
+larger ones are interpolated from sparse determinants modulo a word-size
+prime with a smooth p - 1, each term read back from a discrete log, and
 certified at random points.  The classical Sylvester determinant stays as
 a reference for univariate pairs.
 """
@@ -37,8 +38,10 @@ from .multipoly import (
 )
 from .sparseinterp import (
     LinearGenerator,
+    discrete_log,
     next_prime,
     roots_mod,
+    smooth_prime,
     transposed_vandermonde,
 )
 
@@ -487,22 +490,25 @@ def _blocks(pair):
 
 
 def _term_weights(blocks):
-    """A prime per symbol, 1 for the first of each block, and the largest
-    term value B = prod over blocks of (largest prime)^degree.
+    """A mixed-radix position R_s per symbol, 0 for the first of each
+    block, and the number D of indices, the product over the non-first
+    symbols of (block degree + 1).
 
-    A block's first exponent is its degree minus the others, so the
-    remaining exponents are read back from a term value by trial division.
-    The smallest primes go to the blocks of highest degree, which keeps B
-    and so the interpolation prime small.
+    A block's first exponent is its degree minus the others, so a term is
+    fixed by its other exponents, each at most the block's degree: the
+    digits, in radix degree + 1, of its index sum_s e_s R_s < D.  The
+    positions follow the blocks in order and each block's symbols after
+    the first, the order ``_reconstruct`` reads the digits back in.  With
+    the weight omega^(R_s), omega a generator of GF(p)*, a term's value is
+    omega^index; distinct terms have distinct values once p - 1 >= D.
     """
-    weights, bound, prime = {}, 1, 1
-    for syms, deg in sorted(blocks, key=lambda b: -b[1]):
-        weights[syms[0]] = 1
+    positions, size = {}, 1
+    for syms, deg in blocks:
+        positions[syms[0]] = 0
         for sid in syms[1:]:
-            prime = next_prime(prime)
-            weights[sid] = prime
-        bound *= prime ** deg if len(syms) > 1 else 1
-    return weights, bound
+            positions[sid] = size
+            size *= deg + 1
+    return positions, size
 
 
 def _dense_terms(blocks):
@@ -530,9 +536,12 @@ def _fits_degree_on_line(evaluator, degree, p, rng):
     raise ZeroDenominator("non-mixed minor vanished on every line tried")
 
 
-def _reconstruct(gen, blocks, weights, scale, p, rng):
+def _reconstruct(gen, blocks, size, scale, field, rng):
     """The polynomial behind a terminated sequence, or None when the
-    generator's roots are not term values of the blocks' degrees."""
+    generator's roots are not term values of the blocks' degrees: a root
+    whose discrete log is an index of ``size`` or more, or whose digits in
+    one block sum above its degree."""
+    p = field.p
     roots = roots_mod(gen.generator(), p, rng)
     if roots is None:
         return None
@@ -540,20 +549,18 @@ def _reconstruct(gen, blocks, weights, scale, p, rng):
     for m, w in zip(roots, transposed_vandermonde(roots, gen.seq, p)):
         if m == 0:
             return None
+        index = discrete_log(m, field)
+        if index >= size:
+            return None
         mono = []
         for syms, deg in blocks:
             exps = []
-            for sid in syms[1:]:
-                e = 0
-                while m % weights[sid] == 0:
-                    m //= weights[sid]
-                    e += 1
+            for _ in syms[1:]:
+                index, e = divmod(index, deg + 1)
                 exps.append(e)
             if sum(exps) > deg:
                 return None
             mono += zip(syms, [deg - sum(exps)] + exps)
-        if m != 1:
-            return None
         mono = tuple(sorted((s, e) for s, e in mono if e))
         unscale = math.prod(pow(scale[s], e, p) for s, e in mono)
         c = w * pow(unscale, -1, p) % p
@@ -561,16 +568,21 @@ def _reconstruct(gen, blocks, weights, scale, p, rng):
     return MultiPoly(terms)
 
 
-def _interpolate(evaluator, blocks, weights, p, rng, margin):
-    """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo p.
+def _interpolate(evaluator, blocks, field, rng, margin):
+    """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo field.p.
 
-    Point j is scale * q^j, with q the term weights and scale drawn from
-    ``rng``; Berlekamp-Massey stops once ``margin`` terms past twice the
-    generator's length left it unchanged.  A quotient with T terms has a
-    generator of length T, at most the dense term count, so a sequence
-    that reaches twice that count plus ``margin`` proves that det M2 does
-    not divide det M1.  A point where det M2 vanishes draws a new scale.
+    Point j is scale * q^j, with q_s = omega^(R_s) for the generator omega
+    of ``field`` and the positions R_s of ``_term_weights``, and scale
+    drawn from ``rng``; Berlekamp-Massey stops once ``margin`` terms past
+    twice the generator's length left it unchanged.  A quotient with T
+    terms has a generator of length T, at most the dense term count, so a
+    sequence that reaches twice that count plus ``margin`` proves that
+    det M2 does not divide det M1.  A point where det M2 vanishes draws a
+    new scale.
     """
+    p = field.p
+    positions, size = _term_weights(blocks)
+    weights = {s: pow(field.generator, r, p) for s, r in positions.items()}
     cap = 2 * _dense_terms(blocks) + margin
     for _ in range(MAX_SCALINGS):
         scale = {s: rng.randrange(1, p) for s in evaluator.symbols}
@@ -586,7 +598,7 @@ def _interpolate(evaluator, blocks, weights, p, rng, margin):
             gen.add(value)
             values = {s: v * weights[s] % p for s, v in values.items()}
         else:
-            return _reconstruct(gen, blocks, weights, scale, p, rng)
+            return _reconstruct(gen, blocks, size, scale, field, rng)
     raise ZeroDenominator("non-mixed minor vanished at every scaling tried")
 
 
@@ -614,35 +626,53 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     The quotient is homogeneous of known degree in each polynomial's
     coefficients (``_blocks``), so it is interpolated with one symbol per
     block set to weight 1, from the sequence of sparse determinants mod p
-    at the points scale * q^j (``_interpolate``).  p is the smallest
-    prime above max(4B, 2^61), B the largest term value
-    (``_term_weights``), so distinct terms have distinct values mod p.
-    Every draw comes from ``stage_rng(seed, "interpolation-{attempt}")``.
+    at the points scale * q^j (``_interpolate``).  The other symbols get
+    mixed-radix positions R_s (``_term_weights``), so each term has an
+    index below D = prod (block degree + 1) over them, and q_s =
+    omega^(R_s) for a generator omega of GF(p)*.  p is the smallest prime
+    above max(D, 2^61) whose p - 1 is an odd cofactor below 2^10 times a
+    power of two (``smooth_prime``): a term's value omega^index is then
+    distinct from every other term's, and its discrete log, by
+    Pohlig-Hellman, is its index (Kaltofen-Lakshman-Wiley 1990).  So p
+    stays a word-size prime while D < 2^61 (D has 19 bits on S1 and 45 on
+    S5).  Every draw comes from
+    ``stage_rng(seed, "interpolation-{attempt}")``.
 
-    With a nonempty minor, a random line first checks that the quotient
-    is a polynomial.  The answer R is certified by det M1 == R * det M2 at
-    two random points modulo a random prime P in [2^62, 2^63]: for a wrong
-    R that P does not divide every coefficient of det M1 - R * det M2, a
+    With a nonempty minor, a random line a + t b first checks that the
+    quotient is a polynomial (``_fits_degree_on_line``), at the same p.  A
+    dividing pair always passes.  For a pair where det M2 does not divide
+    det M1, the check's numerator sum_t c_t det M1(a + t b) prod_(s != t)
+    det M2(a + s b) is a polynomial of degree at most m1 + (d + 1) m2 in
+    (a, b), with d the quotient's degree and m1, m2 the two matrix sizes;
+    unless p divides all its coefficients, the check passes with
+    probability at most (m1 + (d + 1) m2) / 2^61 (Schwartz-Zippel; S5:
+    40743 / 2^61 < 2^-45).  Such a pass costs only time: the sequence cap
+    and the certificate still reject the pair.
+
+    The answer R is certified by det M1 == R * det M2 at two random
+    points modulo a random prime P in [2^62, 2^63]: for a wrong R that P
+    does not divide every coefficient of det M1 - R * det M2, a
     polynomial of degree at most m1_dim, each point passes with
     probability at most m1_dim / 2^62 (Schwartz-Zippel), so both with at
     most (m1_dim / 2^62)^2.  About 2^56 primes lie in that range, and a
     coefficient of size H has at most log2(H) / 62 of them as factors.
-    A failed certificate retries with a longer sequence and a prime 64
-    bits larger, CERTIFICATE_ROUNDS times in all.
+    A failed certificate retries with a longer sequence and a smooth
+    prime 64 bits larger, CERTIFICATE_ROUNDS times in all.
     """
     rng = stage_rng(seed, f"interpolation-{attempt}")
     evaluator = _Evaluator(pair)
     blocks = _blocks(pair)
-    weights, bound = _term_weights(blocks)
-    base = max(4 * bound, 1 << 61)
+    base = max(_term_weights(blocks)[1], 1 << 61)
+    field = smooth_prime(base)
     if pair.minor_rows:
         degree = sum(deg for _, deg in blocks)
-        if not _fits_degree_on_line(evaluator, degree, next_prime(base), rng):
+        if not _fits_degree_on_line(evaluator, degree, field.p, rng):
             raise NotDivisible("determinant quotient is not a polynomial "
                                "on a random line")
     for rnd in range(CERTIFICATE_ROUNDS):
-        p = next_prime(base << (64 * rnd))
-        quotient = _interpolate(evaluator, blocks, weights, p, rng, 2 << rnd)
+        if rnd:
+            field = smooth_prime(base << (64 * rnd))
+        quotient = _interpolate(evaluator, blocks, field, rng, 2 << rnd)
         if quotient is not None and _certified(quotient, evaluator, rng):
             if quotient.is_zero():
                 raise ZeroDenominator("determinant quotient vanished")

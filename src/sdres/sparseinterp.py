@@ -2,20 +2,30 @@
 
 A polynomial with T terms, evaluated at the powers q^0, q^1, ... of one
 point, gives a sequence a_j = sum_t w_t m_t^j whose minimal linear
-generator has the term values m_t as its roots.  This module holds the
-four steps that recover the m_t and w_t over GF(p):
+generator has the term values m_t as its roots.  When every coordinate of
+q is a power of one generator of GF(p)*, each m_t is a power of it too,
+and the discrete log of m_t is the term's index (Kaltofen-Lakshman-Wiley
+1990).  This module holds the steps that recover the m_t, their indices
+and the w_t over GF(p):
 
-* ``next_prime``: the prime, by Miller-Rabin on fixed bases;
+* ``next_prime``: a prime, by Miller-Rabin on fixed bases;
+* ``smooth_prime``: the smallest prime p above a bound with p - 1 a small
+  odd cofactor times a power of two, and a generator of GF(p)*;
 * ``LinearGenerator``: Berlekamp-Massey, fed one term at a time, so the
   caller can stop early (Kaltofen-Lee 2003);
 * ``roots_mod``: the generator's roots, by Cantor-Zassenhaus;
+* ``discrete_log``: a root's exponent to the generator, by Pohlig-Hellman
+  on the smooth p - 1;
 * ``transposed_vandermonde``: the weights w_t from the first T terms.
 
 Polynomials over GF(p) are lists of ints, lowest degree first, with no
 trailing zeros.
 """
 
+from typing import NamedTuple
+
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+COFACTOR_BOUND = 1 << 10  # the odd part of p - 1 in smooth_prime is below this
 
 
 def is_prime(n):
@@ -50,6 +60,86 @@ def next_prime(n):
     while not is_prime(n):
         n += 1
     return n
+
+
+class SmoothPrime(NamedTuple):
+    """A prime p = cofactor * 2^twos + 1, the cofactor odd, and a
+    generator of the multiplicative group GF(p)*."""
+
+    p: int
+    twos: int
+    cofactor: int
+    generator: int
+
+
+def smooth_prime(n):
+    """The smallest odd prime p > n with p - 1 = c * 2^k, c odd and below
+    COFACTOR_BOUND, and the smallest generator of GF(p)*.
+
+    The candidates p - 1 in [lo, 2 lo) are listed for each k and tested in
+    increasing order; the window doubles until one is prime.  Near n they
+    lie at most 4n / COFACTOR_BOUND apart, so p usually exceeds n by a few
+    percent (2^61: 531 * 2^52 + 1, 3.7 % above).
+    """
+    lo = max(n, 2)
+    while True:
+        hi = 2 * lo
+        candidates = []
+        for k in range(hi.bit_length()):
+            first = -(-lo >> k) | 1   # smallest odd c with c * 2^k >= lo
+            last = min(COFACTOR_BOUND, -(-hi >> k))
+            candidates += [c << k for c in range(first, last, 2)]
+        for m in sorted(candidates):
+            if is_prime(m + 1):
+                k = (m & -m).bit_length() - 1
+                return SmoothPrime(m + 1, k, m >> k,
+                                   _generator(m + 1, m >> k))
+        lo = hi
+
+
+def _generator(p, cofactor):
+    """Smallest g >= 2 whose order is p - 1: g^((p-1)/q) != 1 for every
+    prime q dividing p - 1 = cofactor * 2^k."""
+    factors, rest, q = [2], cofactor, 3
+    while rest > 1:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 2
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def discrete_log(x, field):
+    """The e in [0, p - 1) with generator^e == x mod p, for x nonzero mod
+    p, by Pohlig-Hellman on p - 1 = c * 2^k.
+
+    x^c lies in the subgroup of order 2^k, where the bits of e mod 2^k are
+    read lowest first, one power of x^c per bit (about k^2 / 2 squarings
+    in all); x^(2^k) lies in the subgroup of order c, where e mod c is
+    found by search (at most c products).  The Chinese remainder theorem
+    joins the two.
+    """
+    p, k, c, g = field
+    if x % p == 0:
+        raise ValueError("0 has no discrete log")
+    y = pow(x, c, p)
+    step = pow(g, -c, p)      # generator^(-c * 2^i) at bit i
+    low = 0
+    for i in range(k):
+        if pow(y, 1 << (k - 1 - i), p) != 1:
+            low |= 1 << i
+            y = y * step % p
+        step = step * step % p
+    target, base = pow(x, 1 << k, p), pow(g, 1 << k, p)
+    high, acc = 0, 1
+    while acc != target:
+        acc = acc * base % p
+        high += 1
+    return low + ((high - low) * pow(1 << k, -1, c) % c << k)
 
 
 class LinearGenerator:

@@ -137,6 +137,22 @@ def test_oversized_box_fails_on_budget_with_exit_two():
     assert "Traceback" not in done.stderr
 
 
+def test_huge_transform_count_exits_one_at_parse_time():
+    # the existence check's cost grows with the transform count; 10^6 is
+    # rejected by the parser instead of running unbounded
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sdres.cli import main; sys.exit(main(sys.argv[1:]))",
+         "check", "-"],
+        input="P0 = u + u*y[1,0]*y[1,1000000]\nP1 = u + u*y[1,1]\n",
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr == ("sdres: error: transform count 1000000 is above "
+                           "the limit 100000 at line 1, column 23\n")
+
+
 # grammar-near input: well-formed lines with out-of-range pieces, mixed with
 # token soup and arbitrary text
 _FACTOR = st.builds("y[{},{}]{}".format, st.integers(-1, 4), st.integers(-1, 3),

@@ -1,5 +1,7 @@
 """Input language tests: grammar coverage, round trips, error reporting."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,12 @@ from sdres.errors import (
     NonGenericTerm,
     ParseError,
 )
-from sdres.parsing import SystemSource, parse_system, print_system
+from sdres.parsing import (
+    MAX_TRANSFORM,
+    SystemSource,
+    parse_system,
+    print_system,
+)
 
 from systems import (
     GOLDEN_TEXT,
@@ -142,6 +149,23 @@ def test_parse_error_carries_line_and_column():
 def test_syntax_errors(text):
     with pytest.raises(ParseError):
         parse_system(text)
+
+
+def test_transform_count_is_bounded():
+    src = parse_system(f"P0 = u + u*y[1,0]*y[1,{MAX_TRANSFORM}]\n"
+                       "P1 = u + u*y[1,1]")
+    assert max(v.shift for v, _ in src.polys[0].terms[1][1].powers) == (
+        MAX_TRANSFORM)
+    with pytest.raises(ParseError, match="transform count 1000000 is above "
+                       f"the limit {MAX_TRANSFORM}") as info:
+        parse_system("P0 = u + u*y[1,0]*y[1, 1000000]\nP1 = u + u*y[1,1]")
+    assert (info.value.line, info.value.col) == (1, 24)   # the count's column
+
+
+def test_bench_cases_parse_within_the_limits():
+    cases = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
+    for path in sorted(cases.glob("*.sys")):
+        parse_system(path.read_text())
 
 
 def test_duplicate_polynomial_rejected():

@@ -12,6 +12,7 @@ every lattice point by its own LP (``lp_subdivision``).
 
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +33,9 @@ from sdres.essanalysis import (
     stage_rng,
 )
 from sdres.multipoly import MultiPoly, rank_and_pivots
+from sdres.sparseinterp import smooth_prime
 from sdres.resultant import (
+    CERTIFICATE_ROUNDS,
     MAX_BOX_POINTS,
     MAX_RETRIES,
     SupportSet,
@@ -535,3 +538,83 @@ def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
                                                       expected.m2_dim)
     assert tags == ["subdivision-0", "minor-check-0", "interpolation-0"]
     assert len(calls) > 1
+
+
+# ------------------------------------------------- mixed-radix term decoding
+
+# three blocks: u0..u2 of degree 3, u3..u4 of degree 2, u5 alone of degree 1
+PLANTED_BLOCKS = (((0, 1, 2), 3), ((3, 4), 2), ((5,), 1))
+
+
+def planted(terms):
+    """MultiPoly from {exponent tuple over u0..u5: coefficient}."""
+    return MultiPoly({tuple((s, e) for s, e in enumerate(exps) if e): c
+                      for exps, c in terms.items()})
+
+
+class PlantedEvaluator:
+    """A Newton pair whose det M1 is a planted polynomial and det M2 is 1."""
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.symbols = list(range(6))
+
+    def dets(self, values, p):
+        return resultant._eval_mod(self.poly, values, p), 1
+
+
+def interpolate_planted(monkeypatch, poly, seed=0):
+    """interpolated_quotient on a pair with an empty minor (no line check)
+    whose blocks are PLANTED_BLOCKS and whose det M1 is ``poly``."""
+    monkeypatch.setattr(resultant, "_Evaluator",
+                        lambda pair: PlantedEvaluator(poly))
+    monkeypatch.setattr(resultant, "_blocks", lambda pair: PLANTED_BLOCKS)
+    return interpolated_quotient(SimpleNamespace(minor_rows=()), seed, 0)
+
+
+def test_mixed_radix_positions_and_index_count():
+    positions, size = resultant._term_weights(PLANTED_BLOCKS)
+    assert positions == {0: 0, 1: 1, 2: 4, 3: 0, 4: 16, 5: 0}
+    assert size == 4 * 4 * 3
+
+
+def test_planted_quotient_on_the_radix_boundaries_decodes(monkeypatch):
+    # each non-first digit reaches its radix minus one (the block degree),
+    # and one term puts every exponent on the first symbols (index 0); a
+    # radix one too small would read u1^3 as u0^2*u2 and fail the certificate
+    poly = planted({(0, 3, 0, 0, 2, 1): 7,
+                    (3, 0, 0, 2, 0, 1): -3,
+                    (0, 0, 3, 1, 1, 1): (1 << 40) + 1,
+                    (0, 0, 3, 0, 2, 1): 2,
+                    (1, 1, 1, 2, 0, 1): 5,
+                    (0, 2, 1, 0, 2, 1): -11})
+    expected = poly.primitive().sign_normalized()
+    for seed in (0, 1, 2):
+        assert interpolate_planted(monkeypatch, poly, seed) == expected
+
+
+@pytest.mark.parametrize("exps", [(0, 2, 2, 2, 0, 1), (0, 3, 0, 0, 3, 1)],
+                         ids=["digit-sum-above-degree", "index-at-least-D"])
+def test_term_off_its_block_degrees_fails_every_round(monkeypatch, exps):
+    # u1^2*u2^2 sums to 4 > 3 in the first block; u1^3*u4^3 has index
+    # 3 + 3*16 = 51 >= D = 48: both are no term of the declared degrees
+    poly = planted({(3, 0, 0, 2, 0, 1): 1, exps: 1})
+    with pytest.raises(NotDivisible,
+                       match=f"certificate {CERTIFICATE_ROUNDS} times"):
+        interpolate_planted(monkeypatch, poly)
+
+
+def test_s1_interpolates_over_a_word_size_smooth_prime(monkeypatch):
+    sets, _ = extract_supports(case_reduction("S1").zpolys)
+    pair = build_matrices(mixed_subdivision(sets, seed=0))
+    blocks = resultant._blocks(pair)
+    assert resultant._term_weights(blocks)[1] == 7 * 31 * 37 ** 2
+    fields = []
+
+    def recording(n):
+        fields.append(smooth_prime(n))
+        return fields[-1]
+
+    monkeypatch.setattr(resultant, "smooth_prime", recording)
+    assert len(interpolated_quotient(pair, 0, 0).terms) == 28
+    assert [field.p < 1 << 63 for field in fields] == [True]
