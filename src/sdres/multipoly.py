@@ -26,28 +26,54 @@ def uni_gcd(polys):
     """Primitive gcd in Z[x] of sparse polynomials ``{degree: int}``, as a
     coefficient tuple, low degree first, with a positive leading coefficient.
 
-    The gcd of a pair is the nonzero polynomial of least degree spanned by
-    the rows of their Sylvester matrix: the last nonzero row of its echelon
-    form, with columns running from the highest degree down.  The gcd of an
-    empty collection (or of all-zero input) is zero, the empty tuple.
+    Euclid on the sparse dicts with primitive pseudo-remainders: each step
+    cancels a leading term with one shifted copy of the divisor, so the
+    cost follows the term counts and the degree gaps, not the degrees
+    squared.  The gcd of an empty collection (or of all-zero input) is
+    zero, the empty tuple.
     """
-    g = ()
+    g = {}
     for p in polys:
-        if not p:
-            continue
-        top = max(p)
-        row = tuple(p.get(k, 0) for k in range(top, -1, -1))
-        if g:
-            m, n = len(g) - 1, top
-            rows = [(0,) * i + g + (0,) * (n - 1 - i) for i in range(n)]
-            rows += [(0,) * i + row + (0,) * (m - 1 - i) for i in range(m)]
-            echelon, pivots = _echelon(rows)
-            row = tuple(echelon[len(pivots) - 1][pivots[-1]:])
-        unit = reduce(math.gcd, row, 0)
-        g = tuple(v // (unit if row[0] > 0 else -unit) for v in row)
-        if len(g) == 1:
+        a = _primitive({k: v for k, v in p.items() if v})
+        while g:
+            a, g = g, _primitive(_pseudo_remainder(a, g))
+        g = a
+        if list(g) == [0]:
             break
-    return g[::-1]
+    return tuple(g.get(k, 0) for k in range(max(g) + 1)) if g else ()
+
+
+def _primitive(p):
+    """p over its content, with a positive leading coefficient."""
+    if not p:
+        return p
+    unit = reduce(math.gcd, p.values(), 0)
+    if p[max(p)] < 0:
+        unit = -unit
+    return {k: v // unit for k, v in p.items()}
+
+
+def _pseudo_remainder(a, b):
+    """A remainder of a by b in Z[x] up to a nonzero integer factor: the
+    leading term of a is cancelled by integer multiples of a and of a
+    shifted b until its degree falls below b's."""
+    top = max(b)
+    lead = b[top]
+    r = dict(a)
+    while r and max(r) >= top:
+        high = max(r)
+        d = math.gcd(r[high], lead)
+        scale, mult = lead // d, r[high] // d
+        if scale != 1:
+            r = {k: v * scale for k, v in r.items()}
+        for k, v in b.items():
+            k += high - top
+            v = r.get(k, 0) - mult * v
+            if v:
+                r[k] = v
+            else:
+                r.pop(k, None)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +508,22 @@ def det_mod(rows, p):
                     del row[c]
                     holders[c].discard(i)
         live.clear()
-    seen = [False] * n
-    for start in range(n):
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = pivot_of[i]
-            length += 1
-        if length and length % 2 == 0:
-            det = -det
-    return det % p
+    return det * permutation_sign(pivot_of, range(n)) % p
+
+
+def permutation_sign(perm, items):
+    """The sign, +1 or -1, of the permutation i -> perm[i] of ``items``."""
+    sign, seen = 1, set()
+    for start in items:
+        if start in seen:
+            continue
+        seen.add(start)
+        i = perm[start]
+        while i != start:
+            seen.add(i)
+            i = perm[i]
+            sign = -sign
+    return sign
 
 
 def determinant(matrix):

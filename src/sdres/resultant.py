@@ -10,10 +10,10 @@ basis of the lifted Cayley embedding finds a first cell of the lifted
 subdivision, an integer walk on the same tableau visits the others, and
 each lattice point is placed in its cell by its barycentric coordinates.
 Pairs of at most LAPLACE_MAX_DIM rows divide two Laplace expansions;
-larger ones are interpolated from sparse determinants modulo a word-size
-prime with a smooth p - 1, each term read back from a discrete log, and
-certified at random points.  The classical Sylvester determinant stays as
-a reference for univariate pairs.
+larger ones are interpolated from replays of one recorded sparse
+elimination modulo a word-size prime with a smooth p - 1, each term read
+back from a discrete log, and certified at random points.  The classical
+Sylvester determinant stays as a reference for univariate pairs.
 """
 
 import math
@@ -34,6 +34,7 @@ from .multipoly import (
     det_mod,
     determinant,
     first_relation,
+    permutation_sign,
     rank_and_pivots,
 )
 from .sparseinterp import (
@@ -399,14 +400,17 @@ def build_matrices(subdiv):
 def _minor_nonzero_check(pair, seed, attempt):
     """Vanishing precheck of the denominator minor by random evaluation:
     nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
-    nonzero."""
-    if not pair.minor_rows:
+    nonzero.  The minor goes to the evaluator as a matrix of its own, so
+    only its m2 rows are eliminated."""
+    rows = pair.minor_rows
+    if not rows:
         return True
     rng = stage_rng(seed, f"minor-check-{attempt}")
-    evaluator = _Evaluator(pair)
+    minor = tuple(tuple(pair.m1[r][c] for c in rows) for r in rows)
+    evaluator = _Evaluator(NewtonMatrixPair(minor, (), (), ()))
     for _ in range(2):
         values = {s: rng.randint(1, 1 << 31) for s in evaluator.symbols}
-        if evaluator.minor_det(values, MINOR_CHECK_PRIME):
+        if evaluator.dets(values, MINOR_CHECK_PRIME)[0]:
             return True
     return False
 
@@ -433,10 +437,32 @@ def quotient_resultant(pair, seed=0, attempt=0):
 
 
 class _Evaluator:
-    """det M1 and det M2 of one Newton pair at points mod p.
+    """det M1 and det M2 of one Newton pair at points mod p, by replaying
+    one recorded elimination.
 
     Every entry is a linear form in the coefficient symbols, kept as
-    ``(sid, coeff)`` pairs, so a point needs only sums of products.
+    ``(sid, coeff)`` pairs, so a point needs only sums of products.  The
+    first point where both determinants are nonzero records a pivot order
+    (``_record``): the minor's columns first, each pivoted from a minor
+    row, then the other columns.  The next column is one held by the
+    fewest rows (minimum degree, which cuts S2's update count from 16674
+    in column order to 3110), its pivot the sparsest row with a nonzero
+    there, as in ``det_mod``.  The symbolic fill of that order is
+    compiled into a flat schedule of slots.  Every point writes its
+    entries into the slots and replays the schedule: the first m2 pivots
+    multiply to +-det M2 and the remaining ones to +-det M1 / det M2 (the
+    Schur complement of M2), with no second elimination.  Pivots whose
+    rows are final at the same step are inverted together, with one
+    modular inverse per run (Montgomery's trick).
+
+    The k-th pivot is the ratio of the leading minors of orders k and
+    k - 1 of M1 in the recorded order.  The order-k minor is a polynomial
+    of degree at most k, nonzero at the recording point, so at a uniformly
+    random point of (GF(p)*)^n a replayed pivot vanishes with probability
+    at most m1 / (p - 1), and some pivot with at most
+    m1 (m1 + 1) / (2 (p - 1)) (Schwartz-Zippel; S2: below 2^-43 at a
+    61-bit p).  That costs only time: the point goes to ``det_mod``, so
+    every value stays exact.
     """
 
     def __init__(self, pair):
@@ -444,30 +470,139 @@ class _Evaluator:
             {c: tuple((m[0][0], v) for m, v in e.terms.items())
              for c, e in enumerate(row) if e}
             for row in pair.m1]
-        self.minor = {r: i for i, r in enumerate(pair.minor_rows)}
-        self.symbols = sorted({sid for row in self.forms for form in row.values()
+        flat = [form for row in self.forms for form in row.values()]
+        self.distinct = list(dict.fromkeys(flat))
+        position = {form: i for i, form in enumerate(self.distinct)}
+        self.entry_form = [position[form] for form in flat]
+        self.minor = pair.minor_rows
+        self.symbols = sorted({sid for form in self.distinct
                                for sid, _ in form})
+        self.schedule = None
 
-    def _row(self, r, values):
-        return {c: sum(v * values[s] for s, v in form)
-                for c, form in self.forms[r].items()}
+    def _rows(self, values, p):
+        return [{c: sum(v * values[s] for s, v in form) % p
+                 for c, form in row.items()} for row in self.forms]
 
-    def minor_det(self, values, p, rows=None):
-        """det M2 at one point mod p, from ``rows``, the rows of M1 already
-        evaluated there, or else from the minor's rows alone."""
-        pos = self.minor
-        if rows is None:
-            rows = {r: self._row(r, values) for r in pos}
-        return det_mod([{pos[c]: v for c, v in rows[r].items() if c in pos}
-                        for r in pos], p)
+    def _record(self, rows, p):
+        """The schedule of the pivot order chosen at the point where M1's
+        rows evaluate to ``rows``, or None where det M2 or det M1 vanishes
+        there.
+
+        Slots number the nonzero entries row by row, then the fill.  The
+        schedule is (the minor's runs, the other runs, fill count, sign of
+        det M2, sign of det M1).  A run is the slots of consecutive pivots
+        whose rows no pivot of the run updates, and per pivot the slots of
+        the rest of its row and, per row it updates, that row's slot in
+        the pivot column and its slots in the pivot row's columns.
+        """
+        n, minor = len(rows), set(self.minor)
+        slots, vals = [], []
+        holders = [set() for _ in range(n)]   # column -> unpivoted rows
+        for i, row in enumerate(rows):
+            slots.append({})
+            for c, v in row.items():
+                slots[i][c] = len(vals)
+                vals.append(v)
+                holders[c].add(i)
+        minor_runs, rest_runs, pivot_of, last_update = [], [], {}, {}
+        phases = [list(self.minor), sorted(set(range(n)) - minor)]
+        for k in range(n):
+            cols = phases[0] or phases[1]
+            col = min(cols, key=lambda c: (len(holders[c]), c))
+            cols.remove(col)
+            live = holders[col]
+            pool = [i for i in live if vals[slots[i][col]]
+                    and (i in minor or col not in minor)]
+            if not pool:
+                return None
+            piv = pivot_of[col] = min(pool, key=lambda i: (len(slots[i]), i))
+            runs = minor_runs if col in minor else rest_runs
+            if not runs or last_update.get(piv, -1) >= start:
+                start = k
+                runs.append(([], []))
+            prow = slots[piv]
+            for c in prow:
+                holders[c].discard(piv)
+            pslot = prow.pop(col)
+            inv = pow(vals[pslot], -1, p)
+            updates = []
+            for i in sorted(live):
+                row = slots[i]
+                mslot = row.pop(col)
+                f = vals[mslot] * inv % p
+                for c, s in prow.items():
+                    if c not in row:
+                        row[c] = len(vals)
+                        vals.append(0)
+                        holders[c].add(i)
+                    vals[row[c]] = (vals[row[c]] - f * vals[s]) % p
+                updates.append((mslot, tuple(row[c] for c in prow)))
+                last_update[i] = k
+            live.clear()
+            runs[-1][0].append(pslot)
+            runs[-1][1].append((tuple(prow.values()), tuple(updates)))
+        return (minor_runs, rest_runs, len(vals) - len(self.entry_form),
+                permutation_sign(pivot_of, minor),
+                permutation_sign(pivot_of, range(n)))
+
+    def _det_mod(self, rows, p):
+        pos = {r: i for i, r in enumerate(self.minor)}
+        return det_mod(rows, p), det_mod(
+            [{pos[c]: v for c, v in rows[r].items() if c in pos}
+             for r in self.minor], p)
 
     def dets(self, values, p):
-        full = [self._row(r, values) for r in range(len(self.forms))]
-        return det_mod(full, p), self.minor_det(values, p, full)
+        """(det M1, det M2) mod p at the point ``values``."""
+        if self.schedule is None:
+            rows = self._rows(values, p)
+            self.schedule = self._record(rows, p)
+            if self.schedule is None:
+                return self._det_mod(rows, p)
+        minor_runs, rest_runs, fill, sign2, sign1 = self.schedule
+        entries = [sum(v * values[s] for s, v in form) % p
+                   for form in self.distinct]
+        vals = [entries[i] for i in self.entry_form] + [0] * fill
+        det2 = _replay(minor_runs, vals, p)
+        quotient = det2 and _replay(rest_runs, vals, p)
+        if not quotient:
+            return self._det_mod(self._rows(values, p), p)
+        return sign1 * det2 * quotient % p, sign2 * det2 % p
+
+
+def _replay(runs, vals, p):
+    """Product mod p of the pivots of ``runs``, replayed in place on the
+    slot values ``vals``; 0 as soon as one pivot vanishes."""
+    det = 1
+    for pslots, steps in runs:
+        prefix = [1]
+        for s in pslots:
+            prefix.append(prefix[-1] * vals[s] % p)
+        if not prefix[-1]:
+            return 0
+        det = det * prefix[-1] % p
+        inv = pow(prefix[-1], -1, p)
+        invs = [0] * len(pslots)
+        for j in range(len(pslots) - 1, -1, -1):
+            invs[j] = inv * prefix[j] % p
+            inv = inv * vals[pslots[j]] % p
+        for inv, (source, updates) in zip(invs, steps):
+            prow = [vals[s] * inv % p for s in source]
+            for mslot, target in updates:
+                f = vals[mslot]
+                if f:
+                    for d, v in zip(target, prow):
+                        vals[d] = (vals[d] - f * v) % p
+    return det
 
 
 def _ratio(evaluator, values, p):
-    """det M1 / det M2 at one point mod p; None where det M2 vanishes."""
+    """det M1 / det M2 at one point mod p; None where det M2 vanishes.
+
+    A det M2 that is not the zero polynomial has degree m2 in the
+    symbols, so at a uniformly random point of (GF(p)*)^n it vanishes with
+    probability at most m2 / (p - 1); the callers then draw a new line or
+    scaling.
+    """
     det1, det2 = evaluator.dets(values, p)
     if not det2:
         return None
@@ -637,6 +772,14 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     stays a word-size prime while D < 2^61 (D has 19 bits on S1 and 45 on
     S5).  Every draw comes from
     ``stage_rng(seed, "interpolation-{attempt}")``.
+
+    Each point, the certificate's included, replays one recorded
+    elimination (``_Evaluator``).  A replayed pivot vanishes at a point
+    with probability at most m1 / (p - 1), and det M2 with at most
+    m2 / (p - 1); the first costs a ``det_mod`` evaluation, the second a
+    new scaling, so neither changes the answer.  Roots of the generator
+    come from one power chain (``roots_mod``), which redraws only for a
+    factor it left unsplit.
 
     With a nonempty minor, a random line a + t b first checks that the
     quotient is a polynomial (``_fits_degree_on_line``), at the same p.  A

@@ -13,7 +13,8 @@ and the w_t over GF(p):
   odd cofactor times a power of two, and a generator of GF(p)*;
 * ``LinearGenerator``: Berlekamp-Massey, fed one term at a time, so the
   caller can stop early (Kaltofen-Lee 2003);
-* ``roots_mod``: the generator's roots, by Cantor-Zassenhaus;
+* ``roots_mod``: the generator's roots, from one power chain per
+  polynomial;
 * ``discrete_log``: a root's exponent to the generator, by Pohlig-Hellman
   on the smooth p - 1;
 * ``transposed_vandermonde``: the weights w_t from the first T terms.
@@ -281,29 +282,62 @@ def roots_mod(f, p, rng):
     """Sorted roots of the monic f over GF(p), an odd prime, when f splits
     into distinct linear factors; None otherwise.
 
-    gcd(f, z^p - z) keeps the distinct linear factors; it must be f
-    itself.  Cantor-Zassenhaus then splits f with gcd(f, (z+a)^((p-1)/2) - 1)
-    for random a drawn from ``rng``; each try splits a product of two or
-    more factors with probability about 1/2.
+    One power per polynomial both tests and splits f (Moenck 1977).  With
+    p - 1 = c 2^v, c odd, and J = min(v, 2 bitlen(deg f)), the power
+    r = (z + a)^((p - 1) / 2^J) mod f, for a random a, is squared J times:
+    r, r^2, ..., r^(2^J) = (z + a)^(p - 1).  The last member times z + a
+    is z + a exactly when f divides z^p - z, that is, when f splits into
+    distinct linear factors, so None is always right.  At a root m other
+    than -a, r^(2^J)(m) = 1 and r^(2^i)(m) is a power of one omega of
+    order 2^J, so walking down the chain splits f level by level: a
+    factor whose roots all take the value omega^e at one level splits,
+    one level lower, by its gcd with the member minus omega^(e/2); the
+    rest take -omega^(e/2).  Every gcd is a true factor, so a root -a,
+    where all members vanish and which therefore always goes with the
+    rest, can only leave a factor unsplit.
+
+    Two roots m, m' stay together to the chain's end only when
+    (m + a) / (m' + a) is a 2^J-th power, which has probability below
+    2^-J over a.  So a factor of degree d stays unsplit with probability
+    below d^2 / 2^(J+1): under 1/2 when J = 2 bitlen(d), and 1/2 per pair
+    of roots when J = v = 1, as in Cantor-Zassenhaus.  That costs only
+    time: the factor draws a new a and a chain of its own.
     """
-    if len(f) == 1:
-        return []
-    if len(_gcd(f, _sub(_Residues(f, p).power_of_linear(0, p), [0, 1], p),
-                p)) != len(f):
-        return None
+    if len(f) <= 2:
+        return [-f[0] % p] if len(f) == 2 else []
+    v = ((p - 1) & (1 - p)).bit_length() - 1
+    nonresidue = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) != 1)
     roots, todo = [], [f]
     while todo:
         g = todo.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
             continue
-        while True:
-            power = _Residues(g, p).power_of_linear(rng.randrange(p),
-                                                    (p - 1) // 2)
-            h = _gcd(g, _sub(power, [1], p), p)
-            if 1 < len(h) < len(g):
-                break
-        todo += [h, _divmod(g, h, p)[0]]
+        depth = min(v, 2 * (len(g) - 1).bit_length())
+        a = rng.randrange(p)
+        residues = _Residues(g, p)
+        chain = [residues.power_of_linear(a, (p - 1) >> depth)]
+        for _ in range(depth):
+            chain.append(residues.mul(chain[-1], chain[-1]))
+        if g is f and _trim(residues.times_linear(chain[-1], a)) != [a, 1]:
+            return None
+        omega = pow(nonresidue, (p - 1) >> depth, p)   # order 2^depth
+        nodes = [(g, 0)]   # factors whose roots share the value omega^e
+        for member in reversed(chain[:-1]):
+            split = []
+            for h, e in nodes:
+                if len(h) == 2:
+                    roots.append(-h[0] % p)
+                    continue
+                rest = _divmod(member, h, p)[1]
+                low = _gcd(h, _sub(rest, [pow(omega, e // 2, p)], p), p)
+                if len(low) > 1:
+                    split.append((low, e // 2))
+                if len(low) < len(h):
+                    split.append((_divmod(h, low, p)[0],
+                                  e // 2 + (1 << (depth - 1))))
+            nodes = split
+        todo += [h for h, _ in nodes]
     return sorted(roots)
 
 

@@ -8,10 +8,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres.errors import NotDivisible
 from sdres.multipoly import (
     MultiPoly,
+    _echelon,
     det_mod,
     determinant,
     first_circuit,
@@ -75,6 +78,46 @@ def test_uni_gcd_planted_factor():
             uni(got).exact_div(g.primitive())  # raises if not divisible
             hits += 1
     assert hits > 50
+
+
+def sylvester_gcd(polys):
+    """The dense reference for ``uni_gcd``: the gcd of a pair is the nonzero
+    polynomial of least degree spanned by the rows of their Sylvester
+    matrix, the last nonzero row of its echelon form with columns running
+    from the highest degree down.  Its cost is cubic in the degree."""
+    g = ()
+    for p in polys:
+        if not p:
+            continue
+        top = max(p)
+        row = tuple(p.get(k, 0) for k in range(top, -1, -1))
+        if g:
+            m, n = len(g) - 1, top
+            rows = [(0,) * i + g + (0,) * (n - 1 - i) for i in range(n)]
+            rows += [(0,) * i + row + (0,) * (m - 1 - i) for i in range(m)]
+            echelon, pivots = _echelon(rows)
+            row = tuple(echelon[len(pivots) - 1][pivots[-1]:])
+        unit = math.gcd(*row)
+        g = tuple(v // (unit if row[0] > 0 else -unit) for v in row)
+        if len(g) == 1:
+            break
+    return g[::-1]
+
+
+SPARSE = st.dictionaries(st.integers(0, 12), st.integers(-6, 6).filter(bool),
+                         max_size=4)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(SPARSE, min_size=1, max_size=3),
+       SPARSE.filter(bool), st.booleans())
+def test_uni_gcd_matches_the_sylvester_reference(cofactors, common, planted):
+    def poly(d):
+        return MultiPoly({((0, k),) if k else (): c for k, c in d.items()})
+
+    polys = [shift_dict(poly(c) * poly(common)) if planted else c
+             for c in cofactors]
+    assert uni_gcd(polys) == sylvester_gcd(polys)
 
 
 def test_uni_gcd_examples():

@@ -32,7 +32,7 @@ from sdres.essanalysis import (
     select_and_specialize,
     stage_rng,
 )
-from sdres.multipoly import MultiPoly, rank_and_pivots
+from sdres.multipoly import MultiPoly, det_mod, rank_and_pivots
 from sdres.sparseinterp import smooth_prime
 from sdres.resultant import (
     CERTIFICATE_ROUNDS,
@@ -538,6 +538,96 @@ def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
                                                       expected.m2_dim)
     assert tags == ["subdivision-0", "minor-check-0", "interpolation-0"]
     assert len(calls) > 1
+
+
+# ------------------------------------------------------ replayed elimination
+
+P61 = (1 << 61) - 1
+REPLAY_PRIMES = (101, 65537, P61, smooth_prime(1 << 61).p)
+
+
+def linear_pair(entries, minor_rows):
+    """A Newton pair whose entries are linear forms: ``entries[r][c]`` is
+    a dict {sid: coeff}, empty for a zero entry."""
+    m1 = tuple(tuple(MultiPoly({((s, 1),): c for s, c in e.items()})
+                     for e in row) for row in entries)
+    return SimpleNamespace(m1=m1, minor_rows=tuple(minor_rows))
+
+
+def reference_dets(pair, values, p):
+    """det M1 and det M2 mod p by ``det_mod`` on the evaluated rows."""
+    rows = [{c: e.evaluate(values) % p for c, e in enumerate(row) if e}
+            for row in pair.m1]
+    pos = {r: i for i, r in enumerate(pair.minor_rows)}
+    minor = [{pos[c]: v for c, v in rows[r].items() if c in pos}
+             for r in pair.minor_rows]
+    return det_mod(rows, p), det_mod(minor, p)
+
+
+FORM = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
+                       max_size=2)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(FORM, min_size=n, max_size=n),
+                    min_size=n, max_size=n),
+           st.lists(st.booleans(), min_size=n, max_size=n))),
+       st.sampled_from(REPLAY_PRIMES),
+       st.lists(st.lists(st.integers(0, P61), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_replayed_dets_match_det_mod(matrix, p, points):
+    entries, in_minor = matrix
+    pair = linear_pair(entries, [r for r, m in enumerate(in_minor) if m])
+    evaluator = resultant._Evaluator(pair)
+    for point in points:
+        values = {s: v % p for s, v in enumerate(point)}
+        assert evaluator.dets(values, p) == reference_dets(pair, values, p)
+
+
+@pytest.fixture
+def det_mod_calls(monkeypatch):
+    calls = []
+
+    def counting(rows, p):
+        calls.append(len(rows))
+        return det_mod(rows, p)
+
+    monkeypatch.setattr(resultant, "det_mod", counting)
+    return calls
+
+
+TWO_BY_TWO = [[{0: 1}, {1: 1}], [{2: 1}, {3: 1}]]   # [[x0, x1], [x2, x3]]
+
+
+def point(*xs):
+    return dict(enumerate(xs))
+
+
+def test_a_vanishing_replayed_pivot_falls_back_to_det_mod(det_mod_calls):
+    # the recorded order pivots on x0 first; x0 = 0 leaves no pivot there,
+    # though det M1 = -x1 x2 does not vanish
+    evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, ()))
+    assert evaluator.dets(point(1, 2, 3, 4), P61) == (P61 - 2, 1)
+    assert evaluator.schedule is not None and det_mod_calls == []
+    assert evaluator.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 1)
+    assert det_mod_calls == [2, 0]
+    assert evaluator.dets(point(5, 2, 3, 4), P61) == (14, 1)
+    assert det_mod_calls == [2, 0]
+
+
+def test_a_vanishing_minor_makes_the_ratio_none(det_mod_calls):
+    pair = linear_pair(TWO_BY_TWO, (0,))            # det M2 = x0
+    replayed = resultant._Evaluator(pair)
+    assert resultant._ratio(replayed, point(1, 2, 3, 4), P61) == P61 - 2
+    assert resultant._ratio(replayed, point(0, 2, 3, 4), P61) is None
+    assert replayed.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 0)
+    # at a first point where det M2 vanishes nothing is recorded yet
+    fresh = resultant._Evaluator(pair)
+    assert resultant._ratio(fresh, point(0, 2, 3, 4), P61) is None
+    assert fresh.schedule is None
+    assert resultant._ratio(fresh, point(2, 2, 3, 4), P61) == 1
+    assert fresh.schedule is not None
 
 
 # ------------------------------------------------- mixed-radix term decoding

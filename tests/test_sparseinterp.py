@@ -116,6 +116,63 @@ def test_roots_mod_rejects_an_irreducible_quadratic(p):
     assert roots_mod(f, p, rng) is None
 
 
+SMOOTH62 = smooth_prime(1 << 61)                 # 531 * 2^52 + 1
+
+
+class QueuedRng(random.Random):
+    """A Random whose first randrange calls return queued values."""
+
+    def __init__(self, queue, seed=0):
+        super().__init__(seed)
+        self.queue = list(queue)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return self.queue.pop(0) if self.queue else super().randrange(*args)
+
+
+def two_power_unit(p, order):
+    """An element of multiplicative order 2^order in GF(p)."""
+    x = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    return pow(x, (p - 1) >> order, p)
+
+
+@pytest.mark.parametrize("p", [65537, SMOOTH62.p])
+def test_roots_mod_splits_roots_sharing_their_top_two_adic_levels(p):
+    # m, m zeta, m zeta^2 for zeta of order 2^10, m and -m, and 0
+    rng = random.Random(p)
+    m = rng.randrange(1, p)
+    zeta = two_power_unit(p, 10)
+    roots = {m, m * zeta % p, m * zeta * zeta % p, p - m, 0}
+    roots |= set(rng.sample(range(1, p), 20))
+    for seed in range(4):
+        f = poly_from_roots(sorted(roots), p)
+        assert roots_mod(f, p, random.Random(seed)) == sorted(roots)
+
+
+@pytest.mark.parametrize("p", [101, 65537, SMOOTH62.p, P61])
+def test_roots_mod_survives_a_draw_at_minus_a_root(p):
+    # the first draw a is minus a root, where every chain member vanishes
+    rng = random.Random(p)
+    roots = sorted(rng.sample(range(1, p), 6))
+    queued = QueuedRng([p - roots[2]], seed=p)
+    assert roots_mod(poly_from_roots(roots, p), p, queued) == roots
+    assert queued.draws >= 1 and not queued.queue
+
+
+@pytest.mark.parametrize("p", [101, 65537, SMOOTH62.p])
+def test_roots_mod_redraws_for_a_factor_left_unsplit(p):
+    # a quadratic's chain has depth J = min(v2(p - 1), 4); at a = 0 its
+    # first member z^((p-1)/2^J) is 1 at both 1 and a 2^J-th power, so
+    # the chain cannot split them and a second a is drawn
+    depth = min(((p - 1) & (1 - p)).bit_length() - 1, 4)
+    roots = sorted([1, pow(3, 1 << depth, p)])
+    queued = QueuedRng([0], seed=p)
+    assert roots_mod(poly_from_roots(roots, p), p, queued) == roots
+    assert queued.draws >= 2
+
+
 @pytest.mark.parametrize("terms", [1, 4, 30])
 def test_transposed_vandermonde_round_trips(terms):
     rng = random.Random(terms)
