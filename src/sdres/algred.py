@@ -91,7 +91,7 @@ def variable_essential_reduce(ess_rows, oracle):
     """Column subset to keep: the echelon pivots of the essential rows (the
     lexicographically earliest independent set).  The rows' one left-kernel
     vector stays the only one on a column basis, so they stay a circuit;
-    the check below only catches an unlucky randomized trial."""
+    the check below only catches an unlucky random point."""
     k, pivots = oracle.rank_with_pivots(row_indices=ess_rows)
     if k != len(ess_rows) - 1:
         raise NoEssentialSubset("essential subsystem lost corank one")

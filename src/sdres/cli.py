@@ -61,13 +61,20 @@ def build_parser():
 
 
 def _read_input(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise InputError(f"{name} is not UTF-8: invalid byte at offset "
+                         f"{exc.start}") from exc
 
 
 def main(argv=None):

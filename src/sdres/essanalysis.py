@@ -10,10 +10,10 @@ matrix:
 * how far must each polynomial be transformed before the problem becomes
   algebraic?  --  modified Jacobi bounds of the specialized system
 
-Ranks are computed by substituting large random integers for the generic
-coefficients and the shift indeterminate (correct with overwhelming
-probability; several independent trials are taken and an exact symbolic
-path is available for paranoid runs).
+Ranks are computed by substituting one random point of 64-bit integers for
+the generic coefficients and the shift indeterminate (correct with
+overwhelming probability, see ``RankOracle``; an exact symbolic path is
+available for paranoid runs).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .diffpoly import (
 from .errors import InfiniteJacobiBound, RankDrop
 from .multipoly import MultiPoly, first_circuit, rank_and_pivots, uni_gcd
 
-RANK_TRIALS = 3
-RAND_BOUND = 2 ** 31
+RAND_BOUND = 2 ** 63
 
 
 def stage_rng(seed, tag):
@@ -49,31 +48,30 @@ class RankReport:
 class RankOracle:
     """Rank queries against row/column subsets of one support matrix.
 
-    Each trial substitutes one random integer point for all generic
-    coefficients and then for the shift indeterminate x, drawn from
-    [-2**31, 2**31]; queries run fraction-free elimination on plain ints.
-    An r x r minor is a polynomial of total degree at most r*(D+1), D the
-    largest shift degree, so by Schwartz-Zippel one trial loses a given
-    nonzero minor with probability at most r*(D+1)/(2**32+1).  The reported
-    rank is the maximum over the trials (substitution can only ever lower
-    the rank).  ``exact`` keeps the symbolic entries instead.
+    One random integer point, drawn from [-2**63, 2**63], is substituted
+    for all generic coefficients and then for the shift indeterminate x;
+    queries run fraction-free elimination on plain ints.  An r x r minor
+    is a polynomial of total degree at most r*(D+1), D the largest shift
+    degree, so by Schwartz-Zippel the point loses a given nonzero minor
+    with probability at most r*(D+1)/(2**64+1): below 2**-48 while
+    r*(D+1) < 2**16, and at the parser's largest shift, D = 10**5, below
+    2**-43 for r <= 20.  Substitution can only lower a rank, and a
+    dependency it finds is never later than the generic one.  ``exact``
+    keeps the symbolic entries instead.
     """
 
     def __init__(self, matrix, seed=0, exact=False):
         self.matrix = matrix
         refs = sorted(matrix.coeff_refs())
         if exact:
-            self._numeric = [self._symbolic_matrix(matrix, refs)]
+            self._entries = self._symbolic_matrix(matrix, refs)
         else:
-            self._numeric = []
-            for t in range(RANK_TRIALS):
-                rng = stage_rng(seed, f"rank-trial-{t}")
-                values = {r: rng.randint(-RAND_BOUND, RAND_BOUND) for r in refs}
-                x0 = rng.randint(-RAND_BOUND, RAND_BOUND)
-                self._numeric.append([[sum(values[r] * c * x0 ** k
-                                           for r, d in e.items()
-                                           for k, c in d.items())
-                                       for e in row] for row in matrix.rows])
+            rng = stage_rng(seed, "rank")
+            values = {r: rng.randint(-RAND_BOUND, RAND_BOUND) for r in refs}
+            x0 = rng.randint(-RAND_BOUND, RAND_BOUND)
+            self._entries = [[sum(values[r] * c * x0 ** k
+                                  for r, d in e.items() for k, c in d.items())
+                              for e in row] for row in matrix.rows]
 
     @staticmethod
     def _symbolic_matrix(matrix, refs):
@@ -88,33 +86,20 @@ class RankOracle:
     def rank(self, row_indices=None, col_indices=None):
         return self.rank_with_pivots(row_indices, col_indices)[0]
 
-    def _trials(self, row_indices, col_indices):
+    def _select(self, row_indices, col_indices):
         nrows, ncols = len(self.matrix.rows), len(self.matrix.col_labels)
         rows = range(nrows) if row_indices is None else row_indices
         cols = range(ncols) if col_indices is None else col_indices
-        return rows, [[[numeric[r][c] for c in cols] for r in rows]
-                      for numeric in self._numeric]
+        return rows, [[self._entries[r][c] for c in cols] for r in rows]
 
     def rank_with_pivots(self, row_indices=None, col_indices=None):
-        best = (-1, ())
-        for sub in self._trials(row_indices, col_indices)[1]:
-            rank, pivots = rank_and_pivots(sub)
-            if rank > best[0]:
-                best = (rank, pivots)
-        return best
+        return rank_and_pivots(self._select(row_indices, col_indices)[1])
 
     def circuit(self, row_indices=None, col_indices=None):
-        """``first_circuit`` of the selected rows, as row indices.  A trial
-        finds a dependency no later than the generic one, and at the same
-        last row only part of its support, so the latest last row wins and
-        its trials' supports are united (one-sided, like the rank)."""
-        rows, subs = self._trials(row_indices, col_indices)
-        found = [first_circuit(sub) for sub in subs]
-        if None in found:
-            return None
-        last = max(f[-1] for f in found)
-        support = set().union(*(f for f in found if f[-1] == last))
-        return tuple(rows[i] for i in sorted(support))
+        """``first_circuit`` of the selected rows, as row indices."""
+        rows, sub = self._select(row_indices, col_indices)
+        found = first_circuit(sub)
+        return None if found is None else tuple(rows[i] for i in found)
 
 
 def symbolic_rank(matrix, seed=0, exact=False):

@@ -130,31 +130,11 @@ def mono_div(a, b):
 def mono_degree(a):
     return sum(e for _, e in a)
 
-def mono_cmp(a, b):
-    """Graded lex: higher total degree wins, ties broken on the dense
-    exponent vector read in symbol-id order."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    i = j = 0
-    while i < len(a) or j < len(b):
-        sa = a[i][0] if i < len(a) else None
-        sb = b[j][0] if j < len(b) else None
-        if sb is None or (sa is not None and sa < sb):
-            return 1    # a has a positive exponent at an earlier symbol
-        if sa is None or sb < sa:
-            return -1
-        ea, eb = a[i][1], b[j][1]
-        if ea != eb:
-            return 1 if ea > eb else -1
-        i += 1
-        j += 1
-    return 0
-
 def _mono_sort_key(m):
-    # Key whose ordering agrees with mono_cmp (ascending).
-    # Lex tie-break: walk symbols in id order; earlier symbol with a positive
-    # exponent makes the monomial LARGER, so encode (-sid, exp) pairs.
+    # Graded lex, ascending: higher total degree is larger; ties go to the
+    # dense exponent vector read in symbol-id order, where a positive
+    # exponent at an earlier symbol makes the monomial larger, so the key
+    # encodes (-sid, exp) pairs.
     return (mono_degree(m), tuple((-s, e) for s, e in m))
 
 
@@ -462,53 +442,6 @@ def first_circuit(matrix):
         return None
     coeffs, _ = relation
     return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
-
-
-def det_mod(rows, p):
-    """Determinant modulo the prime p of a square matrix of sparse rows
-    ``{col: int}``, as an int in [0, p).
-
-    Columns are eliminated in order; the pivot is the sparsest row with a
-    nonzero in the column (lowest index on ties), and only the rows that
-    hold that column are updated, so fill-in stays near the nonzeros of
-    the Newton matrices.  The sign is the parity of the pivot rows'
-    permutation.
-    """
-    n = len(rows)
-    rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    holders = [set() for _ in range(n)]   # column -> non-pivot rows using it
-    for i, row in enumerate(rows):
-        for c in row:
-            holders[c].add(i)
-    det = 1
-    pivot_of = []
-    for col in range(n):
-        live = holders[col]
-        if not live:
-            return 0
-        piv = min(live, key=lambda i: (len(rows[i]), i))
-        prow = rows[piv]
-        for c in prow:
-            holders[c].discard(piv)
-        pivot_of.append(piv)
-        det = det * prow[col] % p
-        inv = pow(prow[col], -1, p)
-        for i in tuple(live):
-            row = rows[i]
-            f = row.pop(col) * inv % p
-            for c, v in prow.items():
-                if c == col:
-                    continue
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in row:
-                        holders[c].add(i)
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-                    holders[c].discard(i)
-        live.clear()
-    return det * permutation_sign(pivot_of, range(n)) % p
 
 
 def permutation_sign(perm, items):

@@ -31,7 +31,6 @@ from .essanalysis import stage_rng
 from .multipoly import (
     MultiPoly,
     SymbolTable,
-    det_mod,
     determinant,
     first_relation,
     permutation_sign,
@@ -447,13 +446,13 @@ class _Evaluator:
     row, then the other columns.  The next column is one held by the
     fewest rows (minimum degree, which cuts S2's update count from 16674
     in column order to 3110), its pivot the sparsest row with a nonzero
-    there, as in ``det_mod``.  The symbolic fill of that order is
-    compiled into a flat schedule of slots.  Every point writes its
-    entries into the slots and replays the schedule: the first m2 pivots
-    multiply to +-det M2 and the remaining ones to +-det M1 / det M2 (the
-    Schur complement of M2), with no second elimination.  Pivots whose
-    rows are final at the same step are inverted together, with one
-    modular inverse per run (Montgomery's trick).
+    there.  The symbolic fill of that order is compiled into a flat
+    schedule of slots.  Every point writes its entries into the slots and
+    replays the schedule: the first m2 pivots multiply to +-det M2 and the
+    remaining ones to +-det M1 / det M2 (the Schur complement of M2), with
+    no second elimination.  Pivots whose rows are final at the same step
+    are inverted together, with one modular inverse per run (Montgomery's
+    trick).
 
     The k-th pivot is the ratio of the leading minors of orders k and
     k - 1 of M1 in the recorded order.  The order-k minor is a polynomial
@@ -461,8 +460,9 @@ class _Evaluator:
     random point of (GF(p)*)^n a replayed pivot vanishes with probability
     at most m1 / (p - 1), and some pivot with at most
     m1 (m1 + 1) / (2 (p - 1)) (Schwartz-Zippel; S2: below 2^-43 at a
-    61-bit p).  That costs only time: the point goes to ``det_mod``, so
-    every value stays exact.
+    61-bit p).  That costs only time: ``_record`` eliminates that one
+    point afresh, so every value stays exact, and the schedule already
+    recorded is kept.
     """
 
     def __init__(self, pair):
@@ -483,10 +483,14 @@ class _Evaluator:
         return [{c: sum(v * values[s] for s, v in form) % p
                  for c, form in row.items()} for row in self.forms]
 
-    def _record(self, rows, p):
-        """The schedule of the pivot order chosen at the point where M1's
-        rows evaluate to ``rows``, or None where det M2 or det M1 vanishes
-        there.
+    def _record(self, rows, p, minor=None):
+        """(det M1, det M2, schedule) mod p at the point where M1's rows
+        evaluate to ``rows``, by one elimination in the pivot order chosen
+        there; the schedule is None where det M2 or det M1 vanishes.
+
+        A minor column with no nonzero in a minor row makes det M2 zero;
+        det M1 then comes from one more elimination with an empty minor.
+        Any other column with no nonzero makes det M1 zero.
 
         Slots number the nonzero entries row by row, then the fill.  The
         schedule is (the minor's runs, the other runs, fill count, sign of
@@ -495,7 +499,8 @@ class _Evaluator:
         the rest of its row and, per row it updates, that row's slot in
         the pivot column and its slots in the pivot row's columns.
         """
-        n, minor = len(rows), set(self.minor)
+        minor = self.minor if minor is None else minor
+        n, in_minor = len(rows), set(minor)
         slots, vals = [], []
         holders = [set() for _ in range(n)]   # column -> unpivoted rows
         for i, row in enumerate(rows):
@@ -504,26 +509,28 @@ class _Evaluator:
                 slots[i][c] = len(vals)
                 vals.append(v)
                 holders[c].add(i)
-        minor_runs, rest_runs, pivot_of, last_update = [], [], {}, {}
-        phases = [list(self.minor), sorted(set(range(n)) - minor)]
+        runs, product, pivot_of, last_update = ([], []), [1, 1], {}, {}
+        phases = [list(minor), sorted(set(range(n)) - in_minor)]
         for k in range(n):
-            cols = phases[0] or phases[1]
-            col = min(cols, key=lambda c: (len(holders[c]), c))
-            cols.remove(col)
+            phase = 0 if phases[0] else 1     # 0 while the minor's columns last
+            col = min(phases[phase], key=lambda c: (len(holders[c]), c))
+            phases[phase].remove(col)
             live = holders[col]
             pool = [i for i in live if vals[slots[i][col]]
-                    and (i in minor or col not in minor)]
+                    and (phase or i in in_minor)]
+            if not pool and not phase:
+                return self._record(rows, p, ())[0], 0, None
             if not pool:
-                return None
+                return 0, permutation_sign(pivot_of, minor) * product[0] % p, None
             piv = pivot_of[col] = min(pool, key=lambda i: (len(slots[i]), i))
-            runs = minor_runs if col in minor else rest_runs
-            if not runs or last_update.get(piv, -1) >= start:
+            if not runs[phase] or last_update.get(piv, -1) >= start:
                 start = k
-                runs.append(([], []))
+                runs[phase].append(([], []))
             prow = slots[piv]
             for c in prow:
                 holders[c].discard(piv)
             pslot = prow.pop(col)
+            product[phase] = product[phase] * vals[pslot] % p
             inv = pow(vals[pslot], -1, p)
             updates = []
             for i in sorted(live):
@@ -539,34 +546,28 @@ class _Evaluator:
                 updates.append((mslot, tuple(row[c] for c in prow)))
                 last_update[i] = k
             live.clear()
-            runs[-1][0].append(pslot)
-            runs[-1][1].append((tuple(prow.values()), tuple(updates)))
-        return (minor_runs, rest_runs, len(vals) - len(self.entry_form),
-                permutation_sign(pivot_of, minor),
-                permutation_sign(pivot_of, range(n)))
-
-    def _det_mod(self, rows, p):
-        pos = {r: i for i, r in enumerate(self.minor)}
-        return det_mod(rows, p), det_mod(
-            [{pos[c]: v for c, v in rows[r].items() if c in pos}
-             for r in self.minor], p)
+            runs[phase][-1][0].append(pslot)
+            runs[phase][-1][1].append((tuple(prow.values()), tuple(updates)))
+        sign2 = permutation_sign(pivot_of, minor)
+        sign1 = permutation_sign(pivot_of, range(n))
+        return (sign1 * product[0] * product[1] % p, sign2 * product[0] % p,
+                (*runs, len(vals) - len(self.entry_form), sign2, sign1))
 
     def dets(self, values, p):
         """(det M1, det M2) mod p at the point ``values``."""
+        if self.schedule is not None:
+            minor_runs, rest_runs, fill, sign2, sign1 = self.schedule
+            entries = [sum(v * values[s] for s, v in form) % p
+                       for form in self.distinct]
+            vals = [entries[i] for i in self.entry_form] + [0] * fill
+            det2 = _replay(minor_runs, vals, p)
+            quotient = det2 and _replay(rest_runs, vals, p)
+            if quotient:
+                return sign1 * det2 * quotient % p, sign2 * det2 % p
+        det1, det2, schedule = self._record(self._rows(values, p), p)
         if self.schedule is None:
-            rows = self._rows(values, p)
-            self.schedule = self._record(rows, p)
-            if self.schedule is None:
-                return self._det_mod(rows, p)
-        minor_runs, rest_runs, fill, sign2, sign1 = self.schedule
-        entries = [sum(v * values[s] for s, v in form) % p
-                   for form in self.distinct]
-        vals = [entries[i] for i in self.entry_form] + [0] * fill
-        det2 = _replay(minor_runs, vals, p)
-        quotient = det2 and _replay(rest_runs, vals, p)
-        if not quotient:
-            return self._det_mod(self._rows(values, p), p)
-        return sign1 * det2 * quotient % p, sign2 * det2 % p
+            self.schedule = schedule
+        return det1, det2
 
 
 def _replay(runs, vals, p):
@@ -776,8 +777,8 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     Each point, the certificate's included, replays one recorded
     elimination (``_Evaluator``).  A replayed pivot vanishes at a point
     with probability at most m1 / (p - 1), and det M2 with at most
-    m2 / (p - 1); the first costs a ``det_mod`` evaluation, the second a
-    new scaling, so neither changes the answer.  Roots of the generator
+    m2 / (p - 1); the first costs one fresh elimination of that point,
+    the second a new scaling, so neither changes the answer.  Roots of the generator
     come from one power chain (``roots_mod``), which redraws only for a
     factor it left unsplit.
 

@@ -68,10 +68,32 @@ def test_out_file(toy_file, tmp_path, capsys):
     assert data["order_matrix"] == [[0], [1]]
 
 
+def byte_stdin(data):
+    """A stand-in for sys.stdin over ``data``, strict UTF-8 like a real
+    stdin under a UTF-8 locale, with the byte buffer that sdres reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="strict")
+
+
 def test_stdin_input(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(TOY_TEXT))
+    monkeypatch.setattr("sys.stdin", byte_stdin(TOY_TEXT.encode()))
     assert main(["super", "-"]) == 0
     assert "{P0, P1}" in capsys.readouterr().out
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.sys"
+    path.write_bytes(b"P0 = u + u*y[1,0]\n\xff\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sdres: error: {path} is not UTF-8: invalid byte at offset 18\n"
+
+
+def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", byte_stdin(b"P0 = u\xff + u*y[1,0]\n"))
+    assert main(["check", "-"]) == 1
+    assert capsys.readouterr().err == ("sdres: error: standard input is not "
+                                       "UTF-8: invalid byte at offset 6\n")
 
 
 def test_missing_file_is_input_error(capsys):

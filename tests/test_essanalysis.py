@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres.diffpoly import support_matrix
 from sdres.errors import RankDrop
@@ -60,6 +62,47 @@ def test_high_shift_rank_costs_terms_not_shifts():
     # entries are sparse in the shift: transform count 100000 is two terms
     src = parse_system("P0 = u + u*y[1,0]*y[1,100000]\nP1 = u + u*y[1,1]")
     assert symbolic_rank(support_matrix(src.polys, src.nvars)).rank == 1
+
+
+# shifts up to 50, one draw in ten up to 10^4
+SHIFT = st.integers(0, 9).flatmap(
+    lambda d: st.integers(0, 10 ** 4) if d == 0 else st.integers(0, 50))
+
+
+def monomials(nvars):
+    factor = st.tuples(st.integers(1, nvars), SHIFT)
+    return st.dictionaries(factor, st.sampled_from((-2, -1, 1, 2)),
+                           max_size=3).map(mono)
+
+
+@st.composite
+def small_support_matrices(draw):
+    """Support matrices of 1-4 polynomials in 1-4 variables, 2-3 terms
+    each."""
+    nvars = draw(st.integers(1, 4))
+    polys = []
+    for i in range(draw(st.integers(1, 4))):
+        monos = draw(st.lists(monomials(nvars), min_size=2, max_size=3,
+                              unique_by=lambda m: m.powers))
+        polys.append(poly(i, monos))
+    return support_matrix(polys, nvars)
+
+
+def subsets(n):
+    return st.none() | st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_support_matrices(), st.integers(0, 3), st.data())
+def test_randomized_rank_queries_agree_with_paranoid(m, seed, data):
+    fast = RankOracle(m, seed=seed)
+    exact = RankOracle(m, exact=True)
+    for _ in range(3):
+        rows = data.draw(subsets(len(m.rows)))
+        cols = data.draw(subsets(len(m.col_labels)))
+        assert fast.rank_with_pivots(rows, cols) == \
+            exact.rank_with_pivots(rows, cols)
+        assert fast.circuit(rows, cols) == exact.circuit(rows, cols)
 
 
 # ---------------------------------------------------------------------------

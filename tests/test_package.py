@@ -1,10 +1,14 @@
-"""The package has no runtime dependency (``dependencies = []``)."""
+"""The package has no runtime dependency (``dependencies = []``), and
+the README names only objects that exist."""
 
 import ast
+import importlib
 import pathlib
+import re
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sdres"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sdres"
 
 
 def test_every_import_is_relative_sdres_or_stdlib():
@@ -21,3 +25,17 @@ def test_every_import_is_relative_sdres_or_stdlib():
                         if name.split(".")[0] != "sdres"
                         and name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`(sdres\.\w+\.\w+(?:\.\w+)*)", readme)
+    missing = []
+    for name in names:
+        _, module, *attrs = name.split(".")
+        obj = importlib.import_module(f"sdres.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert names and missing == []

@@ -11,6 +11,7 @@ every lattice point by its own LP (``lp_subdivision``).
 """
 
 import pathlib
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from sdres.essanalysis import (
     select_and_specialize,
     stage_rng,
 )
-from sdres.multipoly import MultiPoly, det_mod, rank_and_pivots
+from sdres.multipoly import MultiPoly, rank_and_pivots
 from sdres.sparseinterp import smooth_prime
 from sdres.resultant import (
     CERTIFICATE_ROUNDS,
@@ -49,6 +50,7 @@ from sdres.resultant import (
 )
 
 import rational_lp
+from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
 from lp_subdivision import lp_subdivision
 from systems import golden_system, toy_system
@@ -555,17 +557,30 @@ def linear_pair(entries, minor_rows):
 
 
 def reference_dets(pair, values, p):
-    """det M1 and det M2 mod p by ``det_mod`` on the evaluated rows."""
-    rows = [{c: e.evaluate(values) % p for c, e in enumerate(row) if e}
+    """det M1 and det M2 mod p by Fraction elimination of the evaluated
+    entries."""
+    rows = [[e.evaluate(values) % p if e else 0 for e in row]
             for row in pair.m1]
-    pos = {r: i for i, r in enumerate(pair.minor_rows)}
-    minor = [{pos[c]: v for c, v in rows[r].items() if c in pos}
-             for r in pair.minor_rows]
-    return det_mod(rows, p), det_mod(minor, p)
+    minor = [[rows[r][c] for c in pair.minor_rows] for r in pair.minor_rows]
+    return int(frac_gauss_det(rows)) % p, int(frac_gauss_det(minor)) % p
 
 
 FORM = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
                        max_size=2)
+
+
+def planted_singular(entries, minor_rows, kind):
+    """``entries`` with a planted vanishing determinant: "M2" copies the
+    minor part of the first minor row onto the last one, so det M2 is
+    zero and det M1 in general is not; "M1" copies a whole row."""
+    entries = [list(row) for row in entries]
+    if kind == "M2" and len(minor_rows) > 1:
+        first, last = minor_rows[0], minor_rows[-1]
+        for c in minor_rows:
+            entries[last][c] = entries[first][c]
+    elif kind == "M1" and len(entries) > 1:
+        entries[-1] = entries[0]
+    return entries
 
 
 @settings(derandomize=True, deadline=None)
@@ -573,27 +588,85 @@ FORM = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
            st.lists(st.lists(FORM, min_size=n, max_size=n),
                     min_size=n, max_size=n),
            st.lists(st.booleans(), min_size=n, max_size=n))),
+       st.sampled_from((None, "M2", "M1")),
        st.sampled_from(REPLAY_PRIMES),
        st.lists(st.lists(st.integers(0, P61), min_size=4, max_size=4),
                 min_size=1, max_size=4))
-def test_replayed_dets_match_det_mod(matrix, p, points):
+def test_replayed_dets_match_det_mod(matrix, singular, p, points):
     entries, in_minor = matrix
-    pair = linear_pair(entries, [r for r, m in enumerate(in_minor) if m])
+    minor_rows = [r for r, m in enumerate(in_minor) if m]
+    pair = linear_pair(planted_singular(entries, minor_rows, singular),
+                       minor_rows)
     evaluator = resultant._Evaluator(pair)
     for point in points:
         values = {s: v % p for s, v in enumerate(point)}
         assert evaluator.dets(values, p) == reference_dets(pair, values, p)
 
 
+def int_pair(rows, minor_rows=()):
+    """A Newton pair over the one symbol 0 that evaluates to the integer
+    matrix ``rows`` at symbol 0 = 1."""
+    return linear_pair([[{0: v} if v else {} for v in row] for row in rows],
+                       minor_rows)
+
+
+@pytest.mark.parametrize("p", [7, P61])
+def test_evaluator_dets_match_oracles_on_sparse_int_matrices(p):
+    rng = random.Random(112)
+    signs = set()
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.35 else 0
+                 for _ in range(n)] for _ in range(n)]
+        if trial % 5 == 0:
+            rows[rng.randrange(n)] = [0] * n             # a zero row
+        elif trial % 5 == 1 and n > 1:
+            rows[0] = [3 * v for v in rows[-1]]          # rank deficient
+        minor = sorted(rng.sample(range(n), rng.randint(0, n)))
+        expect = int(frac_gauss_det(rows))
+        if n <= 5:
+            consts = [[MultiPoly.const(v) for v in row] for row in rows]
+            assert leibniz_det(consts).const_value() == expect
+        expect2 = int(frac_gauss_det([[rows[r][c] for c in minor]
+                                      for r in minor]))
+        got = resultant._Evaluator(int_pair(rows, minor)).dets({0: 1}, p)
+        assert got == (expect % p, expect2 % p)
+        signs.add((expect > 0) - (expect < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_evaluator_det_sign_of_row_permutations():
+    rng = random.Random(113)
+    for n in range(1, 8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+        sign = int(frac_gauss_det(rows))
+        evaluator = resultant._Evaluator(int_pair(rows))
+        assert evaluator.dets({0: 1}, P61) == (sign % P61, 1)
+    # pivots that are not on the diagonal and a negative determinant
+    for rows, expect in (([[0, 2], [3, 0]], -6),
+                         ([[1, 0, 1], [0, 0, 1], [0, 1, 0]], -1),
+                         ([], 1)):
+        evaluator = resultant._Evaluator(int_pair(rows))
+        assert evaluator.dets({0: 1}, P61) == (expect % P61, 1)
+    # a minor whose pivots come from rows off its diagonal
+    evaluator = resultant._Evaluator(int_pair([[0, 2, 1], [3, 0, 0],
+                                               [1, 1, 1]], (0, 1)))
+    assert evaluator.dets({0: 1}, P61) == (-3 % P61, -6 % P61)
+
+
 @pytest.fixture
-def det_mod_calls(monkeypatch):
+def record_calls(monkeypatch):
+    """The ``minor`` argument of every ``_Evaluator._record`` call."""
     calls = []
+    original = resultant._Evaluator._record
 
-    def counting(rows, p):
-        calls.append(len(rows))
-        return det_mod(rows, p)
+    def counting(self, rows, p, minor=None):
+        calls.append(minor)
+        return original(self, rows, p, minor)
 
-    monkeypatch.setattr(resultant, "det_mod", counting)
+    monkeypatch.setattr(resultant._Evaluator, "_record", counting)
     return calls
 
 
@@ -604,23 +677,28 @@ def point(*xs):
     return dict(enumerate(xs))
 
 
-def test_a_vanishing_replayed_pivot_falls_back_to_det_mod(det_mod_calls):
+def test_a_vanishing_replayed_pivot_re_eliminates_that_point(record_calls):
     # the recorded order pivots on x0 first; x0 = 0 leaves no pivot there,
     # though det M1 = -x1 x2 does not vanish
     evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, ()))
     assert evaluator.dets(point(1, 2, 3, 4), P61) == (P61 - 2, 1)
-    assert evaluator.schedule is not None and det_mod_calls == []
+    schedule = evaluator.schedule
+    assert schedule is not None and record_calls == [None]
     assert evaluator.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 1)
-    assert det_mod_calls == [2, 0]
+    assert record_calls == [None, None]
+    assert evaluator.schedule is schedule
     assert evaluator.dets(point(5, 2, 3, 4), P61) == (14, 1)
-    assert det_mod_calls == [2, 0]
+    assert record_calls == [None, None]
 
 
-def test_a_vanishing_minor_makes_the_ratio_none(det_mod_calls):
+def test_a_vanishing_minor_makes_the_ratio_none(record_calls):
     pair = linear_pair(TWO_BY_TWO, (0,))            # det M2 = x0
     replayed = resultant._Evaluator(pair)
     assert resultant._ratio(replayed, point(1, 2, 3, 4), P61) == P61 - 2
     assert resultant._ratio(replayed, point(0, 2, 3, 4), P61) is None
+    # the zero minor pivot eliminates the point once more, with an empty
+    # minor, for det M1
+    assert record_calls == [None, None, ()]
     assert replayed.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 0)
     # at a first point where det M2 vanishes nothing is recorded yet
     fresh = resultant._Evaluator(pair)
@@ -628,6 +706,16 @@ def test_a_vanishing_minor_makes_the_ratio_none(det_mod_calls):
     assert fresh.schedule is None
     assert resultant._ratio(fresh, point(2, 2, 3, 4), P61) == 1
     assert fresh.schedule is not None
+
+
+def test_a_vanishing_det_m1_records_nothing():
+    # det M1 = x0 x3 - x1 x2 vanishes at (1, 2, 3, 6); det M2 = x0 does not
+    evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, (0,)))
+    assert evaluator.dets(point(1, 2, 3, 6), P61) == (0, 1)
+    assert evaluator.schedule is None
+    assert evaluator.dets(point(1, 2, 3, 4), P61) == (P61 - 2, 1)
+    assert evaluator.schedule is not None
+    assert evaluator.dets(point(1, 2, 3, 6), P61) == (0, 1)
 
 
 # ------------------------------------------------- mixed-radix term decoding
