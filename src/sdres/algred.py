@@ -10,8 +10,8 @@ turns it into an ordinary sparse-resultant problem:
 3. extract the minimal essential subsystem: the lowest-ranking circuit of
    the row matroid (dependent, every proper subset independent), read off
    the first row dependency;
-4. keep only rank-many algebraic variables, setting the rest to one, while
-   checking that essentialness survives;
+4. keep only rank-many algebraic variables, the echelon pivots, setting
+   the rest to one, which keeps the subsystem essential;
 5. re-express all supports over a basis of the lattice they generate, which
    shrinks the Newton polytopes to minimal volume ("strong" essential form).
 
@@ -89,15 +89,11 @@ def find_minimal_essential(oracle, nrows):
 
 def variable_essential_reduce(ess_rows, oracle):
     """Column subset to keep: the echelon pivots of the essential rows (the
-    lexicographically earliest independent set).  The rows' one left-kernel
-    vector stays the only one on a column basis, so they stay a circuit;
-    the check below only catches an unlucky random point."""
-    k, pivots = oracle.rank_with_pivots(row_indices=ess_rows)
-    if k != len(ess_rows) - 1:
-        raise NoEssentialSubset("essential subsystem lost corank one")
-    if oracle.circuit(ess_rows, pivots) != tuple(ess_rows):
-        raise NoEssentialSubset("pivot columns do not keep the subsystem essential")
-    return tuple(pivots)
+    lexicographically earliest independent set).  ``ess_rows`` is a circuit
+    found on the same oracle, so its rows have corank one; every other
+    column depends on the pivots, so the one left-kernel vector of the rows
+    is still their only one on the pivots, and they stay a circuit."""
+    return tuple(oracle.rank_with_pivots(row_indices=ess_rows)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -76,26 +76,23 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     if len(polys) != n + 1:
         report = PipelineReport(
             seed=seed, stage="check", essential=False, rank=0,
-            nvars=n, npolys=len(polys),
+            nvars=n, npolys=len(polys), timing=timing,
             reason=(f"{len(polys)} polynomials in {n} "
                     f"variable{'s' if n != 1 else ''}; "
                     f"a sparse difference resultant needs exactly {n + 1}"))
         tick("check")
-        report.timing = timing
         return report
     rank = symbolic_rank(support_matrix(polys, n), seed=seed,
                          exact=paranoid).rank
     essential = rank == n
     report = PipelineReport(
         seed=seed, stage="check", essential=essential, rank=rank,
-        nvars=n, npolys=len(polys))
+        nvars=n, npolys=len(polys), timing=timing)
     tick("check")
     if not essential:
         report.reason = f"symbolic support matrix has rank {rank} < {n}"
-        report.timing = timing
         return report
     if depth < 1:
-        report.timing = timing
         return report
 
     system = DiffSystem(polys=polys, nvars=n)
@@ -104,7 +101,6 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     report.stage = "super"
     tick("super")
     if depth < 2:
-        report.timing = timing
         return report
 
     spec = select_and_specialize(system, report.super_essential, seed=seed,
@@ -116,7 +112,6 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     report.stage = "bounds"
     tick("bounds")
     if depth < 3:
-        report.timing = timing
         return report
 
     red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=seed,
@@ -131,7 +126,6 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     report.attempts = res.attempts
     report.stage = "resultant"
     tick("resultant")
-    report.timing = timing
     return report
 
 

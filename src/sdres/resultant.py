@@ -32,9 +32,7 @@ from .multipoly import (
     MultiPoly,
     SymbolTable,
     determinant,
-    first_relation,
     permutation_sign,
-    rank_and_pivots,
 )
 from .sparseinterp import (
     LinearGenerator,
@@ -98,22 +96,16 @@ class ResultantResult(NamedTuple):
     delta: tuple = ()     # perturbation of the subdivision
 
 
-def coefficient_table(zpolys):
-    """Deterministic symbol table: ids follow sorted coefficient refs."""
-    table = SymbolTable()
-    for ref in sorted({ref for poly in zpolys for ref, _ in poly}):
-        table.id_for(ref)
-    return table
-
-
-def extract_supports(zpolys, table=None):
-    """SupportSets with collision-merged MultiPoly coefficients.
+def extract_supports(zpolys):
+    """SupportSets with collision-merged MultiPoly coefficients, and the
+    symbol table whose ids follow the sorted coefficient refs.
 
     Terms of one polynomial that land on the same lattice point (possible
     after specialization) are summed into a single coefficient.
     """
-    if table is None:
-        table = coefficient_table(zpolys)
+    table = SymbolTable()
+    for ref in sorted({ref for poly in zpolys for ref, _ in poly}):
+        table.id_for(ref)
     sets = []
     for i, terms in enumerate(zpolys):
         merged = {}
@@ -124,30 +116,10 @@ def extract_supports(zpolys, table=None):
         pts = tuple(sorted(merged))
         if len(pts) < 1:
             raise InternalError(f"polynomial {i} has an empty support")
-        zero = tuple([0] * (len(pts[0]) if pts else 0))
-        if pts and zero not in merged:
+        if (0,) * len(pts[0]) not in merged:
             raise InternalError(f"support of polynomial {i} lost its origin")
         sets.append(SupportSet(i, pts, tuple(merged[p] for p in pts)))
     return tuple(sets), table
-
-
-def _tableau(columns, costs, basis):
-    """(tab, scale) of a basis B with scale = +-det B: rows scale * B^-1 [A | I]
-    and, last, the reduced costs scale * (c - c_B B^-1 [A | I]) with zero
-    costs on I.  Each column is one first_relation on the Bareiss kernel,
-    whose scale is the same for all of them."""
-    m = len(basis)
-    vectors = [columns[b] for b in basis]
-    units = [tuple(int(r == j) for r in range(m)) for j in range(m)]
-    solved = []
-    for col in (*columns, *units):
-        coeffs, scale = first_relation([*vectors, col])
-        solved.append(coeffs)
-    tab = [list(row) for row in zip(*solved)]
-    full = [*costs, *[0] * m]
-    tab.append([scale * c - sum(costs[b] * row[j] for b, row in zip(basis, tab))
-                for j, c in enumerate(full)])
-    return tab, scale
 
 
 def _is_fine(tab, scale, basis):
@@ -202,23 +174,35 @@ class LPResult(NamedTuple):
 
 def solve_lp(columns, costs):
     """Optimal basis of min costs . x subject to sum x_c columns[c] = b,
-    x >= 0, by primal simplex on the integer tableau of ``_tableau``.
+    x >= 0, by primal simplex on an integer tableau (tab, scale) of a basis
+    B with scale = +-det B: rows scale * B^-1 [A | I], row r for column
+    basis[r], and, last, the reduced costs scale * (c - c_B B^-1 [A | I]).
 
-    The start basis is the echelon pivot columns and b their sum, so x_B = 1
-    is feasible and no phase 1 is needed.  Bland's rule pivots: the smallest
-    column with a negative reduced cost enters, and the minimum ratio of
-    scale * B^-1 b (read from the unit block) to it leaves, ties to the
-    smallest basic column.  b lies inside the cone of the columns, so with
-    the lifting as costs the optimal basis is a lower facet.  Fewer pivots
-    than rows: status "flat", the columns span a lower dimension.
+    The slack tableau [A | I] over [c | 0] at scale 1 takes the columns in
+    by ``_pivot``, left to right, each on the first row not yet pivoted
+    that is nonzero there: the lexicographically first column basis, with
+    b its column sum, so x_B = 1 is feasible and no phase 1 is needed.
+    Fewer pivots than rows: status "flat", the columns span a lower
+    dimension.  Bland's rule pivots: the smallest column with a negative
+    reduced cost enters, and the minimum ratio of scale * B^-1 b (read from
+    the unit block) to it leaves, ties to the smallest basic column.  b lies
+    inside the cone of the columns, so with the lifting as costs the
+    optimal basis is a lower facet.
     """
     m, ncols = len(columns[0]), len(columns)
-    _, pivots = rank_and_pivots(list(zip(*columns)))
-    if len(pivots) < m:
+    tab = [[*(col[j] for col in columns), *(int(i == j) for i in range(m))]
+           for j in range(m)]
+    tab.append([*costs, *[0] * m])
+    scale, basis = 1, [None] * m
+    for c in range(ncols):
+        r = next((r for r, b in enumerate(basis) if b is None and tab[r][c]),
+                 None)
+        if r is not None:
+            tab, scale = _pivot(tab, scale, r, c)
+            basis[r] = c
+    if None in basis:
         return LPResult("flat")
-    basis = list(pivots)
     rhs = [sum(columns[c][j] for c in basis) for j in range(m)]
-    tab, scale = _tableau(columns, costs, basis)
     while True:
         w = next((c for c in range(ncols) if tab[-1][c] * scale < 0), None)
         if w is None:

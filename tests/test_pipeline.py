@@ -1,11 +1,18 @@
 """Staged driver tests: stage gating, report contents, serialization."""
 
 import json
+import pathlib
 
 import pytest
 
+from sdres import essanalysis
 from sdres.parsing import parse_system
-from sdres.pipeline import PipelineReport, run_pipeline, serialize
+from sdres.pipeline import (
+    PipelineReport,
+    resultant_terms,
+    run_pipeline,
+    serialize,
+)
 
 from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT
 
@@ -14,6 +21,9 @@ SCHEMA_KEYS = {
     "modified_jacobi", "alg_essential", "m1_dim", "m2_dim", "resultant",
     "seed",
 }
+
+
+CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
 
 
 def golden_source():
@@ -42,6 +52,22 @@ def test_bounds_stage():
     assert report.jacobi == (4, 3, 3)
     assert report.modified_jacobi == (3, 2, 2)
     assert report.resultant is None
+
+
+@pytest.mark.parametrize("name", ["golden", "corpus1", "corpus4", "S4",
+                                  "shift20"])
+def test_echelon_pivot_fallback_keeps_the_resultant(monkeypatch, name):
+    # past MAX_PIVOT_CANDIDATES column subsets the kept variables are the
+    # echelon pivots, not the subset of least total bound; on golden that
+    # changes them, and the resultant must not change with them
+    src = parse_system((CASES / f"{name}.sys").read_text())
+    expected = resultant_terms(run_pipeline(src, seed=0))
+    monkeypatch.setattr(essanalysis, "MAX_PIVOT_CANDIDATES", 0)
+    report = run_pipeline(src, seed=0)
+    if name == "golden":
+        assert report.kept_vars == (1, 2)
+        assert report.modified_jacobi == (3, 3, 2)
+    assert resultant_terms(report) == expected
 
 
 def test_resultant_stage_full_report():

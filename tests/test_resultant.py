@@ -468,6 +468,84 @@ def test_start_simplex_matches_the_rational_lp(supports, lifts):
             == rational_lp.solve_lp(costs, rows, rhs).objective)
 
 
+def fraction_inverse(matrix):
+    """Gauss-Jordan inverse over Fraction of a square number matrix."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for k in range(n):
+        sel = next(r for r in range(k, n) if m[r][k] != 0)
+        m[k], m[sel] = m[sel], m[k]
+        m[k] = [v / m[k][k] for v in m[k]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                m[r] = [a - m[r][k] * b if b else a
+                        for a, b in zip(m[r], m[k])]
+    return [row[n:] for row in m]
+
+
+def assert_tableau(columns, costs, tab, scale, basis):
+    """(tab, scale) of basis B against a Fraction inverse of B: row r over
+    scale is the row of B^-1 [A | I] for basis[r], the last row over scale
+    is c - c_B B^-1 [A | I], and scale is +-det B."""
+    m = len(basis)
+    full = [*columns, *(tuple(int(i == j) for i in range(m)) for j in range(m))]
+    b = [[columns[c][i] for c in basis] for i in range(m)]
+    inverse = fraction_inverse(b)
+    duals = [sum(costs[c] * row[i] for c, row in zip(basis, inverse))
+             for i in range(m)]                      # c_B B^-1
+
+    def times(row, col):
+        return sum(u * v for u, v in zip(row, col) if v)
+
+    assert [[Fraction(x, scale) for x in row] for row in tab[:-1]] == [
+        [times(row, col) for col in full] for row in inverse]
+    assert [Fraction(x, scale) for x in tab[-1]] == [
+        c - times(duals, col) for c, col in zip([*costs, *[0] * m], full)]
+    assert abs(scale) == abs(frac_gauss_det(b))
+
+
+def assert_walk_tableaux(supports, seed):
+    """assert_tableau on the start tableau of one ``mixed_subdivision`` and
+    on every (tab, scale, basis) its walk passes to ``_is_fine``."""
+    lps, fine = [], []
+    solve_lp, is_fine = resultant.solve_lp, resultant._is_fine
+
+    def recording_solve_lp(columns, costs):
+        start = solve_lp(columns, costs)
+        lps.append((columns, costs, start))
+        return start
+
+    def recording_is_fine(tab, scale, basis):
+        fine.append((tab, scale, basis))
+        return is_fine(tab, scale, basis)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(resultant, "solve_lp", recording_solve_lp)
+        m.setattr(resultant, "_is_fine", recording_is_fine)
+        try:
+            mixed_subdivision(supports, seed)
+        except DegenerateLifting:
+            pass
+    (columns, costs, start), = lps
+    assert start.status == "optimal"
+    assert fine and fine[0] == (start.tab, start.scale, start.basis)
+    for tab, scale, basis in fine:
+        assert_tableau(columns, costs, tab, scale, basis)
+
+
+def test_walk_tableaux_match_fraction_inverse_golden():
+    sets, _ = extract_supports(golden_reduction().zpolys)
+    for seed in (0, 1):
+        assert_walk_tableaux(sets, seed)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_full_dimensional_supports(), st.integers(0, 1000))
+def test_walk_tableaux_match_fraction_inverse_property(supports, seed):
+    assert_walk_tableaux(supports, seed)
+
+
 def test_flat_supports_give_an_empty_subdivision():
     # three supports on one line in Z^2: the Cayley columns have rank 4 < 5
     sets = tuple(SupportSet(i, pts, ()) for i, pts in enumerate(
