@@ -1,9 +1,11 @@
-"""Newton-matrix resultant of a lattice-form (z-coordinate) system.
+"""Sparse resultant of a lattice-form (z-coordinate) system.
 
 The pipeline hands this module k+1 linear-in-z polynomials whose supports
-jointly span Z^k.  Every such system, univariate pairs and k = 0 included,
-takes one construction: the quotient of two exact determinants, the full
-Newton matrix indexed by the lattice points of the perturbed Minkowski sum
+jointly span Z^k.  A system of binomials, every support {0, v_i}, takes a
+closed form from the one integer relation among the v_i, whatever the size
+of its exponents.  Every other system, univariate pairs and k = 0
+included, takes the quotient of two exact determinants, the full Newton
+matrix indexed by the lattice points of the perturbed Minkowski sum
 of the supports over its principal minor on the non-mixed points (D'Andrea
 2002).  All geometry is exact: an integer primal simplex from the pivot
 basis of the lifted Cayley embedding finds a first cell of the lifted
@@ -32,6 +34,7 @@ from .multipoly import (
     MultiPoly,
     SymbolTable,
     determinant,
+    first_relation,
     permutation_sign,
 )
 from .sparseinterp import (
@@ -844,11 +847,84 @@ def sylvester_resultant(supports):
     return det.primitive().sign_normalized(), size
 
 
+def _power(coeff, e):
+    """coeff ** e for e >= 1: a single term raises its exponents, a sum is
+    multiplied out by squaring."""
+    if len(coeff) == 1:
+        (mono, c), = coeff.terms.items()
+        return MultiPoly({tuple((s, x * e) for s, x in mono): c ** e})
+    out = MultiPoly.const(1)
+    while e:
+        if e & 1:
+            out = out * coeff
+        coeff, e = coeff * coeff, e >> 1
+    return out
+
+
+def binomial_resultant(supports):
+    """Resultant of k + 1 binomials a_i + b_i z^(v_i) whose v_i span Z^k,
+    primitive and sign-normalized, with its mixed counts (|lambda_i|).
+
+    The v_i satisfy one integer relation sum lambda_i v_i = 0, unique up to
+    sign once lambda is primitive.  A common root has z^(v_i) = -a_i / b_i,
+    so prod (-a_i / b_i)^(lambda_i) = 1, and clearing denominators gives,
+    with l = lambda,
+        R = prod_(l_i > 0) (-a_i)^(l_i) prod_(l_i < 0) b_i^(-l_i)
+          - prod_(l_i > 0) b_i^(l_i) prod_(l_i < 0) (-a_i)^(-l_i)
+    (Gelfand-Kapranov-Zelevinsky 1994, ch. 8).  Every cell of a fine mixed
+    subdivision of such supports is mixed, so the Newton matrix has
+    sum |lambda_i| rows, |lambda_i| of them for polynomial i, an empty
+    minor, and det M1 = +-R; the matrix is never built.
+
+    lambda comes from ``first_relation`` on the v_i reordered so that its
+    first dependent row is last: that answer is the vector of signed
+    maximal minors (Cramer), whose gcd is the index of the lattice the v_i
+    span.  A rank below k or an index above 1 breaks the lattice-form
+    contract and raises InternalError.  No step draws a random number: the
+    failure probability is 0 and the answer does not depend on the seed.
+    A coefficient that is a sum of symbols is multiplied out only while
+    sum |lambda_i| <= MAX_BOX_POINTS; above that it raises the budget
+    InternalError.
+    """
+    k = len(supports) - 1
+    vs = [next(p for p in s.points if any(p)) for s in supports]
+    j = len(first_relation(vs)[0])
+    order = [i for i in range(k + 1) if i != j] + [j]
+    coeffs, scale = first_relation([vs[i] for i in order])
+    lam = [0] * (k + 1)
+    for i, c in zip(order, (*coeffs, -scale)):
+        lam[i] = c
+    if len(coeffs) < k or math.gcd(*lam) != 1:
+        raise InternalError(f"binomial supports {vs} do not span Z^{k}")
+    size = sum(map(abs, lam))
+    sides = [MultiPoly.const(1), MultiPoly.const(1)]
+    for s, v, e in zip(supports, vs, lam):
+        if not e:
+            continue
+        a, b = (s.coeffs[s.points.index(p)] for p in ((0,) * k, v))
+        if max(len(a), len(b)) > 1 and size > MAX_BOX_POINTS:
+            raise InternalError(f"budget: a merged coefficient in a resultant "
+                                f"of degree {size}, more than {MAX_BOX_POINTS}")
+        sides[e < 0] *= _power(-a, abs(e))
+        sides[e > 0] *= _power(b, abs(e))
+    poly = (sides[0] - sides[1]).primitive().sign_normalized()
+    return poly, tuple(map(abs, lam))
+
+
 def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
-    """Resultant of the lattice-form system.  Attempt a draws the lifting
+    """Resultant of the lattice-form system.
+
+    A system of binomials takes the closed form of ``binomial_resultant``,
+    with no randomness and no box budget on its exponents; its result
+    reports the Newton matrix that the other route would build.  Every
+    other system takes the Newton quotient: attempt a draws the lifting
     ``subdivision-{a}`` and the minor check ``minor-check-{a}`` from the
-    one seed; max_retries bounds the attempts of every kind together."""
+    one seed, and max_retries bounds the attempts of every kind together.
+    """
     supports, table = extract_supports(zpolys)
+    if all(len(s.points) == 2 for s in supports):
+        poly, counts = binomial_resultant(supports)
+        return ResultantResult(poly, table, sum(counts), 0, counts, 1)
     last_error = None
     for attempt in range(max_retries):
         try:

@@ -146,17 +146,30 @@ def test_resource_exhaustion_is_internal_error(toy_file, monkeypatch, capsys,
 
 def test_oversized_box_fails_on_budget_with_exit_two():
     # 10^11 lattice points in the Minkowski box: rejected before any LP
+    # (a third term keeps the system off the closed form for binomials)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys; from sdres.cli import main; sys.exit(main(sys.argv[1:]))",
          "resultant", "-"],
-        input="P0 = u + u*y[1,0]^99999999999\nP1 = u + u*y[1,1]\n",
+        input="P0 = u + u*y[1,0]^99999999999 + u*y[1,0]\nP1 = u + u*y[1,1]\n",
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("sdres: internal error: budget")
     assert "Traceback" not in done.stderr
+
+
+def test_binomial_system_with_a_huge_exponent_is_solved(tmp_path, capsys):
+    # stress case S6: every support is a binomial, so the resultant comes
+    # from the closed form and the exponent's size costs nothing
+    path = tmp_path / "s6.sys"
+    path.write_text("P0 = u + u*y[1,0]^99999999999\nP1 = u + u*y[1,1]\n")
+    assert main(["resultant", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "resultant (2 terms, total degree 100000000000):" in out
+    assert "\n  du[0,0]*u[1,1]^99999999999\n" in out
+    assert "\n  -du[0,1]*u[1,0]^99999999999\n" in out
 
 
 def test_huge_transform_count_exits_one_at_parse_time():

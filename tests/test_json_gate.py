@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of ``serialize(run_pipeline(src, seed=0), "json")``
 for one benchmark case, recorded before support-matrix entries became sparse
-shift dicts (S1: before the mixed subdivision became a walk over cells).  A change that alters a byte of a report fails here.  The exact
+shift dicts (S1: before the mixed subdivision became a walk over cells;
+S6: when binomial systems gained their closed form, S6's first solved
+run).  A change that alters a byte of a report fails here.  The exact
 ``paranoid`` route must give the same bytes as the randomized one.
 """
 
@@ -44,6 +46,8 @@ DIGESTS = {
         "8afceb13c45ec88f54b76e749ae312b64fef062a9f7c9214bf4b97f70d2bf0c9",
     "S1":
         "484d16cdf0373908729607d63df44f35cd423a3c04f243f92f705b3e8116b51e",
+    "S6":
+        "8dcffae35aea7a489773147dce649a7f3118f0d6338aec49ce9e0dfa7b23511d",
 }
 
 

@@ -7,9 +7,12 @@ four-variable example, and a convex-hull mixed-volume oracle built on scipy
 for the row multiplicities.  The interpolated quotient of large pairs is
 checked against the Laplace quotient of small ones on the same pairs.  The
 walk over the cells of the mixed subdivision is checked against locating
-every lattice point by its own LP (``lp_subdivision``).
+every lattice point by its own LP (``lp_subdivision``).  The closed form
+for binomial systems is checked against the Newton route, the Sylvester
+determinant and random solutions of its system (``vanishing``).
 """
 
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdres import parse_system, resultant
+from sdres import parse_system, resultant, run_pipeline
 from sdres.algred import algebraic_reduction
 from sdres.diffpoly import CoeffRef
 from sdres.errors import (
@@ -54,6 +57,7 @@ from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
 from lp_subdivision import lp_subdivision
 from systems import golden_system, toy_system
+from vanishing import vanishes_on_difference_system, vanishes_on_lattice_system
 
 
 def golden_reduction():
@@ -133,9 +137,10 @@ def test_toy_sylvester_matches_hand_formula():
 
 
 def test_toy_newton_quotient_agrees_with_sylvester():
-    red = toy_reduction()
-    res = compute_resultant(red.zpolys, seed=0)
-    assert res.polynomial == sylvester_reference(red.zpolys)[0]
+    # the toy system is binomial, so compute_resultant takes the closed
+    # form; the Newton quotient is built here directly
+    zpolys = toy_reduction().zpolys
+    assert newton_route(zpolys, 0)[2] == sylvester_reference(zpolys)[0]
 
 
 @pytest.mark.parametrize("exps", [(0, 1, 2), (0, -1), (0, -1, 2)],
@@ -339,7 +344,8 @@ def test_box_budget_raises_before_any_lp(monkeypatch):
         raise AssertionError("an LP ran")
 
     monkeypatch.setattr(resultant, "solve_lp", no_lp)
-    zp = (((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (MAX_BOX_POINTS,))),
+    zp = (((CoeffRef(0, 0, 0), (0,)), (CoeffRef(0, 1, 0), (MAX_BOX_POINTS,)),
+           (CoeffRef(0, 2, 0), (1,))),
           ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))))
     with pytest.raises(InternalError, match="^budget: "):
         compute_resultant(zp, seed=0)
@@ -402,7 +408,114 @@ def test_constant_lifting_exhausts_retries_on_a_non_fine_cell(monkeypatch):
     # with every lift 0 the whole Minkowski sum is one cell
     monkeypatch.setattr(resultant, "LIFT_BOUND", 0)
     with pytest.raises(RetriesExhausted, match="is not fine"):
-        compute_resultant(toy_reduction().zpolys, seed=0)
+        compute_resultant(case_reduction("corpus5").zpolys, seed=0)
+
+
+# ------------------------------------------------ closed form for binomials
+
+
+def binomial_system(vectors, merged=()):
+    """Lattice-form binomials u[i,0] + u[i,1] z^(v_i); polynomial i in
+    ``merged`` gets a third term u[i,2] on v_i, merged into u[i,1]."""
+    zero = (0,) * len(vectors[0])
+    return tuple(
+        ((CoeffRef(i, 0, 0), zero), (CoeffRef(i, 1, 0), v))
+        + (((CoeffRef(i, 2, 0), v),) if i in merged else ())
+        for i, v in enumerate(vectors))
+
+
+def newton_route(zpolys, seed):
+    """Subdivision, matrix pair and quotient of the Newton construction."""
+    sets, _ = extract_supports(zpolys)
+    subdiv = mixed_subdivision(sets, seed)
+    pair = build_matrices(subdiv)
+    return subdiv, pair, quotient_resultant(pair, seed)
+
+
+@st.composite
+def _spanning_binomials(draw):
+    """k + 1 nonzero exponent vectors in [-3, 3]^k, k <= 3, that span Z^k:
+    the gcd of their k x k minors is 1."""
+    k = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * k).filter(any)
+    vectors = draw(st.lists(vector, min_size=k + 1, max_size=k + 1))
+    minors = [int(frac_gauss_det(vectors[:i] + vectors[i + 1:]))
+              for i in range(k + 1)]
+    assume(math.gcd(*minors) == 1)
+    return vectors
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_spanning_binomials())
+def test_binomial_closed_form_matches_the_newton_route(vectors):
+    zpolys = binomial_system(vectors)
+    res = compute_resultant(zpolys, seed=0)
+    assert (res.m2_dim, res.attempts) == (0, 1)
+    for seed in (0, 1):
+        subdiv, pair, quotient = newton_route(zpolys, seed)
+        assert quotient == res.polynomial
+        assert len(subdiv.points) == res.m1_dim
+        assert pair.minor_rows == ()
+        assert subdiv.mixed_counts == res.mixed_counts
+    if len(vectors) == 2:
+        assert sylvester_reference(zpolys) == (res.polynomial, res.m1_dim)
+    rng = random.Random(0)
+    assert vanishes_on_lattice_system(res.polynomial, res.symbols, zpolys, rng)
+
+
+def test_binomial_closed_form_draws_no_random_number(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a random stream was drawn")
+
+    monkeypatch.setattr(resultant, "stage_rng", no_draw)
+    res = compute_resultant(binomial_system([(2, 1), (-1, 3), (0, 1)]), seed=0)
+    # 1 * (2, 1) + 2 * (-1, 3) - 7 * (0, 1) = 0
+    assert (res.m1_dim, res.m2_dim, res.mixed_counts) == (10, 0, (1, 2, 7))
+
+
+def test_binomial_with_a_merged_coefficient_is_multiplied_out():
+    # u00 + (u01 + u02) z^2 and u10 + u11 z^3: the merged coefficient is
+    # raised to the power 3
+    zpolys = binomial_system([(2,), (3,)], merged=(0,))
+    res = compute_resultant(zpolys, seed=0)
+    subdiv, pair, quotient = newton_route(zpolys, 0)
+    assert quotient == res.polynomial == sylvester_reference(zpolys)[0]
+    assert res.mixed_counts == subdiv.mixed_counts == (3, 2)
+    assert len(res.polynomial) == 5
+
+
+def test_merged_coefficient_above_the_box_budget_raises():
+    zpolys = binomial_system([(MAX_BOX_POINTS,), (1,)], merged=(1,))
+    with pytest.raises(InternalError, match="^budget: "):
+        compute_resultant(zpolys, seed=0)
+    # the same exponents with single-symbol coefficients are solved
+    res = compute_resultant(binomial_system([(MAX_BOX_POINTS,), (1,)]))
+    assert res.mixed_counts == (1, MAX_BOX_POINTS)
+
+
+@pytest.mark.parametrize("vectors", [[(2,), (2,)], [(1, 0), (2, 0), (3, 0)],
+                                     [(2, 0), (0, 2), (2, 2)]],
+                         ids=["index-2", "rank-1", "index-4"])
+def test_non_spanning_binomials_raise(vectors):
+    with pytest.raises(InternalError, match="do not span"):
+        compute_resultant(binomial_system(vectors), seed=0)
+
+
+def test_s6_vanishes_at_random_solutions():
+    src = parse_system((CASES / "S6.sys").read_text())
+    report = run_pipeline(src, seed=0)
+    assert len(report.resultant) == 2
+    assert report.resultant.total_degree() == 10 ** 11
+    system = src.to_system()
+    rng = random.Random(0)
+    for _ in range(3):
+        assert vanishes_on_difference_system(report.resultant, report.symbols,
+                                             system, rng)
+    # the check rejects a wrong answer: one term with its sign flipped
+    mono, c = next(iter(report.resultant.terms.items()))
+    wrong = report.resultant - MultiPoly({mono: 2 * c})
+    assert not vanishes_on_difference_system(wrong, report.symbols, system,
+                                             rng)
 
 
 # ------------------------------------------------------------ LP oracle
