@@ -275,11 +275,7 @@ class SupportMatrix:
     col_labels: tuple  # difference variable indices
 
     def coeff_refs(self):
-        refs = set()
-        for row in self.rows:
-            for entry in row:
-                refs.update(entry.keys())
-        return refs
+        return {r for row in self.rows for entry in row if entry for r in entry}
 
 
 def support_matrix(system_polys, nvars, row_labels=None):

@@ -10,10 +10,11 @@ matrix:
 * how far must each polynomial be transformed before the problem becomes
   algebraic?  --  modified Jacobi bounds of the specialized system
 
-Ranks are computed by substituting one random point of 64-bit integers for
-the generic coefficients and the shift indeterminate (correct with
-overwhelming probability, see ``RankOracle``; an exact symbolic path is
-available for paranoid runs).
+Ranks are computed over GF(p) for a random prime p in [2^62, 2^63], drawn
+once per seed, at one random point of GF(p) substituted for the generic
+coefficients and the shift indeterminate (correct with overwhelming
+probability, see ``RankOracle``); the paranoid route keeps the symbolic
+entries and eliminates them exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diffpoly import (
     norm_form,
@@ -31,13 +33,19 @@ from .diffpoly import (
 )
 from .errors import InfiniteJacobiBound, RankDrop
 from .multipoly import MultiPoly, first_circuit, rank_and_pivots, uni_gcd
-
-RAND_BOUND = 2 ** 63
+from .sparseinterp import next_prime
 
 
 def stage_rng(seed, tag):
     # str seeding hashes via sha512 inside random, stable across platforms
     return random.Random(f"{seed}/{tag}")
+
+
+@lru_cache(maxsize=8)
+def rank_prime(seed):
+    """The rank oracles' prime for one seed: the first prime above a draw
+    from [2^62, 2^63), memoized so that the oracles of one run share it."""
+    return next_prime(stage_rng(seed, "rank-prime").randrange(1 << 62, 1 << 63))
 
 
 @dataclass(frozen=True)
@@ -48,29 +56,41 @@ class RankReport:
 class RankOracle:
     """Rank queries against row/column subsets of one support matrix.
 
-    One random integer point, drawn from [-2**63, 2**63], is substituted
-    for all generic coefficients and then for the shift indeterminate x;
-    queries run fraction-free elimination on plain ints.  An r x r minor
-    is a polynomial of total degree at most r*(D+1), D the largest shift
-    degree, so by Schwartz-Zippel the point loses a given nonzero minor
-    with probability at most r*(D+1)/(2**64+1): below 2**-48 while
-    r*(D+1) < 2**16, and at the parser's largest shift, D = 10**5, below
-    2**-43 for r <= 20.  Substitution can only lower a rank, and a
-    dependency it finds is never later than the generic one.  ``exact``
-    keeps the symbolic entries instead.
+    The entries are evaluated modulo the seed's prime p (``rank_prime``) at
+    one point drawn uniformly from GF(p): a value for every generic
+    coefficient and one, x0, for the shift indeterminate, so an entry is
+    sum value * c * x0^k mod p.  Queries run Gauss elimination mod p.
+    Substitution can only lower a rank, and a dependency it finds is never
+    later than the generic one.  A nonzero r x r minor is lost only if
+
+    * p divides every coefficient of the minor: at most log2(H)/62 of the
+      about 2^56 primes in the range do, H the largest coefficient (a
+      prime is drawn with probability at most its gap below, under 1600,
+      over 2^62); or
+    * the point is a root of the minor mod p, a polynomial of total degree
+      at most r*(D+1), D the largest shift: by Schwartz-Zippel over GF(p)
+      at most r*(D+1)/p.
+
+    At the parser's largest shift, D = 10**5, and r <= 20, the second is
+    below 2**-41; the first is below 2**-47 while log2(H) <= 1000.
+    ``exact`` keeps the symbolic entries instead and eliminates them
+    fraction-free.
     """
 
     def __init__(self, matrix, seed=0, exact=False):
         self.matrix = matrix
         refs = sorted(matrix.coeff_refs())
         if exact:
+            self.p = None
             self._entries = self._symbolic_matrix(matrix, refs)
         else:
+            p = self.p = rank_prime(seed)
             rng = stage_rng(seed, "rank")
-            values = {r: rng.randint(-RAND_BOUND, RAND_BOUND) for r in refs}
-            x0 = rng.randint(-RAND_BOUND, RAND_BOUND)
-            self._entries = [[sum(values[r] * c * x0 ** k
+            values = {r: rng.randrange(p) for r in refs}
+            x0 = rng.randrange(p)
+            self._entries = [[sum(values[r] * c * pow(x0, k, p)
                                   for r, d in e.items() for k, c in d.items())
+                              % p if e else 0
                               for e in row] for row in matrix.rows]
 
     @staticmethod
@@ -93,12 +113,13 @@ class RankOracle:
         return rows, [[self._entries[r][c] for c in cols] for r in rows]
 
     def rank_with_pivots(self, row_indices=None, col_indices=None):
-        return rank_and_pivots(self._select(row_indices, col_indices)[1])
+        return rank_and_pivots(self._select(row_indices, col_indices)[1],
+                               self.p)
 
     def circuit(self, row_indices=None, col_indices=None):
         """``first_circuit`` of the selected rows, as row indices."""
         rows, sub = self._select(row_indices, col_indices)
-        found = first_circuit(sub)
+        found = first_circuit(sub, self.p)
         return None if found is None else tuple(rows[i] for i in found)
 
 

@@ -370,13 +370,18 @@ class SymbolTable:
 # exact matrix work
 # ---------------------------------------------------------------------------
 
-def _echelon(matrix):
-    """Fraction-free row echelon form (Bareiss): (rows, pivot columns).
+def _echelon(matrix, p=None):
+    """Row echelon form: (rows, pivot columns).
 
-    Entries are ints or MultiPoly: anything with +, -, *, exact
-    ``//`` and truthiness.  Pivot columns are the lexicographically smallest
-    column basis because elimination scans left to right; pivot row entries
-    are minors of the (row-permuted) input, so every division is exact.
+    With ``p`` None, fraction-free (Bareiss) over the entry ring: entries
+    are ints or MultiPoly, anything with +, -, *, exact ``//`` and
+    truthiness; pivot row entries are minors of the (row-permuted) input,
+    so every division is exact.  With a prime ``p``, plain Gauss
+    elimination on ints mod p: one inverse per pivot scales its row to a
+    leading 1, and only rows with a nonzero in the pivot column are
+    touched, on the pivot row's nonzero columns.  Pivot columns are the
+    lexicographically smallest column basis because elimination scans
+    left to right.
     """
     rows = [list(r) for r in matrix]
     if not rows:
@@ -393,32 +398,45 @@ def _echelon(matrix):
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         piv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            for c in range(col + 1, ncols):
-                num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
-                rows[r][c] = num if prev is None else num // prev
-            rows[r][col] = piv * 0
-        prev = piv
+        if p is None:
+            for r in range(rank + 1, len(rows)):
+                for c in range(col + 1, ncols):
+                    num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
+                    rows[r][c] = num if prev is None else num // prev
+                rows[r][col] = piv * 0
+            prev = piv
+        else:
+            inv = pow(piv, -1, p)
+            top = rows[rank] = [v * inv % p for v in rows[rank]]
+            live = [c for c in range(col + 1, ncols) if top[c]]
+            for row in rows[rank + 1:]:
+                f = row[col]
+                if f:
+                    for c in live:
+                        row[c] = (row[c] - f * top[c]) % p
+                    row[col] = 0
         pivots.append(col)
         rank += 1
     return rows, tuple(pivots)
 
 
-def rank_and_pivots(matrix):
-    """Rank over the entry ring's fraction field, and the pivot columns."""
-    _, pivots = _echelon(matrix)
+def rank_and_pivots(matrix, p=None):
+    """Rank over the entry ring's fraction field, or over GF(p) for ints
+    mod a prime p, and the pivot columns."""
+    _, pivots = _echelon(matrix, p)
     return len(pivots), pivots
 
 
-def first_relation(matrix):
+def first_relation(matrix, p=None):
     """(coeffs, scale) with scale * row_j == sum(coeffs[i] * row_i) for the
     first row j = len(coeffs) that depends on the rows before it, scale
     nonzero; None for independent rows.  On the transpose, j is the first
     non-pivot column; solving for it scaled by the last pivot gives minors,
-    so each division is exact.
+    so each division is exact.  Under a prime ``p`` the relation holds mod
+    p with scale 1 (the pivots are 1 there).
     """
-    echelon, pivots = _echelon([list(col) for col in zip(*matrix)])
-    j = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    echelon, pivots = _echelon([list(col) for col in zip(*matrix)], p)
+    j = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
     if j == len(matrix):
         return None
     scale = echelon[j - 1][j - 1] if j else 1
@@ -427,17 +445,17 @@ def first_relation(matrix):
         acc = echelon[i][j] * scale
         for c in range(i + 1, j):
             acc = acc - echelon[i][c] * coeffs[c]
-        coeffs[i] = acc // echelon[i][i]
+        coeffs[i] = acc // echelon[i][i] if p is None else acc % p
     return tuple(coeffs), scale
 
 
-def first_circuit(matrix):
+def first_circuit(matrix, p=None):
     """Rows of the circuit closed by the first row j that depends on the
     rows before it, or None for independent rows: the support of
     ``first_relation`` plus j.  Rows 0..j have corank one, so this is the
     circuit smallest by its indices read in descending order.
     """
-    relation = first_relation(matrix)
+    relation = first_relation(matrix, p)
     if relation is None:
         return None
     coeffs, _ = relation

@@ -857,7 +857,9 @@ def _power(coeff, e):
     while e:
         if e & 1:
             out = out * coeff
-        coeff, e = coeff * coeff, e >> 1
+        e >>= 1
+        if e:
+            coeff = coeff * coeff
     return out
 
 
@@ -882,9 +884,12 @@ def binomial_resultant(supports):
     span.  A rank below k or an index above 1 breaks the lattice-form
     contract and raises InternalError.  No step draws a random number: the
     failure probability is 0 and the answer does not depend on the seed.
-    A coefficient that is a sum of symbols is multiplied out only while
-    sum |lambda_i| <= MAX_BOX_POINTS; above that it raises the budget
-    InternalError.
+    A coefficient of t terms raised to the power e has C(e + t - 1, t - 1)
+    terms, and each side's count is the product of its factors' counts.
+    The sides are multiplied out only while the answer has at most 1200
+    terms: the largest such expansion, a two-term sum to the power 1198,
+    takes about 1 s (Python 3.11 on a 2-vCPU Xeon host).  Above that the
+    budget InternalError is raised before any product is formed.
     """
     k = len(supports) - 1
     vs = [next(p for p in s.points if any(p)) for s in supports]
@@ -896,17 +901,19 @@ def binomial_resultant(supports):
         lam[i] = c
     if len(coeffs) < k or math.gcd(*lam) != 1:
         raise InternalError(f"binomial supports {vs} do not span Z^{k}")
-    size = sum(map(abs, lam))
-    sides = [MultiPoly.const(1), MultiPoly.const(1)]
+    factors, terms = [], [1, 1]
     for s, v, e in zip(supports, vs, lam):
-        if not e:
-            continue
-        a, b = (s.coeffs[s.points.index(p)] for p in ((0,) * k, v))
-        if max(len(a), len(b)) > 1 and size > MAX_BOX_POINTS:
-            raise InternalError(f"budget: a merged coefficient in a resultant "
-                                f"of degree {size}, more than {MAX_BOX_POINTS}")
-        sides[e < 0] *= _power(-a, abs(e))
-        sides[e > 0] *= _power(b, abs(e))
+        if e:
+            a, b = (s.coeffs[s.points.index(p)] for p in ((0,) * k, v))
+            factors += [(e < 0, -a, abs(e)), (e > 0, b, abs(e))]
+    for side, coeff, e in factors:
+        terms[side] *= math.comb(e + len(coeff) - 1, len(coeff) - 1)
+    if sum(terms) > 1200:
+        raise InternalError(f"budget: the resultant would have {sum(terms)} "
+                            f"terms, more than 1200")
+    sides = [MultiPoly.const(1), MultiPoly.const(1)]
+    for side, coeff, e in factors:
+        sides[side] *= _power(coeff, e)
     poly = (sides[0] - sides[1]).primitive().sign_normalized()
     return poly, tuple(map(abs, lam))
 

@@ -1,5 +1,6 @@
 """Prolongation, essential circuit extraction, lattice re-expression."""
 
+import pathlib
 import random
 
 import pytest
@@ -17,9 +18,17 @@ from sdres.algred import (
 )
 from sdres.diffpoly import CoeffRef, VarRef
 from sdres.errors import NoEssentialSubset
-from sdres.essanalysis import RankOracle, select_and_specialize
+from sdres.essanalysis import (
+    RankOracle,
+    find_super_essential,
+    select_and_specialize,
+)
+from sdres.multipoly import first_circuit, rank_and_pivots
+from sdres.parsing import parse_system
 
 from systems import golden_system, mono, poly, toy_system
+
+CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
 
 
 def golden_specialized():
@@ -191,6 +200,34 @@ def test_golden_reduction_exact_path_agrees():
     red_x = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0,
                                 exact=True)
     assert red_r == red_x
+
+
+def prolonged_matrix(name):
+    """The algebraic support matrix of a bench case, prolonged to its
+    modified Jacobi bounds."""
+    system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
+    subset = find_super_essential(system, seed=0)
+    spec = select_and_specialize(system, subset, seed=0)
+    return alg_support_matrix(prolong(spec.polys, spec.bounds.modified))
+
+
+@pytest.mark.parametrize("name", ["shift20", "shift30", "S4"])
+def test_modular_oracle_matches_bareiss_at_an_integer_point(name):
+    matrix = prolonged_matrix(name)
+    rng = random.Random(name)
+    values = {r: rng.randint(-2 ** 31, 2 ** 31) for r in matrix.coeff_refs()}
+    x0 = rng.randint(-2 ** 31, 2 ** 31)
+    ints = [[sum(values[r] * c * x0 ** k
+                 for r, d in e.items() for k, c in d.items()) for e in row]
+            for row in matrix.rows]
+    circuit = first_circuit(ints)
+    assert circuit is not None
+    for seed in range(3):
+        oracle = RankOracle(matrix, seed=seed)
+        assert oracle.rank_with_pivots() == rank_and_pivots(ints)
+        assert oracle.circuit() == circuit
+        assert oracle.rank_with_pivots(row_indices=circuit) == \
+            rank_and_pivots([ints[r] for r in circuit])
 
 
 def test_minimal_essential_prefers_low_ranking_rows():

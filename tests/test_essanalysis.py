@@ -22,6 +22,7 @@ from sdres.essanalysis import (
 )
 
 from sdres.parsing import parse_system
+from sdres.pipeline import run_pipeline
 
 from systems import golden_system, mono, poly, rank_deficient_system, toy_system
 
@@ -62,6 +63,24 @@ def test_high_shift_rank_costs_terms_not_shifts():
     # entries are sparse in the shift: transform count 100000 is two terms
     src = parse_system("P0 = u + u*y[1,0]*y[1,100000]\nP1 = u + u*y[1,1]")
     assert symbolic_rank(support_matrix(src.polys, src.nvars)).rank == 1
+
+
+def test_bounds_at_shift_1e5_keep_oracle_entries_below_the_prime(monkeypatch):
+    # x0^100000 is taken mod p, so no entry grows past a word
+    oracles = []
+    init = RankOracle.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        oracles.append(self)
+
+    monkeypatch.setattr(RankOracle, "__init__", recording_init)
+    src = parse_system("P0 = u + u*y[1,0]*y[1,100000]\nP1 = u + u*y[1,1]")
+    report = run_pipeline(src, stage="bounds", seed=0)
+    assert report.modified_jacobi == (1, 100000)
+    assert oracles
+    for oracle in oracles:
+        assert all(0 <= e < oracle.p for row in oracle._entries for e in row)
 
 
 # shifts up to 50, one draw in ten up to 10^4

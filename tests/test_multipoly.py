@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdres.errors import NotDivisible
+from sdres.essanalysis import rank_prime
 from sdres.multipoly import (
     MultiPoly,
     _echelon,
@@ -476,3 +477,42 @@ def test_first_circuit_examples():
     assert first_circuit([[one, zero], [zero, one]]) is None
     assert first_circuit([[zero, zero], [one, x]]) == (0,)
     assert first_circuit([]) is None
+
+
+# ---------------------------------------------------------------------------
+# elimination mod a word-size prime
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Up to 7 x 7 integer matrices, mostly zeros, with some columns
+    zeroed and some repeated."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+    m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    cols = [list(c) for c in zip(*m)] or [[] for _ in range(ncols)]
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        cols[j] = [0] * nrows
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                            st.integers(0, ncols - 1)),
+                                  max_size=2)):
+        cols[dst] = list(cols[src])
+    return [list(r) for r in zip(*cols)] if nrows else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sparse_int_matrices(), st.integers(0, 3))
+def test_modular_elimination_matches_bareiss(m, seed):
+    # every minor is far below p, so no nonzero one vanishes mod p
+    p = rank_prime(seed)
+    reduced = [[v % p for v in row] for row in m]
+    assert rank_and_pivots(reduced, p) == rank_and_pivots(m)
+    assert first_circuit(reduced, p) == first_circuit(m)
+    relation = first_relation(reduced, p)
+    if relation is not None:
+        coeffs, scale = relation
+        j = len(coeffs)
+        for col in zip(*reduced[:j + 1]):
+            combined = sum(c * v for c, v in zip(coeffs, col))
+            assert (scale * col[j] - combined) % p == 0

@@ -171,3 +171,17 @@ def test_unknown_format_rejected():
     report = run_pipeline(parse_system(TOY_TEXT), stage="check", seed=0)
     with pytest.raises(ValueError):
         serialize(report, "yaml")
+
+
+@pytest.mark.parametrize(
+    "case", ["toy", "golden", "shift20", "shift30", "S4", "S6", "N1"])
+def test_resultant_and_report_do_not_depend_on_the_seed(case):
+    src = parse_system((CASES / f"{case}.sys").read_text())
+    first = None
+    for seed in range(5):
+        report = run_pipeline(src, seed=seed)
+        payload = json.loads(serialize(report, "json"))
+        assert payload.pop("seed") == seed
+        if first is None:
+            first = report.resultant, payload
+        assert (report.resultant, payload) == first

@@ -493,6 +493,32 @@ def test_merged_coefficient_above_the_box_budget_raises():
     assert res.mixed_counts == (1, MAX_BOX_POINTS)
 
 
+def merged_binomials(power, terms):
+    """u00 + (u01 + ... ) z and u10 + u11 z^power, the first coefficient of
+    z a sum of ``terms`` symbols: it is raised to ``power``."""
+    first, second = binomial_system([(1,), (power,)])
+    extra = tuple((CoeffRef(0, j, 0), (1,)) for j in range(2, terms + 1))
+    return first + extra, second
+
+
+def test_binomial_just_above_the_term_budget_fails_before_expanding(
+        monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a coefficient was multiplied out")
+
+    monkeypatch.setattr(resultant, "_power", no_power)
+    # (u01 + u02)^1199 has 1200 terms, the answer 1201
+    with pytest.raises(InternalError, match="^budget: .* 1201 terms"):
+        compute_resultant(merged_binomials(1199, 2), seed=0)
+
+
+def test_binomial_below_the_term_budget_is_solved():
+    # (u01 + u02 + u03 + u04)^17 has C(20, 3) = 1140 terms
+    res = compute_resultant(merged_binomials(17, 4), seed=0)
+    assert len(res.polynomial) == 1141
+    assert res.mixed_counts == (17, 1)
+
+
 @pytest.mark.parametrize("vectors", [[(2,), (2,)], [(1, 0), (2, 0), (3, 0)],
                                      [(2, 0), (0, 2), (2, 2)]],
                          ids=["index-2", "rank-1", "index-4"])
