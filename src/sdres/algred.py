@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diffpoly import SupportMatrix, shift_poly
+from .diffpoly import SupportMatrix, shift_poly, support_rows
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
 from .multipoly import first_relation, rank_and_pivots
@@ -47,26 +47,11 @@ def relative_supports(poly):
 
 def alg_support_matrix(tagged_polys):
     """Row i: the formal sum of term exponent vectors weighted by their
-    generic coefficients.  Columns: every transform instance seen, sorted."""
-    refs = set()
-    supports = []
-    for _, poly in tagged_polys:
-        sup = relative_supports(poly)
-        supports.append(sup)
-        for _, vec in sup:
-            refs.update(vec)
-    cols = tuple(sorted(refs))
-    col_pos = {v: i for i, v in enumerate(cols)}
-    rows = []
-    for sup in supports:
-        row = [dict() for _ in cols]
-        for ref, vec in sup[1:]:
-            for v, e in vec.items():
-                row[col_pos[v]][ref] = {0: e}
-        rows.append(tuple(row))
-    return SupportMatrix(rows=tuple(rows),
-                         row_labels=tuple(t for t, _ in tagged_polys),
-                         col_labels=cols)
+    generic coefficients (``support_rows`` with every transform instance a
+    column at shift 0).  Columns: every transform instance seen, sorted."""
+    rows = support_rows((poly for _, poly in tagged_polys), lambda v: (v, 0))
+    return SupportMatrix.of(rows, (tag for tag, _ in tagged_polys),
+                            sorted({v for row in rows for v in row}))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +215,8 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
     cols = variable_essential_reduce(list(ess), oracle)
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
-    present = set()
-    ess_supports = []
-    for idx in ess:
-        sup = relative_supports(rows[idx][1])
-        ess_supports.append(sup)
-        for _, vec in sup:
-            present.update(vec)
+    ess_supports = [relative_supports(rows[i][1]) for i in ess]
+    present = {v for sup in ess_supports for _, vec in sup for v in vec}
     dropped_refs = tuple(sorted(present - set(kept_refs)))
 
     projected = tuple(

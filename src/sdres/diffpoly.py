@@ -5,11 +5,13 @@ the k-th transform of y_i.  A generic Laurent difference polynomial is a sum
 of terms, each a symbolic coefficient (a CoeffRef, standing for some
 transform of an input coefficient u_ij) times a Laurent monomial in VarRefs.
 
-The symbolic support vector encodes, for each difference variable, the shift
-structure of every monomial ratio M_ik/M_i0 as a sparse univariate polynomial
-in the shift operator: exponent e on transform k contributes e*x^k.  Stacking
-those vectors over a system gives the symbolic support matrix whose rank
-decides whether the sparse difference resultant exists at all.
+A support row encodes, for each difference variable, the shift structure of
+every monomial ratio M_ik/M_i0 as a sparse univariate polynomial in the shift
+operator: exponent e on transform k contributes e*x^k.  Stacking those rows
+over a system gives the symbolic support matrix whose rank decides whether
+the sparse difference resultant exists at all.  The same row builder, with
+every transform instance a column of its own, gives the algebraic support
+matrix of the prolonged system.
 """
 
 from __future__ import annotations
@@ -247,40 +249,48 @@ def specialize_poly(f, keep_vars):
 
 
 # ---------------------------------------------------------------------------
-# symbolic support vectors / matrices
+# support matrices
 # ---------------------------------------------------------------------------
 #
 # A matrix entry is a dict CoeffRef -> {shift: int}: the formal sum of generic
 # coefficients weighted by sparse shift polynomials in x.
 
-def monomial_shift_poly(m, var):
-    """The x-polynomial of y_var inside a Laurent monomial, sum e * x^shift,
-    as a sparse dict shift -> e."""
-    return {v.shift: e for v, e in m.powers if v.var == var}
-
-
-def symbolic_support_vector(f, variables):
-    """One matrix row: for each variable, the sum over non-distinguished terms
-    of u_ik times the shift polynomial of M_ik/M_i0."""
-    m0 = f.distinguished[1]
-    ratios = [(r, m.ratio(m0)) for r, m in f.terms[1:]]
-    return tuple({r: d for r, m in ratios if (d := monomial_shift_poly(m, var))}
-                 for var in variables)
+def support_rows(polys, place):
+    """One row per polynomial, a dict column -> entry.  Each factor v^e of a
+    ratio M_ik/M_i0 adds e*x^s to the u_ik part of the entry in column c,
+    where (c, s) = place(v); the symbolic matrix places y_j^(k), the VarRef
+    (j, k), in column j at shift k, so there place(v) is v itself."""
+    rows = []
+    for f in polys:
+        m0, row = f.distinguished[1], {}
+        for r, m in f.terms[1:]:
+            for v, e in m.ratio(m0).powers:
+                col, s = place(v)
+                row.setdefault(col, {}).setdefault(r, {})[s] = e
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
 class SupportMatrix:
     rows: tuple        # tuple of rows, each a tuple of {CoeffRef: {shift: int}}
-    row_labels: tuple  # polynomial indices
-    col_labels: tuple  # difference variable indices
+    row_labels: tuple  # polynomial indices, or prolongation tags
+    col_labels: tuple  # difference variable indices, or transform instances
+
+    @classmethod
+    def of(cls, rows, row_labels, col_labels):
+        """The matrix of ``support_rows`` output over the given columns."""
+        cols = tuple(col_labels)
+        return cls(tuple(tuple(row.get(c, {}) for c in cols) for row in rows),
+                   tuple(row_labels), cols)
 
     def coeff_refs(self):
         return {r for row in self.rows for entry in row if entry for r in entry}
 
 
 def support_matrix(system_polys, nvars, row_labels=None):
-    variables = tuple(range(1, nvars + 1))
-    rows = tuple(symbolic_support_vector(p, variables) for p in system_polys)
+    """The symbolic support matrix over the variables 1..nvars."""
     if row_labels is None:
-        row_labels = tuple(range(len(system_polys)))
-    return SupportMatrix(rows=rows, row_labels=tuple(row_labels), col_labels=variables)
+        row_labels = range(len(system_polys))
+    rows = support_rows(system_polys, lambda v: v)
+    return SupportMatrix.of(rows, row_labels, range(1, nvars + 1))

@@ -29,7 +29,7 @@ from .diffpoly import (
     order_matrix,
     specialize_poly,
     support_matrix,
-    symbolic_support_vector,
+    support_rows,
 )
 from .errors import InfiniteJacobiBound, RankDrop
 from .multipoly import MultiPoly, first_circuit, rank_and_pivots, uni_gcd
@@ -234,10 +234,10 @@ def modified_jacobi_bounds(spec_polys, kept_vars):
     """
     omat = order_matrix(spec_polys, kept_vars)
     jac = jacobi_numbers_hat(omat)
-    rows = [symbolic_support_vector(p, kept_vars) for p in spec_polys]
+    rows = support_rows(spec_polys, lambda v: v)
     gcd_deg = 0
-    for col in zip(*rows):
-        g = uni_gcd(d for entry in col for d in entry.values())
+    for var in kept_vars:
+        g = uni_gcd(d for row in rows for d in row.get(var, {}).values())
         gcd_deg += max(len(g) - 1, 0)
     modified = tuple(None if j is None else j - gcd_deg for j in jac)
     return JacobiBounds(order_mat=omat, jacobi=jac, gcd_degree=gcd_deg,

@@ -11,15 +11,19 @@ of the supports over its principal minor on the non-mixed points (D'Andrea
 basis of the lifted Cayley embedding finds a first cell of the lifted
 subdivision, an integer walk on the same tableau visits the others, and
 each lattice point is placed in its cell by its barycentric coordinates.
-Pairs of at most LAPLACE_MAX_DIM rows divide two Laplace expansions;
-larger ones are interpolated from replays of one recorded sparse
-elimination modulo a word-size prime with a smooth p - 1, each term read
-back from a discrete log, and certified at random points.  The classical
-Sylvester determinant stays as a reference for univariate pairs.
+A pair's one evaluator records a sparse elimination at its first point,
+the minor check's, and replays it at every later one.  Pairs of at most
+LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
+interpolated from those replays modulo a word-size prime with a smooth
+p - 1, each term read back from a discrete log, and certified at random
+points.  The classical Sylvester determinant stays as a reference for
+univariate pairs.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -82,11 +86,17 @@ class Subdivision(NamedTuple):
     mixed_counts: tuple
 
 
-class NewtonMatrixPair(NamedTuple):
-    m1: tuple             # rows of MultiPoly entries
+@dataclass(frozen=True)
+class NewtonMatrixPair:
+    m1: tuple             # MultiPoly rows; column c is row c's point
     row_tags: tuple       # (content index, lattice point, monomial shift)
-    points: tuple         # column labels = lattice points
     minor_rows: tuple     # indices of the non-mixed rows/columns
+
+    @cached_property
+    def evaluator(self):
+        """The one ``_Evaluator`` that every check and point of the pair
+        calls, so its first point records the elimination for all."""
+        return _Evaluator(self)
 
 
 class ResultantResult(NamedTuple):
@@ -379,24 +389,23 @@ def build_matrices(subdiv):
         tags.append((cell.content_index, p, shift))
         if not cell.mixed:
             minor_rows.append(r)
-    return NewtonMatrixPair(tuple(m1), tuple(tags), subdiv.points,
-                            tuple(minor_rows))
+    return NewtonMatrixPair(tuple(m1), tuple(tags), tuple(minor_rows))
 
 
 def _minor_nonzero_check(pair, seed, attempt):
     """Vanishing precheck of the denominator minor by random evaluation:
-    nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
-    nonzero.  The minor goes to the evaluator as a matrix of its own, so
-    only its m2 rows are eliminated."""
-    rows = pair.minor_rows
-    if not rows:
+    det M2 nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
+    nonzero.  A point draws from [1, 2^31] for every symbol of the pair and
+    goes to the pair's evaluator, whose first point records the elimination
+    that the quotient replays.  A det M2 that is nonzero modulo 2^61 - 1
+    vanishes at a point with probability at most m2 / 2^31 (Schwartz-Zippel
+    on its degree m2)."""
+    if not pair.minor_rows:
         return True
     rng = stage_rng(seed, f"minor-check-{attempt}")
-    minor = tuple(tuple(pair.m1[r][c] for c in rows) for r in rows)
-    evaluator = _Evaluator(NewtonMatrixPair(minor, (), (), ()))
     for _ in range(2):
-        values = {s: rng.randint(1, 1 << 31) for s in evaluator.symbols}
-        if evaluator.dets(values, MINOR_CHECK_PRIME)[0]:
+        values = {s: rng.randint(1, 1 << 31) for s in pair.evaluator.symbols}
+        if pair.evaluator.dets(values, MINOR_CHECK_PRIME)[1]:
             return True
     return False
 
@@ -434,12 +443,12 @@ class _Evaluator:
     fewest rows (minimum degree, which cuts S2's update count from 16674
     in column order to 3110), its pivot the sparsest row with a nonzero
     there.  The symbolic fill of that order is compiled into a flat
-    schedule of slots.  Every point writes its entries into the slots and
-    replays the schedule: the first m2 pivots multiply to +-det M2 and the
-    remaining ones to +-det M1 / det M2 (the Schur complement of M2), with
-    no second elimination.  Pivots whose rows are final at the same step
-    are inverted together, with one modular inverse per run (Montgomery's
-    trick).
+    schedule of slots.  Every point, at any prime, writes its entries into
+    the slots and replays the schedule: the first m2 pivots multiply to
+    +-det M2 and the remaining ones to +-det M1 / det M2 (the Schur
+    complement of M2), with no second elimination.  Pivots whose rows are
+    final at the same step are inverted together, with one modular inverse
+    per run (Montgomery's trick).
 
     The k-th pivot is the ratio of the leading minors of orders k and
     k - 1 of M1 in the recorded order.  The order-k minor is a polynomial
@@ -466,14 +475,11 @@ class _Evaluator:
                                for sid, _ in form})
         self.schedule = None
 
-    def _rows(self, values, p):
-        return [{c: sum(v * values[s] for s, v in form) % p
-                 for c, form in row.items()} for row in self.forms]
-
-    def _record(self, rows, p, minor=None):
-        """(det M1, det M2, schedule) mod p at the point where M1's rows
-        evaluate to ``rows``, by one elimination in the pivot order chosen
-        there; the schedule is None where det M2 or det M1 vanishes.
+    def _record(self, values, p, minor=None):
+        """(det M1, det M2, schedule) mod p at the point where M1's nonzero
+        entries, row by row, take the slot values ``values``, by one
+        elimination in the pivot order chosen there; the schedule is None
+        where det M2 or det M1 vanishes.
 
         A minor column with no nonzero in a minor row makes det M2 zero;
         det M1 then comes from one more elimination with an empty minor.
@@ -487,14 +493,12 @@ class _Evaluator:
         the pivot column and its slots in the pivot row's columns.
         """
         minor = self.minor if minor is None else minor
-        n, in_minor = len(rows), set(minor)
-        slots, vals = [], []
+        n, in_minor = len(self.forms), set(minor)
+        vals, slots, number = list(values), [], iter(range(len(values)))
         holders = [set() for _ in range(n)]   # column -> unpivoted rows
-        for i, row in enumerate(rows):
-            slots.append({})
-            for c, v in row.items():
-                slots[i][c] = len(vals)
-                vals.append(v)
+        for i, row in enumerate(self.forms):
+            slots.append({c: next(number) for c in row})
+            for c in row:
                 holders[c].add(i)
         runs, product, pivot_of, last_update = ([], []), [1, 1], {}, {}
         phases = [list(minor), sorted(set(range(n)) - in_minor)]
@@ -506,7 +510,7 @@ class _Evaluator:
             pool = [i for i in live if vals[slots[i][col]]
                     and (phase or i in in_minor)]
             if not pool and not phase:
-                return self._record(rows, p, ())[0], 0, None
+                return self._record(values, p, ())[0], 0, None
             if not pool:
                 return 0, permutation_sign(pivot_of, minor) * product[0] % p, None
             piv = pivot_of[col] = min(pool, key=lambda i: (len(slots[i]), i))
@@ -542,16 +546,17 @@ class _Evaluator:
 
     def dets(self, values, p):
         """(det M1, det M2) mod p at the point ``values``."""
+        entries = [sum(v * values[s] for s, v in form) % p
+                   for form in self.distinct]
+        vals = [entries[i] for i in self.entry_form]
         if self.schedule is not None:
             minor_runs, rest_runs, fill, sign2, sign1 = self.schedule
-            entries = [sum(v * values[s] for s, v in form) % p
-                       for form in self.distinct]
-            vals = [entries[i] for i in self.entry_form] + [0] * fill
-            det2 = _replay(minor_runs, vals, p)
-            quotient = det2 and _replay(rest_runs, vals, p)
+            work = vals + [0] * fill
+            det2 = _replay(minor_runs, work, p)
+            quotient = det2 and _replay(rest_runs, work, p)
             if quotient:
                 return sign1 * det2 * quotient % p, sign2 * det2 % p
-        det1, det2, schedule = self._record(self._rows(values, p), p)
+        det1, det2, schedule = self._record(vals, p)
         if self.schedule is None:
             self.schedule = schedule
         return det1, det2
@@ -604,10 +609,9 @@ def _blocks(pair):
     are homogeneous in each block and the quotient has that degree."""
     minor = set(pair.minor_rows)
     symbols, degrees = {}, {}
-    for r, (row, tag) in enumerate(zip(pair.m1, pair.row_tags)):
-        block = symbols.setdefault(tag[0], set())
-        for entry in row:
-            block |= entry.symbols()
+    for r, (row, tag) in enumerate(zip(pair.evaluator.forms, pair.row_tags)):
+        symbols.setdefault(tag[0], set()).update(
+            sid for form in row.values() for sid, _ in form)
         degrees[tag[0]] = degrees.get(tag[0], 0) + (r not in minor)
     return [(tuple(sorted(symbols[i])), degrees[i]) for i in sorted(symbols)]
 
@@ -761,8 +765,9 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     S5).  Every draw comes from
     ``stage_rng(seed, "interpolation-{attempt}")``.
 
-    Each point, the certificate's included, replays one recorded
-    elimination (``_Evaluator``).  A replayed pivot vanishes at a point
+    Each point, the certificate's included, replays the elimination that
+    the pair's evaluator recorded, at the minor check's first point when
+    the minor is nonempty.  A replayed pivot vanishes at a point
     with probability at most m1 / (p - 1), and det M2 with at most
     m2 / (p - 1); the first costs one fresh elimination of that point,
     the second a new scaling, so neither changes the answer.  Roots of the generator
@@ -791,7 +796,7 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     prime 64 bits larger, CERTIFICATE_ROUNDS times in all.
     """
     rng = stage_rng(seed, f"interpolation-{attempt}")
-    evaluator = _Evaluator(pair)
+    evaluator = pair.evaluator
     blocks = _blocks(pair)
     base = max(_term_weights(blocks)[1], 1 << 61)
     field = smooth_prime(base)

@@ -11,14 +11,12 @@ from sdres.diffpoly import (
     DiffSystem,
     Monomial,
     VarRef,
-    monomial_shift_poly,
     norm_form,
     order_matrix,
     order_of,
     shift_poly,
     specialize_poly,
     support_matrix,
-    symbolic_support_vector,
 )
 from sdres.errors import DimensionMismatch
 from sdres.essanalysis import RankOracle
@@ -55,6 +53,13 @@ def test_monomial_evaluate_laurent():
     m = mono({(1, 0): -2, (2, 1): 3})
     val = m.evaluate({VarRef(1, 0): 2, VarRef(2, 1): 3})
     assert val == Fraction(27, 4)
+
+
+def monomial_shift_poly(m, var):
+    """The x-polynomial of y_var in m: the u[0,1] part of column var in the
+    support row of u[0,0] + u[0,1] * m."""
+    row = support_matrix((poly(0, [Monomial.one(), m]),), 3).rows[0]
+    return row[var - 1].get(u(0, 1), {})
 
 
 def test_monomial_shift_poly():
@@ -154,8 +159,8 @@ def test_specialize_poly():
 def test_support_vector_shift_covariance():
     sys = golden_system()
     for p in sys.polys:
-        base = symbolic_support_vector(p, (1, 2, 3, 4))
-        shifted = symbolic_support_vector(shift_poly(p, 1), (1, 2, 3, 4))
+        base = support_matrix((p,), 4).rows[0]
+        shifted = support_matrix((shift_poly(p, 1),), 4).rows[0]
         for e_base, e_shift in zip(base, shifted):
             assert len(e_base) == len(e_shift)
             for r, d in e_base.items():
@@ -212,8 +217,8 @@ def test_support_matrix_substitution():
 
 def test_column_shift_polys():
     # the y4 column, read as modified_jacobi_bounds reads it
-    col = [d for p in golden_system().polys
-           for d in symbolic_support_vector(p, (1, 2, 3, 4))[3].values()]
+    col = [d for row in support_matrix(golden_system().polys, 4).rows
+           for d in row[3].values()]
     assert {0: 1, 1: 1} in col       # x+1 from P0
     assert {1: 1, 2: 1} in col       # x^2+x from P1
     assert {1: 1} in col             # x from P4 (u41)

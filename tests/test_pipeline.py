@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import random
+import re
 
 import pytest
 
@@ -185,3 +187,45 @@ def test_resultant_and_report_do_not_depend_on_the_seed(case):
         if first is None:
             first = report.resultant, payload
         assert (report.resultant, payload) == first
+
+
+def renamed(text, poly_perm, var_perm):
+    """``text`` without comments, P_i renamed P_(poly_perm[i]) and y[v,k]
+    renamed y[var_perm[v],k]."""
+    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    text = re.sub(r"P(\d+)", lambda m: f"P{poly_perm[int(m[1])]}", text)
+    return re.sub(r"y\[(\d+),", lambda m: f"y[{var_perm[int(m[1])]},", text)
+
+
+def answer_terms(text, poly_perm):
+    """The resultant's terms with u[i,j] renamed back to the input order."""
+    back = {new: old for old, new in enumerate(poly_perm)}
+    report = run_pipeline(parse_system(text), seed=0)
+    return {(c, tuple(sorted((ref._replace(poly=back[ref.poly]), e)
+                             for ref, e in factors)))
+            for c, factors in resultant_terms(report)}
+
+
+@pytest.mark.parametrize("case", ["toy", "golden", "corpus1", "corpus2",
+                                  "corpus3", "corpus4", "corpus5", "S4",
+                                  "s1_4_3"])
+def test_resultant_is_invariant_under_reordering_and_relabelling(case):
+    # the resultant of a reordered system, or of one with its difference
+    # variables relabelled, is the same polynomial up to renaming u[i,j]
+    # and the sign
+    text = (CASES / f"{case}.sys").read_text()
+    src = parse_system(text)
+    rng = random.Random(case)
+    polys, variables = range(len(src.polys)), range(1, src.nvars + 1)
+    identity = list(polys), dict(zip(variables, variables))
+    expected = answer_terms(text, identity[0])
+    flipped = {(-c, f) for c, f in expected}
+    for draw in range(6):
+        poly_perm, var_perm = identity
+        if draw < 3:
+            poly_perm = rng.sample(polys, len(polys))
+        else:
+            var_perm = dict(zip(variables,
+                                rng.sample(variables, len(variables))))
+        got = answer_terms(renamed(text, poly_perm, var_perm), poly_perm)
+        assert got in (expected, flipped), (poly_perm, var_perm)

@@ -759,6 +759,38 @@ def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
     assert len(calls) > 1
 
 
+def test_one_evaluator_records_once_per_attempt(monkeypatch, record_calls):
+    # the minor check's first point records the elimination that the line
+    # check, the interpolation and the certificate then replay
+    built = []
+
+    class CountingEvaluator(resultant._Evaluator):
+        def __init__(self, pair):
+            built.append(pair)
+            super().__init__(pair)
+
+    monkeypatch.setattr(resultant, "LAPLACE_MAX_DIM", 0)
+    monkeypatch.setattr(resultant, "_Evaluator", CountingEvaluator)
+    res = compute_resultant(case_reduction("corpus4").zpolys, seed=0)
+    assert res.m2_dim > 0
+    assert len(built) == res.attempts
+    assert record_calls == [None] * res.attempts
+
+
+@pytest.mark.parametrize("name", ["S1", "corpus4"])
+def test_blocks_from_the_evaluator_match_the_entries(name):
+    sets, _ = extract_supports(case_reduction(name).zpolys)
+    pair = build_matrices(mixed_subdivision(sets, seed=0))
+    minor = set(pair.minor_rows)
+    symbols, degrees = {}, {}
+    for r, (row, tag) in enumerate(zip(pair.m1, pair.row_tags)):
+        for entry in row:
+            symbols.setdefault(tag[0], set()).update(entry.symbols())
+        degrees[tag[0]] = degrees.get(tag[0], 0) + (r not in minor)
+    assert resultant._blocks(pair) == [(tuple(sorted(symbols[i])), degrees[i])
+                                       for i in sorted(symbols)]
+
+
 # ------------------------------------------------------ replayed elimination
 
 P61 = (1 << 61) - 1
@@ -961,10 +993,10 @@ class PlantedEvaluator:
 def interpolate_planted(monkeypatch, poly, seed=0):
     """interpolated_quotient on a pair with an empty minor (no line check)
     whose blocks are PLANTED_BLOCKS and whose det M1 is ``poly``."""
-    monkeypatch.setattr(resultant, "_Evaluator",
-                        lambda pair: PlantedEvaluator(poly))
     monkeypatch.setattr(resultant, "_blocks", lambda pair: PLANTED_BLOCKS)
-    return interpolated_quotient(SimpleNamespace(minor_rows=()), seed, 0)
+    return interpolated_quotient(
+        SimpleNamespace(minor_rows=(), evaluator=PlantedEvaluator(poly)),
+        seed, 0)
 
 
 def test_mixed_radix_positions_and_index_count():
