@@ -14,10 +14,10 @@ each lattice point is placed in its cell by its barycentric coordinates.
 A pair's one evaluator records a sparse elimination at its first point,
 the minor check's, and replays it at every later one.  Pairs of at most
 LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
-interpolated from those replays modulo a word-size prime with a smooth
-p - 1, each term read back from a discrete log, and certified at random
-points.  The classical Sylvester determinant stays as a reference for
-univariate pairs.
+interpolated from those replays modulo a prime p with 2^k dividing p - 1,
+each term read back from a discrete log to an omega of order 2^k, and
+certified at random points.  The classical Sylvester determinant stays as
+a reference for univariate pairs.
 """
 
 import math
@@ -46,8 +46,8 @@ from .sparseinterp import (
     discrete_log,
     next_prime,
     roots_mod,
-    smooth_prime,
     transposed_vandermonde,
+    two_adic_field,
 )
 
 LIFT_BOUND = 1 << 20
@@ -626,8 +626,8 @@ def _term_weights(blocks):
     digits, in radix degree + 1, of its index sum_s e_s R_s < D.  The
     positions follow the blocks in order and each block's symbols after
     the first, the order ``_reconstruct`` reads the digits back in.  With
-    the weight omega^(R_s), omega a generator of GF(p)*, a term's value is
-    omega^index; distinct terms have distinct values once p - 1 >= D.
+    the weight omega^(R_s), omega of order 2^k, a term's value is
+    omega^index; distinct terms have distinct values once 2^k >= D.
     """
     positions, size = {}, 1
     for syms, deg in blocks:
@@ -663,19 +663,18 @@ def _fits_degree_on_line(evaluator, degree, p, rng):
     raise ZeroDenominator("non-mixed minor vanished on every line tried")
 
 
-def _reconstruct(gen, blocks, size, scale, field, rng):
+def _reconstruct(gen, blocks, size, scale, field):
     """The polynomial behind a terminated sequence, or None when the
-    generator's roots are not term values of the blocks' degrees: a root
-    whose discrete log is an index of ``size`` or more, or whose digits in
-    one block sum above its degree."""
+    generator's roots are not term values of the blocks' degrees: roots
+    that are not distinct 2^k-th roots of unity (``roots_mod``), a root
+    whose discrete log is an index of ``size`` or more, or one whose
+    digits in one block sum above its degree."""
     p = field.p
-    roots = roots_mod(gen.generator(), p, rng)
+    roots = roots_mod(gen.generator(), field)
     if roots is None:
         return None
     terms = {}
     for m, w in zip(roots, transposed_vandermonde(roots, gen.seq, p)):
-        if m == 0:
-            return None
         index = discrete_log(m, field)
         if index >= size:
             return None
@@ -698,8 +697,8 @@ def _reconstruct(gen, blocks, size, scale, field, rng):
 def _interpolate(evaluator, blocks, field, rng, margin):
     """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo field.p.
 
-    Point j is scale * q^j, with q_s = omega^(R_s) for the generator omega
-    of ``field`` and the positions R_s of ``_term_weights``, and scale
+    Point j is scale * q^j, with q_s = omega^(R_s) for the omega of order
+    2^k of ``field`` and the positions R_s of ``_term_weights``, and scale
     drawn from ``rng``; Berlekamp-Massey stops once ``margin`` terms past
     twice the generator's length left it unchanged.  A quotient with T
     terms has a generator of length T, at most the dense term count, so a
@@ -709,7 +708,7 @@ def _interpolate(evaluator, blocks, field, rng, margin):
     """
     p = field.p
     positions, size = _term_weights(blocks)
-    weights = {s: pow(field.generator, r, p) for s, r in positions.items()}
+    weights = {s: pow(field.omega, r, p) for s, r in positions.items()}
     cap = 2 * _dense_terms(blocks) + margin
     for _ in range(MAX_SCALINGS):
         scale = {s: rng.randrange(1, p) for s in evaluator.symbols}
@@ -725,7 +724,7 @@ def _interpolate(evaluator, blocks, field, rng, margin):
             gen.add(value)
             values = {s: v * weights[s] % p for s, v in values.items()}
         else:
-            return _reconstruct(gen, blocks, size, scale, field, rng)
+            return _reconstruct(gen, blocks, size, scale, field)
     raise ZeroDenominator("non-mixed minor vanished at every scaling tried")
 
 
@@ -756,13 +755,16 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     at the points scale * q^j (``_interpolate``).  The other symbols get
     mixed-radix positions R_s (``_term_weights``), so each term has an
     index below D = prod (block degree + 1) over them, and q_s =
-    omega^(R_s) for a generator omega of GF(p)*.  p is the smallest prime
-    above max(D, 2^61) whose p - 1 is an odd cofactor below 2^10 times a
-    power of two (``smooth_prime``): a term's value omega^index is then
-    distinct from every other term's, and its discrete log, by
-    Pohlig-Hellman, is its index (Kaltofen-Lakshman-Wiley 1990).  So p
-    stays a word-size prime while D < 2^61 (D has 19 bits on S1 and 45 on
-    S5).  Every draw comes from
+    omega^(R_s) for an omega of order 2^k, k = max(1, bitlen(D - 1)).  p
+    is the smallest prime above 2^61 with 2^k dividing p - 1
+    (``two_adic_field``): since 2^k >= D, a term's value omega^index is
+    distinct from every other term's, and its discrete log, read bit by
+    bit, is its index (Kaltofen-Lakshman-Wiley 1990).  p > 2^61 bounds the
+    coefficient range, and D enters only through k: p stays 62 bits up to
+    k = 57, which covers S1 (D has 19 bits) and S5 (45 bits).  Above that
+    p grows by a few bits, to 65 on S3 (D of 60 bits) and 76 on S2 (70
+    bits); both time out before their expansion ends (ROADMAP stress
+    table), so no solved case is affected.  Every draw comes from
     ``stage_rng(seed, "interpolation-{attempt}")``.
 
     Each point, the certificate's included, replays the elimination that
@@ -770,9 +772,10 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     the minor is nonempty.  A replayed pivot vanishes at a point
     with probability at most m1 / (p - 1), and det M2 with at most
     m2 / (p - 1); the first costs one fresh elimination of that point,
-    the second a new scaling, so neither changes the answer.  Roots of the generator
-    come from one power chain (``roots_mod``), which redraws only for a
-    factor it left unsplit.
+    the second a new scaling, so neither changes the answer.  Roots of the
+    generator come from one power chain of z (``roots_mod``), which draws
+    nothing: every root is a 2^k-th root of unity, and the chain splits
+    them all.
 
     With a nonempty minor, a random line a + t b first checks that the
     quotient is a polynomial (``_fits_degree_on_line``), at the same p.  A
@@ -792,14 +795,14 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     probability at most m1_dim / 2^62 (Schwartz-Zippel), so both with at
     most (m1_dim / 2^62)^2.  About 2^56 primes lie in that range, and a
     coefficient of size H has at most log2(H) / 62 of them as factors.
-    A failed certificate retries with a longer sequence and a smooth
+    A failed certificate retries with a longer sequence and a two-adic
     prime 64 bits larger, CERTIFICATE_ROUNDS times in all.
     """
     rng = stage_rng(seed, f"interpolation-{attempt}")
     evaluator = pair.evaluator
     blocks = _blocks(pair)
-    base = max(_term_weights(blocks)[1], 1 << 61)
-    field = smooth_prime(base)
+    k = max(1, (_term_weights(blocks)[1] - 1).bit_length())
+    field = two_adic_field(1 << 61, k)
     if pair.minor_rows:
         degree = sum(deg for _, deg in blocks)
         if not _fits_degree_on_line(evaluator, degree, field.p, rng):
@@ -807,7 +810,7 @@ def interpolated_quotient(pair, seed=0, attempt=0):
                                "on a random line")
     for rnd in range(CERTIFICATE_ROUNDS):
         if rnd:
-            field = smooth_prime(base << (64 * rnd))
+            field = two_adic_field(1 << (61 + 64 * rnd), k)
         quotient = _interpolate(evaluator, blocks, field, rng, 2 << rnd)
         if quotient is not None and _certified(quotient, evaluator, rng):
             if quotient.is_zero():

@@ -3,20 +3,19 @@
 A polynomial with T terms, evaluated at the powers q^0, q^1, ... of one
 point, gives a sequence a_j = sum_t w_t m_t^j whose minimal linear
 generator has the term values m_t as its roots.  When every coordinate of
-q is a power of one generator of GF(p)*, each m_t is a power of it too,
-and the discrete log of m_t is the term's index (Kaltofen-Lakshman-Wiley
-1990).  This module holds the steps that recover the m_t, their indices
-and the w_t over GF(p):
+q is a power of one omega of order 2^k in GF(p)*, each m_t is a power of
+omega too, and its discrete log is the term's index
+(Kaltofen-Lakshman-Wiley 1990).  This module holds the steps that recover
+the m_t, their indices and the w_t over GF(p):
 
 * ``next_prime``: a prime, by Miller-Rabin on fixed bases;
-* ``smooth_prime``: the smallest prime p above a bound with p - 1 a small
-  odd cofactor times a power of two, and a generator of GF(p)*;
+* ``two_adic_field``: the smallest prime above a bound with 2^k dividing
+  p - 1, and an omega of order 2^k;
 * ``LinearGenerator``: Berlekamp-Massey, fed one term at a time, so the
   caller can stop early (Kaltofen-Lee 2003);
-* ``roots_mod``: the generator's roots, from one power chain per
-  polynomial;
-* ``discrete_log``: a root's exponent to the generator, by Pohlig-Hellman
-  on the smooth p - 1;
+* ``roots_mod``: the generator's roots among the 2^k-th roots of unity,
+  from one power chain of z, with no random draw;
+* ``discrete_log``: a root's exponent to omega, bit by bit;
 * ``transposed_vandermonde``: the weights w_t from the first T terms.
 
 Polynomials over GF(p) are lists of ints, lowest degree first, with no
@@ -26,7 +25,6 @@ trailing zeros.
 from typing import NamedTuple
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-COFACTOR_BOUND = 1 << 10  # the odd part of p - 1 in smooth_prime is below this
 
 
 def is_prime(n):
@@ -63,84 +61,52 @@ def next_prime(n):
     return n
 
 
-class SmoothPrime(NamedTuple):
-    """A prime p = cofactor * 2^twos + 1, the cofactor odd, and a
-    generator of the multiplicative group GF(p)*."""
+class TwoAdicField(NamedTuple):
+    """A prime p = m * 2^k + 1 and an omega of order exactly 2^k in
+    GF(p)*."""
 
     p: int
-    twos: int
-    cofactor: int
-    generator: int
+    k: int
+    omega: int
 
 
-def smooth_prime(n):
-    """The smallest odd prime p > n with p - 1 = c * 2^k, c odd and below
-    COFACTOR_BOUND, and the smallest generator of GF(p)*.
+def two_adic_field(n, k):
+    """The smallest prime p > n with 2^k dividing p - 1, k >= 1, and omega
+    = x^((p - 1) / 2^k) for the smallest quadratic nonresidue x.
 
-    The candidates p - 1 in [lo, 2 lo) are listed for each k and tested in
-    increasing order; the window doubles until one is prime.  Near n they
-    lie at most 4n / COFACTOR_BOUND apart, so p usually exceeds n by a few
-    percent (2^61: 531 * 2^52 + 1, 3.7 % above).
+    omega^(2^(k-1)) = x^((p-1)/2) = -1, so omega has order exactly 2^k.
+    The candidates m 2^k + 1 are tried for m = ceil(n / 2^k), m + 1, ...
+    (2^61 at k = 19 gives 2^61 + 10 * 2^19 + 1; at k = 57, 29 * 2^57 + 1;
+    at k = 70, 39 * 2^70 + 1).
     """
-    lo = max(n, 2)
-    while True:
-        hi = 2 * lo
-        candidates = []
-        for k in range(hi.bit_length()):
-            first = -(-lo >> k) | 1   # smallest odd c with c * 2^k >= lo
-            last = min(COFACTOR_BOUND, -(-hi >> k))
-            candidates += [c << k for c in range(first, last, 2)]
-        for m in sorted(candidates):
-            if is_prime(m + 1):
-                k = (m & -m).bit_length() - 1
-                return SmoothPrime(m + 1, k, m >> k,
-                                   _generator(m + 1, m >> k))
-        lo = hi
-
-
-def _generator(p, cofactor):
-    """Smallest g >= 2 whose order is p - 1: g^((p-1)/q) != 1 for every
-    prime q dividing p - 1 = cofactor * 2^k."""
-    factors, rest, q = [2], cofactor, 3
-    while rest > 1:
-        if rest % q == 0:
-            factors.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 2
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-        g += 1
-    return g
+    m = max(1, -(-n >> k))
+    while not is_prime((m << k) + 1):
+        m += 1
+    p = (m << k) + 1
+    x = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    return TwoAdicField(p, k, pow(x, (p - 1) >> k, p))
 
 
 def discrete_log(x, field):
-    """The e in [0, p - 1) with generator^e == x mod p, for x nonzero mod
-    p, by Pohlig-Hellman on p - 1 = c * 2^k.
+    """The e in [0, 2^k) with omega^e == x mod p; ValueError when x is not
+    a 2^k-th root of unity, 0 included.
 
-    x^c lies in the subgroup of order 2^k, where the bits of e mod 2^k are
-    read lowest first, one power of x^c per bit (about k^2 / 2 squarings
-    in all); x^(2^k) lies in the subgroup of order c, where e mod c is
-    found by search (at most c products).  The Chinese remainder theorem
-    joins the two.
+    The bits of e are read lowest first (Pohlig-Hellman on the group of
+    order 2^k): once bits below i are divided out, y = omega^(e') with
+    2^i | e', and y^(2^(k-1-i)) is -1 exactly when bit i of e' is set.
+    About k^2 / 2 squarings in all.  For x outside the group, y never
+    reaches 1.
     """
-    p, k, c, g = field
-    if x % p == 0:
-        raise ValueError("0 has no discrete log")
-    y = pow(x, c, p)
-    step = pow(g, -c, p)      # generator^(-c * 2^i) at bit i
-    low = 0
+    p, k, omega = field
+    y, e, step = x % p, 0, pow(omega, -1, p)   # step = omega^(-2^i) at bit i
     for i in range(k):
         if pow(y, 1 << (k - 1 - i), p) != 1:
-            low |= 1 << i
+            e |= 1 << i
             y = y * step % p
         step = step * step % p
-    target, base = pow(x, 1 << k, p), pow(g, 1 << k, p)
-    high, acc = 0, 1
-    while acc != target:
-        acc = acc * base % p
-        high += 1
-    return low + ((high - low) * pow(1 << k, -1, c) % c << k)
+    if y != 1:
+        raise ValueError(f"{x} is not a 2^{k}-th root of unity mod {p}")
+    return e
 
 
 class LinearGenerator:
@@ -224,7 +190,7 @@ class _Residues:
         self.table = []
         r = [0] * (self.n - 1) + [1]
         for _ in range(self.n - 1):
-            r = self.times_linear(r, 0)
+            r = self.times_z(r)
             self.table.append(self._pack(r))
 
     def _pack(self, a):
@@ -244,21 +210,10 @@ class _Residues:
             acc += c * t
         return self._unpack(acc, n)
 
-    def times_linear(self, a, c):
-        """(z + c) * a."""
+    def times_z(self, a):
+        """z * a."""
         p, top = self.p, a[-1]
-        shifted = [0] + a[:-1]
-        return [(v - top * fv + c * av) % p
-                for v, fv, av in zip(shifted, self.f, a)]
-
-    def power_of_linear(self, c, e):
-        """(z + c)^e, e >= 1, by left-to-right square and multiply."""
-        r = self.times_linear([1] + [0] * (self.n - 1), c)
-        for bit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.times_linear(r, c)
-        return _trim(r)
+        return [(v - top * fv) % p for v, fv in zip([0] + a[:-1], self.f)]
 
 
 def _gcd(a, b, p):
@@ -278,67 +233,46 @@ def _sub(a, b, p):
     return _trim(out)
 
 
-def roots_mod(f, p, rng):
-    """Sorted roots of the monic f over GF(p), an odd prime, when f splits
-    into distinct linear factors; None otherwise.
+def roots_mod(f, field):
+    """Sorted roots of the monic f over GF(p) when they are distinct 2^k-th
+    roots of unity; None otherwise.
 
-    One power per polynomial both tests and splits f (Moenck 1977).  With
-    p - 1 = c 2^v, c odd, and J = min(v, 2 bitlen(deg f)), the power
-    r = (z + a)^((p - 1) / 2^J) mod f, for a random a, is squared J times:
-    r, r^2, ..., r^(2^J) = (z + a)^(p - 1).  The last member times z + a
-    is z + a exactly when f divides z^p - z, that is, when f splits into
-    distinct linear factors, so None is always right.  At a root m other
-    than -a, r^(2^J)(m) = 1 and r^(2^i)(m) is a power of one omega of
-    order 2^J, so walking down the chain splits f level by level: a
-    factor whose roots all take the value omega^e at one level splits,
-    one level lower, by its gcd with the member minus omega^(e/2); the
-    rest take -omega^(e/2).  Every gcd is a true factor, so a root -a,
-    where all members vanish and which therefore always goes with the
-    rest, can only leave a factor unsplit.
-
-    Two roots m, m' stay together to the chain's end only when
-    (m + a) / (m' + a) is a 2^J-th power, which has probability below
-    2^-J over a.  So a factor of degree d stays unsplit with probability
-    below d^2 / 2^(J+1): under 1/2 when J = 2 bitlen(d), and 1/2 per pair
-    of roots when J = v = 1, as in Cantor-Zassenhaus.  That costs only
-    time: the factor draws a new a and a chain of its own.
+    One power chain both tests and splits f (Moenck 1977): z, z^2, ...,
+    z^(2^k) mod f.  The last member is 1 exactly when f divides z^(2^k) -
+    1, whose roots are the 2^k distinct powers of omega, so None is always
+    right: a repeated root, a root outside that group (0 included) or an
+    irreducible factor each leave it unequal to 1.  Walking down the chain
+    then splits f level by level with no random draw: a factor whose roots
+    m all have m^(2^(i+1)) = omega^e takes its gcd with z^(2^i) -
+    omega^(e/2), and the rest take -omega^(e/2).  Two roots omega^i and
+    omega^j part at the lowest bit where i and j differ, so after k levels
+    every factor is linear.
     """
-    if len(f) <= 2:
-        return [-f[0] % p] if len(f) == 2 else []
-    v = ((p - 1) & (1 - p)).bit_length() - 1
-    nonresidue = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) != 1)
-    roots, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
-            continue
-        depth = min(v, 2 * (len(g) - 1).bit_length())
-        a = rng.randrange(p)
-        residues = _Residues(g, p)
-        chain = [residues.power_of_linear(a, (p - 1) >> depth)]
-        for _ in range(depth):
-            chain.append(residues.mul(chain[-1], chain[-1]))
-        if g is f and _trim(residues.times_linear(chain[-1], a)) != [a, 1]:
-            return None
-        omega = pow(nonresidue, (p - 1) >> depth, p)   # order 2^depth
-        nodes = [(g, 0)]   # factors whose roots share the value omega^e
-        for member in reversed(chain[:-1]):
-            split = []
-            for h, e in nodes:
-                if len(h) == 2:
-                    roots.append(-h[0] % p)
-                    continue
-                rest = _divmod(member, h, p)[1]
-                low = _gcd(h, _sub(rest, [pow(omega, e // 2, p)], p), p)
-                if len(low) > 1:
-                    split.append((low, e // 2))
-                if len(low) < len(h):
-                    split.append((_divmod(h, low, p)[0],
-                                  e // 2 + (1 << (depth - 1))))
-            nodes = split
-        todo += [h for h, _ in nodes]
-    return sorted(roots)
+    p, k, omega = field
+    if len(f) == 1:
+        return []
+    residues = _Residues(f, p)
+    chain = [residues.times_z([1] + [0] * (residues.n - 1))]
+    for _ in range(k):
+        chain.append(residues.mul(chain[-1], chain[-1]))
+    if _trim(chain.pop()) != [1]:
+        return None
+    roots = []
+    nodes = [(f, 0)]   # factors whose roots share the value omega^e
+    for member in reversed(chain):
+        split = []
+        for h, e in nodes:
+            if len(h) == 2:
+                roots.append(-h[0] % p)
+                continue
+            rest = _divmod(member, h, p)[1]
+            low = _gcd(h, _sub(rest, [pow(omega, e // 2, p)], p), p)
+            if len(low) > 1:
+                split.append((low, e // 2))
+            if len(low) < len(h):
+                split.append((_divmod(h, low, p)[0], e // 2 + (1 << (k - 1))))
+        nodes = split
+    return sorted(roots + [-h[0] % p for h, _ in nodes])
 
 
 def transposed_vandermonde(roots, seq, p):

@@ -12,6 +12,7 @@ for binomial systems is checked against the Newton route, the Sylvester
 determinant and random solutions of its system (``vanishing``).
 """
 
+import itertools
 import math
 import pathlib
 import random
@@ -37,7 +38,6 @@ from sdres.essanalysis import (
     stage_rng,
 )
 from sdres.multipoly import MultiPoly, rank_and_pivots
-from sdres.sparseinterp import smooth_prime
 from sdres.resultant import (
     CERTIFICATE_ROUNDS,
     MAX_BOX_POINTS,
@@ -51,6 +51,7 @@ from sdres.resultant import (
     quotient_resultant,
     sylvester_resultant,
 )
+from sdres.sparseinterp import two_adic_field
 
 import rational_lp
 from det_oracles import frac_gauss_det, leibniz_det
@@ -714,6 +715,25 @@ def test_interpolated_quotient_matches_laplace(monkeypatch, name):
         assert interpolated_quotient(pair, seed, 0) == expected
 
 
+@settings(derandomize=True, deadline=None)
+@given(_full_dimensional_supports())
+def test_interpolated_quotient_matches_laplace_property(supports):
+    # one coefficient symbol per support point; the Laplace side keeps the
+    # pairs small, while D and so the root-splitting depth k vary widely
+    sids = itertools.count()
+    supports = tuple(
+        s._replace(coeffs=tuple(MultiPoly.symbol(next(sids)) for _ in s.points))
+        for s in supports)
+    for seed in (0, 1):
+        try:
+            pair = build_matrices(mixed_subdivision(supports, seed))
+        except DegenerateLifting:
+            continue
+        assume(len(pair.m1) <= 12)
+        assert interpolated_quotient(pair, seed, 0) == laplace_quotient(
+            pair, pytest.MonkeyPatch)
+
+
 def test_interpolated_quotient_rejects_non_dividing_liftings(monkeypatch):
     # a finer perturbation gives golden pairs of 22 rows over a 15-row
     # minor; at liftings 1 and 3 det M2 does not divide det M1
@@ -794,7 +814,7 @@ def test_blocks_from_the_evaluator_match_the_entries(name):
 # ------------------------------------------------------ replayed elimination
 
 P61 = (1 << 61) - 1
-REPLAY_PRIMES = (101, 65537, P61, smooth_prime(1 << 61).p)
+REPLAY_PRIMES = (101, 65537, P61, 531 * 2**52 + 1)
 
 
 def linear_pair(entries, minor_rows):
@@ -1031,17 +1051,19 @@ def test_term_off_its_block_degrees_fails_every_round(monkeypatch, exps):
         interpolate_planted(monkeypatch, poly)
 
 
-def test_s1_interpolates_over_a_word_size_smooth_prime(monkeypatch):
+def test_s1_interpolates_over_a_word_size_two_adic_prime(monkeypatch):
     sets, _ = extract_supports(case_reduction("S1").zpolys)
     pair = build_matrices(mixed_subdivision(sets, seed=0))
     blocks = resultant._blocks(pair)
     assert resultant._term_weights(blocks)[1] == 7 * 31 * 37 ** 2
     fields = []
 
-    def recording(n):
-        fields.append(smooth_prime(n))
+    def recording(n, k):
+        fields.append(two_adic_field(n, k))
         return fields[-1]
 
-    monkeypatch.setattr(resultant, "smooth_prime", recording)
+    monkeypatch.setattr(resultant, "two_adic_field", recording)
     assert len(interpolated_quotient(pair, 0, 0).terms) == 28
-    assert [field.p < 1 << 63 for field in fields] == [True]
+    # D = 297073 < 2^19: one round, over a 62-bit prime
+    assert [(f.k, f.p < 1 << 63, (f.p - 1) % (1 << 19)) for f in fields] == [
+        (19, True, 0)]

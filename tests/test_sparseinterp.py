@@ -1,44 +1,42 @@
 """Prime-field primitives of the sparse interpolation: primality, the
-smooth prime and its discrete logs, Berlekamp-Massey, root finding and the
-transposed Vandermonde solve, each against a planted answer or a direct
-computation (trial division, ``pow``, brute-force search)."""
+two-adic field and its discrete logs, Berlekamp-Massey, root finding and
+the transposed Vandermonde solve, each against a planted answer or a
+direct computation (trial division, ``pow``, brute-force search)."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres.sparseinterp import (
-    COFACTOR_BOUND,
     LinearGenerator,
     discrete_log,
     is_prime,
     next_prime,
     roots_mod,
-    smooth_prime,
     transposed_vandermonde,
+    two_adic_field,
 )
 
 P61 = (1 << 61) - 1
+P62 = 531 * 2**52 + 1           # a word-size prime with 2^52 | p - 1
+WORD = two_adic_field(1 << 61, 19)   # S1's field: D = 297073 < 2^19
 
 
 def trial_division_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def odd_part(m):
-    while m % 2 == 0:
-        m //= 2
-    return m
+def two_adic_order(m):
+    return (m & -m).bit_length() - 1
 
 
-def prime_factors(m):
-    out, d = set(), 2
-    while d * d <= m:
-        while m % d == 0:
-            out.add(d)
-            m //= d
-        d += 1
-    return out | ({m} if m > 1 else set())
+def field_of(p):
+    """The two-adic field of the prime p at its full 2-adic order k."""
+    field = two_adic_field(p - 1, two_adic_order(p - 1))
+    assert field.p == p
+    return field
 
 
 def poly_from_roots(roots, p):
@@ -49,6 +47,10 @@ def poly_from_roots(roots, p):
         for i in range(len(f) - 1):
             f[i] = (f[i] - r * f[i + 1]) % p
     return f
+
+
+def smallest_nonresidue(p):
+    return next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
 
 
 def test_is_prime_matches_trial_division_below_10_5():
@@ -74,103 +76,94 @@ def test_is_prime_on_large_known_values():
 
 @pytest.mark.parametrize("terms", [1, 5, 17])
 def test_linear_generator_finds_a_planted_recurrence(terms):
-    # a_j = sum_t w_t m_t^j has minimal generator prod (z - m_t)
+    # a_j = sum_t w_t m_t^j has minimal generator prod (z - m_t); the m_t
+    # are term values omega^index, as in the interpolation
     rng = random.Random(terms)
-    roots = rng.sample(range(1, P61), terms)
-    weights = [rng.randrange(1, P61) for _ in roots]
-    gen = LinearGenerator(P61)
+    p, k, omega = WORD
+    indices = rng.sample(range(1 << k), terms)
+    roots = [pow(omega, i, p) for i in indices]
+    weights = [rng.randrange(1, p) for _ in roots]
+    gen = LinearGenerator(p)
     for j in range(2 * terms + 4):
-        gen.add(sum(w * pow(m, j, P61) for w, m in zip(weights, roots)))
+        gen.add(sum(w * pow(m, j, p) for w, m in zip(weights, roots)))
     assert gen.length == terms
-    assert gen.generator() == poly_from_roots(roots, P61)
-    assert roots_mod(gen.generator(), P61, rng) == sorted(roots)
-    assert transposed_vandermonde(sorted(roots), gen.seq, P61) == [
+    assert gen.generator() == poly_from_roots(roots, p)
+    assert roots_mod(gen.generator(), WORD) == sorted(roots)
+    assert [discrete_log(m, WORD) for m in sorted(roots)] == [
+        i for _, i in sorted(zip(roots, indices))]
+    assert transposed_vandermonde(sorted(roots), gen.seq, p) == [
         w for _, w in sorted(zip(roots, weights))]
 
 
 def test_linear_generator_on_a_recurrence_with_repeated_roots():
-    # a_j = j * 2^j: generator (z - 2)^2, not squarefree
-    gen = LinearGenerator(P61)
+    # a_j = j * omega^j: generator (z - omega)^2, not squarefree
+    p, _, omega = WORD
+    gen = LinearGenerator(p)
     for j in range(8):
-        gen.add(j * pow(2, j, P61))
+        gen.add(j * pow(omega, j, p))
     assert gen.length == 2
-    assert gen.generator() == [4, P61 - 4, 1]
-    assert roots_mod(gen.generator(), P61, random.Random(0)) is None
+    assert gen.generator() == [omega * omega % p, -2 * omega % p, 1]
+    assert roots_mod(gen.generator(), WORD) is None
 
 
-@pytest.mark.parametrize("p", [101, 65537, P61])
+@pytest.mark.parametrize("p", [101, 65537, P61, WORD.p])
 def test_roots_mod_splits_a_planted_product(p):
+    field = field_of(p)
     rng = random.Random(p)
-    roots = rng.sample(range(p), min(p, 12))
-    assert roots_mod(poly_from_roots(roots, p), p, rng) == sorted(roots)
-    assert roots_mod([1], p, rng) == []
+    indices = rng.sample(range(1 << field.k), min(1 << field.k, 12))
+    roots = [pow(field.omega, i, p) for i in indices]
+    assert roots_mod(poly_from_roots(roots, p), field) == sorted(roots)
+    assert roots_mod([1], field) == []
 
 
 @pytest.mark.parametrize("p", [101, 65537, P61])
 def test_roots_mod_rejects_an_irreducible_quadratic(p):
-    rng = random.Random(p)
-    a = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-    assert roots_mod([-a % p, 0, 1], p, rng) is None          # z^2 - a
+    field = field_of(p)
+    a = smallest_nonresidue(p)
+    assert roots_mod([-a % p, 0, 1], field) is None           # z^2 - a
     # a split factor times the irreducible one does not split either
     f = [(-a * 5) % p, (-a) % p, 5, 1]                        # (z+5)(z^2-a)
-    assert roots_mod(f, p, rng) is None
+    assert roots_mod(f, field) is None
 
 
-SMOOTH62 = smooth_prime(1 << 61)                 # 531 * 2^52 + 1
+@pytest.mark.parametrize("field", [two_adic_field(1000, 4), WORD],
+                         ids=["small", "word"])
+def test_roots_mod_rejects_roots_off_the_two_adic_group(field):
+    p, k, omega = field
+    outside = smallest_nonresidue(p)
+    assert pow(outside, 1 << k, p) != 1        # not a 2^k-th root of unity
+    for roots in ([omega, omega],                 # repeated
+                  [omega, 1, outside],            # one root outside
+                  [outside],
+                  [omega, 0],                     # the root 0
+                  [0]):
+        assert roots_mod(poly_from_roots(roots, p), field) is None
+    assert roots_mod(poly_from_roots([omega, 1], p), field) == sorted(
+        [omega, 1])
 
 
-class QueuedRng(random.Random):
-    """A Random whose first randrange calls return queued values."""
-
-    def __init__(self, queue, seed=0):
-        super().__init__(seed)
-        self.queue = list(queue)
-        self.draws = 0
-
-    def randrange(self, *args):
-        self.draws += 1
-        return self.queue.pop(0) if self.queue else super().randrange(*args)
-
-
-def two_power_unit(p, order):
-    """An element of multiplicative order 2^order in GF(p)."""
-    x = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
-    return pow(x, (p - 1) >> order, p)
-
-
-@pytest.mark.parametrize("p", [65537, SMOOTH62.p])
+@pytest.mark.parametrize("p", [65537, P62])
 def test_roots_mod_splits_roots_sharing_their_top_two_adic_levels(p):
-    # m, m zeta, m zeta^2 for zeta of order 2^10, m and -m, and 0
+    # omega^i and omega^j stay together until the lowest bit where i and j
+    # differ: indices that differ only in the top bit part last
+    field = field_of(p)
+    k, omega = field.k, field.omega
     rng = random.Random(p)
-    m = rng.randrange(1, p)
-    zeta = two_power_unit(p, 10)
-    roots = {m, m * zeta % p, m * zeta * zeta % p, p - m, 0}
-    roots |= set(rng.sample(range(1, p), 20))
-    for seed in range(4):
-        f = poly_from_roots(sorted(roots), p)
-        assert roots_mod(f, p, random.Random(seed)) == sorted(roots)
+    i = rng.randrange(1 << (k - 2))
+    indices = {i, i + (1 << (k - 1)), i + (1 << (k - 2)),
+               i + (3 << (k - 2)), 0, 1 << (k - 1)}
+    indices |= set(rng.sample(range(1 << k), 20))
+    roots = [pow(omega, j, p) for j in indices]
+    assert roots_mod(poly_from_roots(roots, p), field) == sorted(roots)
+    assert sorted(discrete_log(m, field) for m in roots) == sorted(indices)
 
 
-@pytest.mark.parametrize("p", [101, 65537, SMOOTH62.p, P61])
-def test_roots_mod_survives_a_draw_at_minus_a_root(p):
-    # the first draw a is minus a root, where every chain member vanishes
-    rng = random.Random(p)
-    roots = sorted(rng.sample(range(1, p), 6))
-    queued = QueuedRng([p - roots[2]], seed=p)
-    assert roots_mod(poly_from_roots(roots, p), p, queued) == roots
-    assert queued.draws >= 1 and not queued.queue
-
-
-@pytest.mark.parametrize("p", [101, 65537, SMOOTH62.p])
-def test_roots_mod_redraws_for_a_factor_left_unsplit(p):
-    # a quadratic's chain has depth J = min(v2(p - 1), 4); at a = 0 its
-    # first member z^((p-1)/2^J) is 1 at both 1 and a 2^J-th power, so
-    # the chain cannot split them and a second a is drawn
-    depth = min(((p - 1) & (1 - p)).bit_length() - 1, 4)
-    roots = sorted([1, pow(3, 1 << depth, p)])
-    queued = QueuedRng([0], seed=p)
-    assert roots_mod(poly_from_roots(roots, p), p, queued) == roots
-    assert queued.draws >= 2
+@settings(derandomize=True, deadline=None)
+@given(st.sets(st.integers(0, (1 << 19) - 1), max_size=12))
+def test_roots_mod_splits_drawn_subsets_of_the_two_adic_group(indices):
+    p, _, omega = WORD
+    roots = [pow(omega, i, p) for i in indices]
+    assert roots_mod(poly_from_roots(roots, p), WORD) == sorted(roots)
 
 
 @pytest.mark.parametrize("terms", [1, 4, 30])
@@ -184,51 +177,62 @@ def test_transposed_vandermonde_round_trips(terms):
     assert transposed_vandermonde(roots, seq, p) == weights
 
 
-@pytest.mark.parametrize("n", [0, 2, 100, 297073, (1 << 45) + 7, 1 << 61,
-                               (1 << 61) << 64, (1 << 61) << 128])
-def test_smooth_prime_factors_as_stated_with_a_full_order_generator(n):
-    field = smooth_prime(n)
-    p, k, c, g = field
-    assert p > n and is_prime(p) and p % 2 == 1
-    assert p - 1 == c << k and c % 2 == 1 and c < COFACTOR_BOUND
-    orders = prime_factors(c) | {2}
-    # g has order p - 1, and no smaller h >= 2 does
-    assert all(pow(g, (p - 1) // q, p) != 1 for q in orders)
-    assert all(any(pow(h, (p - 1) // q, p) == 1 for q in orders)
-               for h in range(2, g))
+@pytest.mark.parametrize("n, k", [(0, 1), (2, 1), (17, 2), (100, 3),
+                                  (1000, 4), (4099, 8), (30000, 10),
+                                  (297073, 12)])
+def test_two_adic_field_is_the_smallest_prime_of_its_form(n, k):
+    field = two_adic_field(n, k)
+    p, omega = field.p, field.omega
+    assert field.k == k and p > n and trial_division_prime(p)
+    assert (p - 1) % (1 << k) == 0
+    assert not any(trial_division_prime(q) and (q - 1) % (1 << k) == 0
+                   for q in range(n + 1, p))
+    assert omega == pow(smallest_nonresidue(p), (p - 1) >> k, p)
+    # order exactly 2^k: brute force over the powers
+    assert [pow(omega, e, p) == 1 for e in range(1, (1 << k) + 1)] == [
+        False] * ((1 << k) - 1) + [True]
 
 
-@pytest.mark.parametrize("n", [0, 2, 17, 100, 1000, 4099, 30000])
-def test_smooth_prime_is_the_smallest_of_its_form(n):
-    p = smooth_prime(n).p
-    assert not any(
-        trial_division_prime(m + 1) and odd_part(m) < COFACTOR_BOUND
-        for m in range(max(n, 2), p - 1))
+@pytest.mark.parametrize("n, k", [(1 << 61, 19), (1 << 61, 57),
+                                  (1 << 61, 60), ((1 << 61) << 64, 19)])
+def test_two_adic_field_is_the_smallest_above_a_large_bound(n, k):
+    p, _, omega = two_adic_field(n, k)
+    assert p > n and is_prime(p) and (p - 1) % (1 << k) == 0
+    assert not any(is_prime(q) for q in range(p - (1 << k), n, -(1 << k)))
+    assert pow(omega, 1 << (k - 1), p) == p - 1
 
 
-def test_smooth_prime_stays_word_size_above_2_61():
-    assert smooth_prime(1 << 61).p < 1 << 63
+def test_two_adic_field_stays_word_size_above_2_61():
+    assert [two_adic_field(1 << 61, k).p < 1 << 63 for k in (19, 57)] == [
+        True, True]
 
 
 @pytest.mark.parametrize("n", [0, 1000, 297073, 1 << 61, (1 << 61) << 64])
 def test_discrete_log_inverts_pow(n):
-    field = smooth_prime(n)
-    p, g = field.p, field.generator
+    field = two_adic_field(n, 19)
+    p, k, omega = field
     rng = random.Random(n)
-    exps = [0, 1, p - 2, (p - 1) // 2] + [rng.randrange(p - 1)
-                                          for _ in range(40)]
+    exps = [0, 1, (1 << k) - 1, 1 << (k - 1)] + [rng.randrange(1 << k)
+                                                 for _ in range(40)]
     for e in exps:
-        assert discrete_log(pow(g, e, p), field) == e
+        assert discrete_log(pow(omega, e, p), field) == e
 
 
 def test_discrete_log_of_zero_raises():
-    field = smooth_prime(1000)
     with pytest.raises(ValueError):
-        discrete_log(field.p, field)
+        discrete_log(WORD.p, WORD)
 
 
 def test_discrete_log_is_exhaustive_on_a_small_field():
-    field = smooth_prime(1000)
-    p, g = field.p, field.generator
-    assert [discrete_log(pow(g, e, p), field) for e in range(p - 1)] == list(
-        range(p - 1))
+    # every x in GF(p): the log of a 2^k-th root of unity is found by
+    # search, and every other x, 0 included, raises
+    field = two_adic_field(1000, 6)
+    p, k, omega = field
+    logs = {pow(omega, e, p): e for e in range(1 << k)}
+    assert len(logs) == 1 << k
+    for x in range(p):
+        if x in logs:
+            assert discrete_log(x, field) == logs[x]
+        else:
+            with pytest.raises(ValueError):
+                discrete_log(x, field)
