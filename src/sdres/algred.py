@@ -23,19 +23,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diffpoly import SupportMatrix, shift_poly, support_rows
+from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly, support_rows
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
 from .multipoly import first_relation, rank_and_pivots
 
 
-def prolong(polys, bounds):
-    """All transforms delta^l P_i for 0 <= l <= bounds[i], tagged (i, l)."""
-    rows = []
-    for i, (p, bound) in enumerate(zip(polys, bounds)):
+def prolonged_support_matrix(polys, bounds):
+    """Algebraic support matrix of delta^l P_i, 0 <= l <= bounds[i], rows
+    tagged (i, l): P_i's ``support_rows`` row (every transform instance a
+    column at shift 0) with l added to every VarRef and CoeffRef shift.
+    Columns: every transform instance seen, sorted."""
+    rows, tags = [], []
+    for i, (row, bound) in enumerate(zip(support_rows(polys, lambda v: (v, 0)),
+                                         bounds)):
         for l in range(bound + 1):
-            rows.append(((i, l), shift_poly(p, l)))
-    return tuple(rows)
+            tags.append((i, l))
+            rows.append({VarRef(v.var, v.shift + l): {
+                CoeffRef(r.poly, r.coeff, r.shift + l): d for r, d in e.items()}
+                for v, e in row.items()})
+    return SupportMatrix.of(rows, tags, sorted({v for row in rows for v in row}))
 
 
 def relative_supports(poly):
@@ -43,15 +50,6 @@ def relative_supports(poly):
     monomial relative to the distinguished one (dict VarRef -> int)."""
     base = poly.terms[0][1]
     return [(ref, dict(mono.ratio(base).powers)) for ref, mono in poly.terms]
-
-
-def alg_support_matrix(tagged_polys):
-    """Row i: the formal sum of term exponent vectors weighted by their
-    generic coefficients (``support_rows`` with every transform instance a
-    column at shift 0).  Columns: every transform instance seen, sorted."""
-    rows = support_rows((poly for _, poly in tagged_polys), lambda v: (v, 0))
-    return SupportMatrix.of(rows, (tag for tag, _ in tagged_polys),
-                            sorted({v for row in rows for v in row}))
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +190,31 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
     """Full reduction of the specialized subsystem to lattice form.
 
     spec_polys must be in norm form; bounds are their (finite, nonnegative)
-    order bounds.
+    order bounds.  Only the essential circuit's rows are transformed as
+    polynomials; the rest stay rows of ``prolonged_support_matrix``.
     """
     if any(b is None or b < 0 for b in bounds):
         raise CorankLost(f"order bounds must be finite and nonnegative: {bounds}")
-    rows = prolong(spec_polys, bounds)
-    matrix = alg_support_matrix(rows)
+    matrix = prolonged_support_matrix(spec_polys, bounds)
     oracle = RankOracle(matrix, seed=seed, exact=exact)
-    excess = len(rows) - oracle.rank() - 1
+    excess = len(matrix.rows) - oracle.rank() - 1
     if excess < 0:
         raise CorankLost("prolonged rows are independent; order bounds failed")
     used = tuple(bounds)
     if excess > 0:
         used = tuple(max(0, b - excess) for b in bounds)
-        rows = prolong(spec_polys, used)
-        matrix = alg_support_matrix(rows)
+        matrix = prolonged_support_matrix(spec_polys, used)
         oracle = RankOracle(matrix, seed=seed, exact=exact)
-        if oracle.rank() >= len(rows):
+        if oracle.rank() >= len(matrix.rows):
             raise CorankLost("dependence lost after lowering the order bounds")
 
-    ess = find_minimal_essential(oracle, len(rows))
+    ess = find_minimal_essential(oracle, len(matrix.rows))
     cols = variable_essential_reduce(list(ess), oracle)
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
-    ess_supports = [relative_supports(rows[i][1]) for i in ess]
+    tags = tuple(matrix.row_labels[r] for r in ess)
+    polys = tuple(shift_poly(spec_polys[i], l) for i, l in tags)
+    ess_supports = [relative_supports(poly) for poly in polys]
     present = {v for sup in ess_supports for _, vec in sup for v in vec}
     dropped_refs = tuple(sorted(present - set(kept_refs)))
 
@@ -227,8 +226,8 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
     return AlgebraicReduction(
         used_bounds=used,
         corank_offset=max(excess, 0),
-        essential_tags=tuple(rows[i][0] for i in ess),
-        essential_polys=tuple(rows[i][1] for i in ess),
+        essential_tags=tags,
+        essential_polys=polys,
         kept_refs=kept_refs,
         dropped_refs=dropped_refs,
         basis=basis,

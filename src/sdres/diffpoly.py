@@ -273,19 +273,20 @@ def support_rows(polys, place):
 
 @dataclass(frozen=True)
 class SupportMatrix:
-    rows: tuple        # tuple of rows, each a tuple of {CoeffRef: {shift: int}}
+    rows: tuple        # dict rows, column index -> nonzero entry
     row_labels: tuple  # polynomial indices, or prolongation tags
     col_labels: tuple  # difference variable indices, or transform instances
 
     @classmethod
     def of(cls, rows, row_labels, col_labels):
-        """The matrix of ``support_rows`` output over the given columns."""
+        """``support_rows`` output, column labels replaced by indices."""
         cols = tuple(col_labels)
-        return cls(tuple(tuple(row.get(c, {}) for c in cols) for row in rows),
+        index = {c: j for j, c in enumerate(cols)}
+        return cls(tuple({index[c]: e for c, e in row.items()} for row in rows),
                    tuple(row_labels), cols)
 
     def coeff_refs(self):
-        return {r for row in self.rows for entry in row if entry for r in entry}
+        return {r for row in self.rows for entry in row.values() for r in entry}
 
 
 def support_matrix(system_polys, nvars, row_labels=None):

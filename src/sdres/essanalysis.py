@@ -59,9 +59,9 @@ class RankOracle:
     The entries are evaluated modulo the seed's prime p (``rank_prime``) at
     one point drawn uniformly from GF(p): a value for every generic
     coefficient and one, x0, for the shift indeterminate, so an entry is
-    sum value * c * x0^k mod p.  Queries run Gauss elimination mod p.
-    Substitution can only lower a rank, and a dependency it finds is never
-    later than the generic one.  A nonzero r x r minor is lost only if
+    sum value * c * x0^k mod p, for the entries present only, into sparse
+    rows.  Substitution can only lower a rank, and a dependency it finds
+    is never later than the generic one.  A nonzero r x r minor is lost only if
 
     * p divides every coefficient of the minor: at most log2(H)/62 of the
       about 2^56 primes in the range do, H the largest coefficient (a
@@ -71,10 +71,11 @@ class RankOracle:
       at most r*(D+1), D the largest shift: by Schwartz-Zippel over GF(p)
       at most r*(D+1)/p.
 
-    At the parser's largest shift, D = 10**5, and r <= 20, the second is
-    below 2**-41; the first is below 2**-47 while log2(H) <= 1000.
-    ``exact`` keeps the symbolic entries instead and eliminates them
-    fraction-free.
+    On the symbolic matrix at the parser's largest shift, D = 10**5, and
+    r <= 20, the second is below 2**-41; the prolonged matrix reaches
+    r = 10**5 but has D = 0, so r/p < 2**-45.  The first is below 2**-47
+    while log2(H) <= 1000.  ``exact`` keeps the symbolic entries instead,
+    laid out densely, and eliminates them fraction-free.
     """
 
     def __init__(self, matrix, seed=0, exact=False):
@@ -88,10 +89,10 @@ class RankOracle:
             rng = stage_rng(seed, "rank")
             values = {r: rng.randrange(p) for r in refs}
             x0 = rng.randrange(p)
-            self._entries = [[sum(values[r] * c * pow(x0, k, p)
-                                  for r, d in e.items() for k, c in d.items())
-                              % p if e else 0
-                              for e in row] for row in matrix.rows]
+            self._entries = [{col: sum(values[r] * c * pow(x0, k, p)
+                                       for r, d in e.items() for k, c in d.items())
+                                   % p for col, e in row.items()}
+                             for row in matrix.rows]
 
     @staticmethod
     def _symbolic_matrix(matrix, refs):
@@ -100,8 +101,10 @@ class RankOracle:
         ids = {r: i for i, r in enumerate(refs)}
         x_id = len(refs)
         return [[MultiPoly({((ids[r], 1), (x_id, k)) if k else ((ids[r], 1),): c
-                            for r, d in entry.items() for k, c in d.items()})
-                 for entry in row] for row in matrix.rows]
+                            for r, d in row.get(col, {}).items()
+                            for k, c in d.items()})
+                 for col in range(len(matrix.col_labels))]
+                for row in matrix.rows]
 
     def rank(self, row_indices=None, col_indices=None):
         return self.rank_with_pivots(row_indices, col_indices)[0]
@@ -110,7 +113,13 @@ class RankOracle:
         nrows, ncols = len(self.matrix.rows), len(self.matrix.col_labels)
         rows = range(nrows) if row_indices is None else row_indices
         cols = range(ncols) if col_indices is None else col_indices
-        return rows, [[self._entries[r][c] for c in cols] for r in rows]
+        if self.p is None:
+            return rows, [[self._entries[r][c] for c in cols] for r in rows]
+        if col_indices is None:
+            return rows, [self._entries[r] for r in rows]
+        index = {c: j for j, c in enumerate(cols)}
+        return rows, [{index[c]: v for c, v in self._entries[r].items()
+                       if c in index} for r in rows]
 
     def rank_with_pivots(self, row_indices=None, col_indices=None):
         return rank_and_pivots(self._select(row_indices, col_indices)[1],

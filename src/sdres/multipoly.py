@@ -6,8 +6,8 @@ symbols identified by small integer ids.  The shift polynomials in support
 matrix entries are plain ``{shift: int}`` dicts; ``uni_gcd`` takes those.
 
 All coefficients are Python ints, so nothing ever overflows.  The term order
-is graded lexicographic on symbol ids.  Matrix work (determinants, fraction
-free rank) lives here too so that callers never touch floats.
+is graded lexicographic on symbol ids.  Matrix work (determinants, ranks,
+relations) lives here too so that callers never touch floats.
 """
 
 from __future__ import annotations
@@ -370,18 +370,13 @@ class SymbolTable:
 # exact matrix work
 # ---------------------------------------------------------------------------
 
-def _echelon(matrix, p=None):
-    """Row echelon form: (rows, pivot columns).
+def _echelon(matrix):
+    """Fraction-free (Bareiss) row echelon form: (rows, pivot columns).
 
-    With ``p`` None, fraction-free (Bareiss) over the entry ring: entries
-    are ints or MultiPoly, anything with +, -, *, exact ``//`` and
+    Entries are ints or MultiPoly, anything with +, -, *, exact ``//`` and
     truthiness; pivot row entries are minors of the (row-permuted) input,
-    so every division is exact.  With a prime ``p``, plain Gauss
-    elimination on ints mod p: one inverse per pivot scales its row to a
-    leading 1, and only rows with a nonzero in the pivot column are
-    touched, on the pivot row's nonzero columns.  Pivot columns are the
-    lexicographically smallest column basis because elimination scans
-    left to right.
+    so every division is exact.  Pivot columns are the lexicographically
+    smallest column basis because elimination scans left to right.
     """
     rows = [list(r) for r in matrix]
     if not rows:
@@ -398,44 +393,80 @@ def _echelon(matrix, p=None):
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         piv = rows[rank][col]
-        if p is None:
-            for r in range(rank + 1, len(rows)):
-                for c in range(col + 1, ncols):
-                    num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
-                    rows[r][c] = num if prev is None else num // prev
-                rows[r][col] = piv * 0
-            prev = piv
-        else:
-            inv = pow(piv, -1, p)
-            top = rows[rank] = [v * inv % p for v in rows[rank]]
-            live = [c for c in range(col + 1, ncols) if top[c]]
-            for row in rows[rank + 1:]:
-                f = row[col]
-                if f:
-                    for c in live:
-                        row[c] = (row[c] - f * top[c]) % p
-                    row[col] = 0
+        for r in range(rank + 1, len(rows)):
+            for c in range(col + 1, ncols):
+                num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
+                rows[r][c] = num if prev is None else num // prev
+            rows[r][col] = piv * 0
+        prev = piv
         pivots.append(col)
         rank += 1
     return rows, tuple(pivots)
 
 
+def _combine(target, a, source, f, p):
+    """target = a * target + f * source mod p on sparse dicts, a nonzero."""
+    for c in target:
+        target[c] = target[c] * a % p
+    for c, v in source.items():
+        target[c] = (target.get(c, 0) + f * v) % p
+        if not target[c]:
+            del target[c]
+
+
+def _reduce_mod(rows, p, relation=False):
+    """Gauss elimination mod a prime p on sparse rows ``{column: int}``:
+    each row in turn is reduced against the stored pivot rows, by
+    cross-multiplying leading entries (no inverses, only nonzeros
+    touched), until its leading (smallest) column is new.  Returns the
+    pivot columns, unsorted: the leading columns of an echelon basis, so
+    the lexicographically smallest column basis.  With ``relation``, rows
+    carry their combination of the input rows and the first row j to
+    reduce to zero ends the scan, giving (c, 1) with row_j == sum(c[i] *
+    row_i) mod p as the second value, else None."""
+    pivots = {}
+    for j, row in enumerate(rows):
+        r = {c: v % p for c, v in row.items() if v % p}
+        combo = {j: 1} if relation else None
+        while r:
+            col = min(r)
+            if col not in pivots:
+                pivots[col] = (r.pop(col), r, combo)
+                break
+            lead, tail, tail_combo = pivots[col]
+            f = p - r.pop(col)
+            _combine(r, lead, tail, f, p)
+            if relation:
+                _combine(combo, lead, tail_combo, f, p)
+        else:  # row j reduced to zero: it depends on the rows before it
+            if relation:
+                inv = pow(combo[j], -1, p)
+                return pivots, (tuple(-combo.get(i, 0) * inv % p
+                                      for i in range(j)), 1)
+    return pivots, None
+
+
 def rank_and_pivots(matrix, p=None):
-    """Rank over the entry ring's fraction field, or over GF(p) for ints
-    mod a prime p, and the pivot columns."""
-    _, pivots = _echelon(matrix, p)
+    """Rank over the entry ring's fraction field (Bareiss on dense rows),
+    or over GF(p) for ``{column: int}`` rows mod a prime p, and the pivot
+    columns."""
+    pivots = (_echelon(matrix)[1] if p is None
+              else tuple(sorted(_reduce_mod(matrix, p)[0])))
     return len(pivots), pivots
 
 
 def first_relation(matrix, p=None):
     """(coeffs, scale) with scale * row_j == sum(coeffs[i] * row_i) for the
     first row j = len(coeffs) that depends on the rows before it, scale
-    nonzero; None for independent rows.  On the transpose, j is the first
-    non-pivot column; solving for it scaled by the last pivot gives minors,
-    so each division is exact.  Under a prime ``p`` the relation holds mod
-    p with scale 1 (the pivots are 1 there).
+    nonzero; None for independent rows.  On dense rows, j is the first
+    non-pivot column of the transpose; solving for it scaled by the last
+    pivot gives minors, so each division is exact.  Under a prime ``p``
+    the rows are ``{column: int}`` dicts and the relation holds mod p with
+    scale 1, unique because the rows before j are independent.
     """
-    echelon, pivots = _echelon([list(col) for col in zip(*matrix)], p)
+    if p is not None:
+        return _reduce_mod(matrix, p, relation=True)[1]
+    echelon, pivots = _echelon([list(col) for col in zip(*matrix)])
     j = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
     if j == len(matrix):
         return None
@@ -445,7 +476,7 @@ def first_relation(matrix, p=None):
         acc = echelon[i][j] * scale
         for c in range(i + 1, j):
             acc = acc - echelon[i][c] * coeffs[c]
-        coeffs[i] = acc // echelon[i][i] if p is None else acc % p
+        coeffs[i] = acc // echelon[i][i]
     return tuple(coeffs), scale
 
 

@@ -7,12 +7,11 @@ import pytest
 
 from sdres.algred import (
     AlgebraicReduction,
-    alg_support_matrix,
     algebraic_reduction,
     find_minimal_essential,
     hermite_basis,
     lattice_coordinates,
-    prolong,
+    prolonged_support_matrix,
     relative_supports,
     strong_essential_transform,
 )
@@ -41,15 +40,14 @@ def golden_specialized():
 
 def test_prolong_counts_and_tags():
     spec = golden_specialized()
-    rows = prolong(spec.polys, spec.bounds.modified)
-    assert len(rows) == 10
-    assert [t for t, _ in rows] == [(0, 0), (0, 1), (0, 2), (0, 3),
-                                    (1, 0), (1, 1), (1, 2),
-                                    (2, 0), (2, 1), (2, 2)]
+    matrix = prolonged_support_matrix(spec.polys, spec.bounds.modified)
+    assert len(matrix.rows) == 10
+    assert list(matrix.row_labels) == [(0, 0), (0, 1), (0, 2), (0, 3),
+                                       (1, 0), (1, 1), (1, 2),
+                                       (2, 0), (2, 1), (2, 2)]
     # shifting moves both coefficients and variables
-    tag, p = rows[3]
-    assert tag == (0, 3)
-    assert all(r.shift == 3 for r, _ in p.terms)
+    assert matrix.row_labels[3] == (0, 3)
+    assert all(r.shift == 3 for e in matrix.rows[3].values() for r in e)
 
 
 def test_relative_supports_laurent():
@@ -61,8 +59,7 @@ def test_relative_supports_laurent():
 
 def test_alg_matrix_golden_rank():
     spec = golden_specialized()
-    rows = prolong(spec.polys, spec.bounds.modified)
-    matrix = alg_support_matrix(rows)
+    matrix = prolonged_support_matrix(spec.polys, spec.bounds.modified)
     assert len(matrix.col_labels) == 10
     assert RankOracle(matrix, seed=0).rank() == 8
     assert RankOracle(matrix, seed=0, exact=True).rank() == 8
@@ -202,40 +199,52 @@ def test_golden_reduction_exact_path_agrees():
     assert red_r == red_x
 
 
+def shift_family(k):
+    """The shift family's member at k: a 3-row Newton matrix, a prolonged
+    system of about k x k with about two nonzeros per row."""
+    return f"P0 = u + u*y[1,0]*y[1,{k}]\nP1 = u + u*y[1,1]"
+
+
 def prolonged_matrix(name):
-    """The algebraic support matrix of a bench case, prolonged to its
-    modified Jacobi bounds."""
-    system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
+    """The algebraic support matrix of a bench case, or of ``shift-k`` the
+    shift family's member at k, prolonged to its modified Jacobi bounds."""
+    if name.startswith("shift-"):
+        text = shift_family(int(name.removeprefix("shift-")))
+    else:
+        text = (CASES / f"{name}.sys").read_text()
+    system = parse_system(text).to_system()
     subset = find_super_essential(system, seed=0)
     spec = select_and_specialize(system, subset, seed=0)
-    return alg_support_matrix(prolong(spec.polys, spec.bounds.modified))
+    return prolonged_support_matrix(spec.polys, spec.bounds.modified)
 
 
-@pytest.mark.parametrize("name", ["shift20", "shift30", "S4"])
+@pytest.mark.parametrize("name", ["shift20", "shift30", "S4", "shift-300"])
 def test_modular_oracle_matches_bareiss_at_an_integer_point(name):
+    # shift-300: 303 prolonged rows with about two nonzeros each
     matrix = prolonged_matrix(name)
     rng = random.Random(name)
     values = {r: rng.randint(-2 ** 31, 2 ** 31) for r in matrix.coeff_refs()}
     x0 = rng.randint(-2 ** 31, 2 ** 31)
     ints = [[sum(values[r] * c * x0 ** k
-                 for r, d in e.items() for k, c in d.items()) for e in row]
+                 for r, d in row.get(col, {}).items() for k, c in d.items())
+             for col in range(len(matrix.col_labels))]
             for row in matrix.rows]
     circuit = first_circuit(ints)
     assert circuit is not None
+    exact = rank_and_pivots(ints)
+    exact_on_circuit = rank_and_pivots([ints[r] for r in circuit])
     for seed in range(3):
         oracle = RankOracle(matrix, seed=seed)
-        assert oracle.rank_with_pivots() == rank_and_pivots(ints)
+        assert oracle.rank_with_pivots() == exact
         assert oracle.circuit() == circuit
-        assert oracle.rank_with_pivots(row_indices=circuit) == \
-            rank_and_pivots([ints[r] for r in circuit])
+        assert oracle.rank_with_pivots(row_indices=circuit) == exact_on_circuit
 
 
 def test_minimal_essential_prefers_low_ranking_rows():
     # three identical single-term polynomials: every pair is a circuit; the
     # ranking-minimal one is the first two rows
     f = poly(0, [mono({}), mono({(1, 0): 1})])
-    rows = prolong((f, f, f), (0, 0, 0))
-    matrix = alg_support_matrix(rows)
+    matrix = prolonged_support_matrix((f, f, f), (0, 0, 0))
     oracle = RankOracle(matrix, seed=0)
     assert find_minimal_essential(oracle, 3) == (0, 1)
 
@@ -243,7 +252,6 @@ def test_minimal_essential_prefers_low_ranking_rows():
 def test_independent_rows_raise():
     f = poly(0, [mono({}), mono({(1, 0): 1})])
     g = poly(1, [mono({}), mono({(2, 0): 1})])
-    rows = prolong((f, g), (0, 0))
-    oracle = RankOracle(alg_support_matrix(rows), seed=0)
+    oracle = RankOracle(prolonged_support_matrix((f, g), (0, 0)), seed=0)
     with pytest.raises(NoEssentialSubset):
         find_minimal_essential(oracle, 2)

@@ -80,7 +80,8 @@ def test_bounds_at_shift_1e5_keep_oracle_entries_below_the_prime(monkeypatch):
     assert report.modified_jacobi == (1, 100000)
     assert oracles
     for oracle in oracles:
-        assert all(0 <= e < oracle.p for row in oracle._entries for e in row)
+        values = [v for row in oracle._entries for v in row.values()]
+        assert values and all(0 <= v < oracle.p for v in values)
 
 
 # shifts up to 50, one draw in ten up to 10^4

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdres.diffpoly import CoeffRef, SupportMatrix
 from sdres.errors import NotDivisible
-from sdres.essanalysis import rank_prime
+from sdres.essanalysis import RankOracle, rank_prime
 from sdres.multipoly import (
     MultiPoly,
     _echelon,
@@ -486,7 +487,8 @@ def test_first_circuit_examples():
 @st.composite
 def sparse_int_matrices(draw):
     """Up to 7 x 7 integer matrices, mostly zeros, with some columns
-    zeroed and some repeated."""
+    zeroed or repeated and then some rows zeroed or repeated, and the
+    column count."""
     nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
     entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
     m = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
@@ -498,21 +500,56 @@ def sparse_int_matrices(draw):
                                             st.integers(0, ncols - 1)),
                                   max_size=2)):
         cols[dst] = list(cols[src])
-    return [list(r) for r in zip(*cols)] if nrows else []
+    m = [list(r) for r in zip(*cols)] if nrows else []
+    if nrows:
+        index = st.integers(0, nrows - 1)
+        for i in draw(st.lists(index, max_size=2)):
+            m[i] = [0] * ncols
+        for src, dst in draw(st.lists(st.tuples(index, index), max_size=2)):
+            m[dst] = list(m[src])
+    return m, ncols
+
+
+def dict_rows(matrix, p):
+    """Dense int rows as the ``{column: int}`` rows mod p that the sparse
+    elimination takes, zeros left out."""
+    return [{c: v % p for c, v in enumerate(row) if v % p} for row in matrix]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(sparse_int_matrices(), st.integers(0, 3))
-def test_modular_elimination_matches_bareiss(m, seed):
+@given(sparse_int_matrices(), st.integers(0, 3), st.data())
+def test_modular_elimination_matches_bareiss(drawn, seed, data):
     # every minor is far below p, so no nonzero one vanishes mod p
+    m, ncols = drawn
     p = rank_prime(seed)
-    reduced = [[v % p for v in row] for row in m]
-    assert rank_and_pivots(reduced, p) == rank_and_pivots(m)
-    assert first_circuit(reduced, p) == first_circuit(m)
-    relation = first_relation(reduced, p)
-    if relation is not None:
-        coeffs, scale = relation
-        j = len(coeffs)
-        for col in zip(*reduced[:j + 1]):
-            combined = sum(c * v for c, v in zip(coeffs, col))
-            assert (scale * col[j] - combined) % p == 0
+    rows = dict_rows(m, p)
+    assert rank_and_pivots(rows, p) == rank_and_pivots(m)
+    assert first_circuit(rows, p) == first_circuit(m)
+    relation, exact = first_relation(rows, p), first_relation(m)
+    assert (relation is None) == (exact is None)
+    if exact is not None:
+        # rows before j are independent, so the relation is unique up to
+        # its scale, which is 1 mod p
+        coeffs, scale = exact
+        inv = pow(scale, -1, p)
+        assert relation == (tuple(c * inv % p for c in coeffs), 1)
+
+    # the same matrix through the oracle: entry v is v * u[0,0], so every
+    # oracle value is v times one nonzero draw, and a column subset (in
+    # any order) is remapped to positions in the subset
+    ref = CoeffRef(0, 0, 0)
+    matrix = SupportMatrix.of(
+        [{c: {ref: {0: v}} for c, v in enumerate(row) if v} for row in m],
+        range(len(m)), range(ncols))
+    oracle = RankOracle(matrix, seed=seed)
+    row_sel = data.draw(st.none() | st.lists(
+        st.integers(0, max(len(m) - 1, 0)), unique=True, max_size=len(m)))
+    col_sel = data.draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                                 max_size=ncols))
+    picked = m if row_sel is None else [m[r] for r in row_sel]
+    sub = [[row[c] for c in col_sel] for row in picked]
+    assert oracle.rank_with_pivots(row_sel, col_sel) == rank_and_pivots(sub)
+    circuit = first_circuit(sub)
+    if circuit is not None and row_sel is not None:
+        circuit = tuple(row_sel[i] for i in circuit)
+    assert oracle.circuit(row_sel, col_sel) == circuit

@@ -545,6 +545,20 @@ def test_s6_vanishes_at_random_solutions():
                                              rng)
 
 
+def test_shift_family_at_k_10000_reaches_the_resultant():
+    # the prolonged system is about 10^4 x 10^4 with about two nonzeros
+    # per row, which stages 1-4 keep sparse
+    src = parse_system("P0 = u + u*y[1,0]*y[1,10000]\nP1 = u + u*y[1,1]")
+    report = run_pipeline(src, seed=0)
+    assert report.stage == "resultant"
+    assert len(report.resultant) == 2
+    system = src.to_system()
+    rng = random.Random(0)
+    for _ in range(3):
+        assert vanishes_on_difference_system(report.resultant, report.symbols,
+                                             system, rng)
+
+
 # ------------------------------------------------------------ LP oracle
 
 
