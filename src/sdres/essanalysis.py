@@ -74,8 +74,9 @@ class RankOracle:
     On the symbolic matrix at the parser's largest shift, D = 10**5, and
     r <= 20, the second is below 2**-41; the prolonged matrix reaches
     r = 10**5 but has D = 0, so r/p < 2**-45.  The first is below 2**-47
-    while log2(H) <= 1000.  ``exact`` keeps the symbolic entries instead,
-    laid out densely, and eliminates them fraction-free.
+    while log2(H) <= 1000.  ``exact`` keeps the symbolic entries present
+    instead, as ``{column: MultiPoly}`` rows, and eliminates them with the
+    same routine fraction-free.
     """
 
     def __init__(self, matrix, seed=0, exact=False):
@@ -100,24 +101,21 @@ class RankOracle:
         # coefficients and the shift indeterminate
         ids = {r: i for i, r in enumerate(refs)}
         x_id = len(refs)
-        return [[MultiPoly({((ids[r], 1), (x_id, k)) if k else ((ids[r], 1),): c
-                            for r, d in row.get(col, {}).items()
-                            for k, c in d.items()})
-                 for col in range(len(matrix.col_labels))]
+        return [{col: MultiPoly({((ids[r], 1), (x_id, k)) if k
+                                 else ((ids[r], 1),): c
+                                 for r, d in e.items() for k, c in d.items()})
+                 for col, e in row.items()}
                 for row in matrix.rows]
 
     def rank(self, row_indices=None, col_indices=None):
         return self.rank_with_pivots(row_indices, col_indices)[0]
 
     def _select(self, row_indices, col_indices):
-        nrows, ncols = len(self.matrix.rows), len(self.matrix.col_labels)
-        rows = range(nrows) if row_indices is None else row_indices
-        cols = range(ncols) if col_indices is None else col_indices
-        if self.p is None:
-            return rows, [[self._entries[r][c] for c in cols] for r in rows]
+        rows = (range(len(self.matrix.rows)) if row_indices is None
+                else row_indices)
         if col_indices is None:
             return rows, [self._entries[r] for r in rows]
-        index = {c: j for j, c in enumerate(cols)}
+        index = {c: j for j, c in enumerate(col_indices)}
         return rows, [{index[c]: v for c, v in self._entries[r].items()
                        if c in index} for r in rows]
 

@@ -370,114 +370,102 @@ class SymbolTable:
 # exact matrix work
 # ---------------------------------------------------------------------------
 
-def _echelon(matrix):
-    """Fraction-free (Bareiss) row echelon form: (rows, pivot columns).
-
-    Entries are ints or MultiPoly, anything with +, -, *, exact ``//`` and
-    truthiness; pivot row entries are minors of the (row-permuted) input,
-    so every division is exact.  Pivot columns are the lexicographically
-    smallest column basis because elimination scans left to right.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, ()
-    ncols = len(rows[0])
-    prev = None
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        if rank == len(rows):
-            break
-        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            for c in range(col + 1, ncols):
-                num = rows[r][c] * piv - rows[r][col] * rows[rank][c]
-                rows[r][c] = num if prev is None else num // prev
-            rows[r][col] = piv * 0
-        prev = piv
-        pivots.append(col)
-        rank += 1
-    return rows, tuple(pivots)
-
-
-def _combine(target, a, source, f, p):
-    """target = a * target + f * source mod p on sparse dicts, a nonzero."""
-    for c in target:
-        target[c] = target[c] * a % p
-    for c, v in source.items():
-        target[c] = (target.get(c, 0) + f * v) % p
-        if not target[c]:
+def _combine(target, lead, f, source, q, p):
+    """target = (lead * target + f * source) / q on sparse dicts, in place,
+    q None for 1; under a prime p the entries are reduced mod p and
+    nothing is divided."""
+    for c, v in target.items():
+        target[c] = v * lead % p if p else v * lead
+    for c, w in source.items():
+        v = target.get(c, 0) + f * w
+        if p:
+            v %= p
+        if v:
+            target[c] = v
+        else:
             del target[c]
+    if q is not None and not p:
+        for c, v in target.items():
+            target[c] = v // q
 
 
-def _reduce_mod(rows, p, relation=False):
-    """Gauss elimination mod a prime p on sparse rows ``{column: int}``:
-    each row in turn is reduced against the stored pivot rows, by
-    cross-multiplying leading entries (no inverses, only nonzeros
-    touched), until its leading (smallest) column is new.  Returns the
-    pivot columns, unsorted: the leading columns of an echelon basis, so
-    the lexicographically smallest column basis.  With ``relation``, rows
-    carry their combination of the input rows and the first row j to
-    reduce to zero ends the scan, giving (c, 1) with row_j == sum(c[i] *
-    row_i) mod p as the second value, else None."""
-    pivots = {}
-    for j, row in enumerate(rows):
-        r = {c: v % p for c, v in row.items() if v % p}
+def _eliminate(matrix, p=None, relation=False):
+    """Fraction-free elimination on sparse rows: (pivot columns, relation).
+
+    Rows are ``{column: entry}`` dicts, or dense sequences converted here;
+    entries are ints or MultiPoly (anything with +, *, exact ``//`` and
+    truthiness), or under a prime p ints in [0, p).  Each row in turn is
+    reduced against the stored pivot rows in the order they were made,
+    skipping those whose column it does not hold: r = (lead_k * r -
+    r[c_k] * row_k) / q, q the lead of the last pivot applied to r; mod p
+    nothing is divided.  A row left nonzero is stored as a pivot row at
+    its smallest column.  Exactly, it is first lifted to the level of the
+    last pivot made (times that lead over q), so the entries of every
+    stored row are minors of the input and every division is exact
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  The pivot
+    columns are the leading columns of an echelon basis of the row space,
+    so, sorted, the lexicographically smallest column basis.
+
+    With ``relation`` each row carries its combination of the input rows,
+    and the first row j to reduce to zero ends the scan.  Its combination,
+    lifted like a pivot row, is the vector of signed maximal minors of
+    rows 0..j on the pivot columns (Cramer): (coeffs, scale) with scale *
+    row_j == sum(coeffs[i] * row_i), scaled to scale 1 mod p.  Without
+    one, or for independent rows, the relation is None.
+    """
+    pivots = {}  # column -> (position made, column, lead, tail, combination)
+    held = pivots.keys()
+    last = None  # lead of the last pivot made
+    for j, row in enumerate(matrix):
+        r = {c: v for c, v in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if v}
         combo = {j: 1} if relation else None
-        while r:
+        q = None  # lead of the last pivot applied
+        while not held.isdisjoint(r):
+            _, col, lead, tail, tail_combo = min(pivots[c] for c in r
+                                                 if c in pivots)
+            f = r.pop(col)
+            f = p - f if p else -f
+            _combine(r, lead, f, tail, q, p)
+            if relation:
+                _combine(combo, lead, f, tail_combo, q, p)
+            q = lead
+        if not p and q != last:  # lift to the level of the last pivot made
+            _combine(r, last, 0, {}, q, p)
+            if relation:
+                _combine(combo, last, 0, {}, q, p)
+        if r:
             col = min(r)
-            if col not in pivots:
-                pivots[col] = (r.pop(col), r, combo)
-                break
-            lead, tail, tail_combo = pivots[col]
-            f = p - r.pop(col)
-            _combine(r, lead, tail, f, p)
-            if relation:
-                _combine(combo, lead, tail_combo, f, p)
-        else:  # row j reduced to zero: it depends on the rows before it
-            if relation:
-                inv = pow(combo[j], -1, p)
-                return pivots, (tuple(-combo.get(i, 0) * inv % p
+            last = r.pop(col)
+            pivots[col] = (len(pivots), col, last, r, combo)
+        elif relation:
+            scale = combo.pop(j)
+            if p:
+                unit = p - pow(scale, -1, p)
+                return pivots, (tuple(combo.get(i, 0) * unit % p
                                       for i in range(j)), 1)
+            return pivots, (tuple(-combo.get(i, 0) for i in range(j)), scale)
     return pivots, None
 
 
 def rank_and_pivots(matrix, p=None):
-    """Rank over the entry ring's fraction field (Bareiss on dense rows),
-    or over GF(p) for ``{column: int}`` rows mod a prime p, and the pivot
-    columns."""
-    pivots = (_echelon(matrix)[1] if p is None
-              else tuple(sorted(_reduce_mod(matrix, p)[0])))
+    """Rank of ``{column: entry}`` or dense rows over the entry ring's
+    fraction field, or over GF(p) under a prime p, and the pivot columns,
+    sorted: the lexicographically smallest column basis (``_eliminate``)."""
+    pivots = tuple(sorted(_eliminate(matrix, p)[0]))
     return len(pivots), pivots
 
 
 def first_relation(matrix, p=None):
     """(coeffs, scale) with scale * row_j == sum(coeffs[i] * row_i) for the
     first row j = len(coeffs) that depends on the rows before it, scale
-    nonzero; None for independent rows.  On dense rows, j is the first
-    non-pivot column of the transpose; solving for it scaled by the last
-    pivot gives minors, so each division is exact.  Under a prime ``p``
-    the rows are ``{column: int}`` dicts and the relation holds mod p with
-    scale 1, unique because the rows before j are independent.
+    nonzero; None for independent rows.  It is unique up to its scale,
+    because the rows before j are independent.  Exactly, (coeffs, -scale)
+    is +- the vector of signed maximal minors of rows 0..j on the pivot
+    columns of rows 0..j-1 (Cramer), so its gcd is theirs; under a prime
+    p the relation holds mod p with scale 1 (``_eliminate``).
     """
-    if p is not None:
-        return _reduce_mod(matrix, p, relation=True)[1]
-    echelon, pivots = _echelon([list(col) for col in zip(*matrix)])
-    j = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
-    if j == len(matrix):
-        return None
-    scale = echelon[j - 1][j - 1] if j else 1
-    coeffs = [None] * j
-    for i in reversed(range(j)):
-        acc = echelon[i][j] * scale
-        for c in range(i + 1, j):
-            acc = acc - echelon[i][c] * coeffs[c]
-        coeffs[i] = acc // echelon[i][i]
-    return tuple(coeffs), scale
+    return _eliminate(matrix, p, relation=True)[1]
 
 
 def first_circuit(matrix, p=None):

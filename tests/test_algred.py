@@ -22,9 +22,9 @@ from sdres.essanalysis import (
     find_super_essential,
     select_and_specialize,
 )
-from sdres.multipoly import first_circuit, rank_and_pivots
 from sdres.parsing import parse_system
 
+from det_oracles import frac_gauss_rank
 from systems import golden_system, mono, poly, toy_system
 
 CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
@@ -192,11 +192,16 @@ def test_golden_reduction():
 
 
 def test_golden_reduction_exact_path_agrees():
-    spec = golden_specialized()
-    red_r = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
-    red_x = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0,
-                                exact=True)
-    assert red_r == red_x
+    # the shift family at k = 300 prolongs to 303 rows with about two
+    # nonzeros each, which the exact route eliminates sparsely too
+    shifted = parse_system(shift_family(300)).to_system()
+    for spec in (golden_specialized(),
+                 select_and_specialize(
+                     shifted, find_super_essential(shifted, seed=0), seed=0)):
+        red_r = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+        red_x = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0,
+                                    exact=True)
+        assert red_r == red_x
 
 
 def shift_family(k):
@@ -229,10 +234,11 @@ def test_modular_oracle_matches_bareiss_at_an_integer_point(name):
                  for r, d in row.get(col, {}).items() for k, c in d.items())
              for col in range(len(matrix.col_labels))]
             for row in matrix.rows]
-    circuit = first_circuit(ints)
+    ref = frac_gauss_rank(ints)
+    circuit = ref.circuit
     assert circuit is not None
-    exact = rank_and_pivots(ints)
-    exact_on_circuit = rank_and_pivots([ints[r] for r in circuit])
+    exact = ref[:2]
+    exact_on_circuit = frac_gauss_rank([ints[r] for r in circuit])[:2]
     for seed in range(3):
         oracle = RankOracle(matrix, seed=seed)
         assert oracle.rank_with_pivots() == exact

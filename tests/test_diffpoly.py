@@ -213,7 +213,7 @@ def test_support_matrix_substitution():
     row = RankOracle._symbolic_matrix(m, refs)[0]
     for x0 in (0, 1, 5):
         point = {i: 1 for i in range(len(refs))} | {len(refs): x0}
-        assert [e.evaluate(point) for e in row] == [
+        assert [row[c].evaluate(point) for c in range(4)] == [
             2 * x0 + 2, 2 * x0 + 1, x0 + 1, x0 + 1]
 
 

@@ -16,7 +16,6 @@ from sdres.errors import NotDivisible
 from sdres.essanalysis import RankOracle, rank_prime
 from sdres.multipoly import (
     MultiPoly,
-    _echelon,
     _mono_sort_key,
     determinant,
     first_circuit,
@@ -27,7 +26,7 @@ from sdres.multipoly import (
     uni_gcd,
 )
 
-from det_oracles import frac_gauss_det, leibniz_det
+from det_oracles import frac_gauss_det, frac_gauss_rank, leibniz_det
 
 
 def uni(coeffs):
@@ -96,8 +95,10 @@ def sylvester_gcd(polys):
             m, n = len(g) - 1, top
             rows = [(0,) * i + g + (0,) * (n - 1 - i) for i in range(n)]
             rows += [(0,) * i + row + (0,) * (m - 1 - i) for i in range(m)]
-            echelon, pivots = _echelon(rows)
-            row = tuple(echelon[len(pivots) - 1][pivots[-1]:])
+            ref = frac_gauss_rank(rows)
+            row = ref.echelon[-1][ref.pivots[-1]:]
+            den = math.lcm(*(v.denominator for v in row))
+            row = tuple(int(v * den) for v in row)
         unit = math.gcd(*row)
         g = tuple(v // (unit if row[0] > 0 else -unit) for v in row)
         if len(g) == 1:
@@ -308,25 +309,6 @@ def test_determinant_empty_matrix_is_one():
 # fraction-free rank
 # ---------------------------------------------------------------------------
 
-def frac_gauss_rank(matrix):
-    if not matrix:
-        return 0
-    m = [[Fraction(v) for v in row] for row in matrix]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] / m[rank][col]
-            for c in range(col, ncols):
-                m[r][c] -= f * m[rank][c]
-        rank += 1
-    return rank
-
-
 def test_int_rank_matches_fraction_gauss():
     rng = random.Random(112)
     for _ in range(120):
@@ -338,12 +320,12 @@ def test_int_rank_matches_fraction_gauss():
         m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
              for i in range(nr)]
         rank, pivots = rank_and_pivots(m)
-        assert rank == frac_gauss_rank(m)
+        assert (rank, pivots) == frac_gauss_rank(m)[:2]
         assert rank <= k
         assert len(pivots) == rank
         # pivot columns really are independent
         sub = [[row[c] for c in pivots] for row in m]
-        assert frac_gauss_rank(sub) == rank
+        assert frac_gauss_rank(sub).rank == rank
 
 
 def test_unipoly_matrix_rank():
@@ -406,7 +388,7 @@ def exact_rank_by_grid(matrix, points, evaluate):
     best = 0
     for pt in points:
         best = max(best, frac_gauss_rank(
-            [[evaluate(e, pt) for e in row] for row in matrix]))
+            [[evaluate(e, pt) for e in row] for row in matrix]).rank)
         if best == min(len(matrix), len(matrix[0]) if matrix else 0):
             break
     return best
@@ -519,27 +501,28 @@ def dict_rows(matrix, p):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(sparse_int_matrices(), st.integers(0, 3), st.data())
 def test_modular_elimination_matches_bareiss(drawn, seed, data):
-    # every minor is far below p, so no nonzero one vanishes mod p
+    # every minor is far below p, so no nonzero one vanishes mod p; the
+    # reference is Gaussian elimination over Fraction
     m, ncols = drawn
     p = rank_prime(seed)
     rows = dict_rows(m, p)
-    assert rank_and_pivots(rows, p) == rank_and_pivots(m)
-    assert first_circuit(rows, p) == first_circuit(m)
-    relation, exact = first_relation(rows, p), first_relation(m)
-    assert (relation is None) == (exact is None)
-    if exact is not None:
+    ref = frac_gauss_rank(m)
+    assert rank_and_pivots(rows, p) == ref[:2]
+    assert first_circuit(rows, p) == ref.circuit
+    relation = first_relation(rows, p)
+    assert (relation is None) == (ref.relation is None)
+    if relation is not None:
         # rows before j are independent, so the relation is unique up to
         # its scale, which is 1 mod p
-        coeffs, scale = exact
-        inv = pow(scale, -1, p)
-        assert relation == (tuple(c * inv % p for c in coeffs), 1)
+        assert relation == (tuple(c.numerator * pow(c.denominator, -1, p) % p
+                                  for c in ref.relation), 1)
 
     # the same matrix through the oracle: entry v is v * u[0,0], so every
     # oracle value is v times one nonzero draw, and a column subset (in
     # any order) is remapped to positions in the subset
-    ref = CoeffRef(0, 0, 0)
+    coeff = CoeffRef(0, 0, 0)
     matrix = SupportMatrix.of(
-        [{c: {ref: {0: v}} for c, v in enumerate(row) if v} for row in m],
+        [{c: {coeff: {0: v}} for c, v in enumerate(row) if v} for row in m],
         range(len(m)), range(ncols))
     oracle = RankOracle(matrix, seed=seed)
     row_sel = data.draw(st.none() | st.lists(
@@ -547,9 +530,53 @@ def test_modular_elimination_matches_bareiss(drawn, seed, data):
     col_sel = data.draw(st.lists(st.integers(0, ncols - 1), unique=True,
                                  max_size=ncols))
     picked = m if row_sel is None else [m[r] for r in row_sel]
-    sub = [[row[c] for c in col_sel] for row in picked]
-    assert oracle.rank_with_pivots(row_sel, col_sel) == rank_and_pivots(sub)
-    circuit = first_circuit(sub)
+    sub = frac_gauss_rank([[row[c] for c in col_sel] for row in picked])
+    assert oracle.rank_with_pivots(row_sel, col_sel) == sub[:2]
+    circuit = sub.circuit
     if circuit is not None and row_sel is not None:
         circuit = tuple(row_sel[i] for i in circuit)
     assert oracle.circuit(row_sel, col_sel) == circuit
+
+
+@st.composite
+def skipping_int_matrices(draw):
+    """Up to 8 sparse integer rows in up to 6 columns, drawn independently,
+    so their leading columns are often out of order: rows skip pivots
+    whose column they lack and fill onto columns of pivots made later.
+    Some rows are integer combinations of two rows before them."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 4))
+    m = []
+    for i in range(draw(st.integers(1, 8))):
+        if i >= 2 and draw(st.booleans()):
+            a, b = draw(st.lists(st.integers(0, i - 1), min_size=2,
+                                 max_size=2))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m.append([x * u + y * v for u, v in zip(m[a], m[b])])
+        else:
+            m.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(skipping_int_matrices())
+def test_exact_relation_is_the_cramer_vector(m):
+    # rows 0..j have rank j, so their left kernel is spanned by the signed
+    # maximal minors on any column basis of rows 0..j-1 (Cramer); the exact
+    # relation must be that vector up to sign, not a multiple of it
+    ref = frac_gauss_rank(m)
+    relation = first_relation(m)
+    assert (relation is None) == (ref.relation is None)
+    if relation is None:
+        return
+    coeffs, scale = relation
+    j = len(coeffs)
+    assert [Fraction(c, scale) for c in coeffs] == list(ref.relation)
+    cols = frac_gauss_rank(m[:j]).pivots
+    minors = [(-1) ** (j - i) * int(frac_gauss_det(
+        [[m[r][c] for c in cols] for r in range(j + 1) if r != i]))
+        for i in range(j + 1)]
+    found = [*coeffs, -scale]
+    assert found in (minors, [-v for v in minors])
+    # so it is primitive when the rows span the lattice on those columns
+    assert math.gcd(*found) == math.gcd(*minors)
