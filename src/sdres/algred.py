@@ -9,7 +9,7 @@ turns it into an ordinary sparse-resultant problem:
    means the bounds overshoot, so all bounds are lowered by the excess;
 3. extract the minimal essential subsystem: the lowest-ranking circuit of
    the row matroid (dependent, every proper subset independent), read off
-   the first row dependency;
+   the first row dependency of the elimination that measured the corank;
 4. keep only rank-many algebraic variables, the echelon pivots, setting
    the rest to one, which keeps the subsystem essential;
 5. re-express all supports over a basis of the lattice they generate, which
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly, support_rows
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
-from .multipoly import first_relation, rank_and_pivots
+from .multipoly import eliminate
 
 
 def prolonged_support_matrix(polys, bounds):
@@ -57,13 +57,15 @@ def relative_supports(poly):
 # ---------------------------------------------------------------------------
 
 def find_minimal_essential(oracle, nrows):
-    """Ranking-minimal circuit among rows 0..nrows-1 (rows are generated in
-    ascending ranking order, so index order is ranking order): the circuit
-    closed by the first row that depends on the rows before it."""
-    circuit = oracle.circuit(range(nrows))
-    if circuit is None:
+    """One elimination of rows 0..nrows-1: its ``Elimination``, whose rank
+    gives the corank and whose circuit, closed by the first row that
+    depends on the rows before it, is the ranking-minimal circuit (rows are
+    generated in ascending ranking order, so index order is ranking
+    order).  Independent rows raise NoEssentialSubset."""
+    found = oracle.rank_with_pivots(range(nrows))
+    if found.relation is None:
         raise NoEssentialSubset("rows are independent, no resultant relation")
-    return circuit
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def lattice_coordinates(basis, vector):
     """Integer coordinates of vector in the span of the basis rows, or None
     when the vector lies outside: the first row relation of basis + vector,
     which must end at the vector and divide exactly by its scale."""
-    relation = first_relation([*basis, vector])
+    relation = eliminate([*basis, vector]).relation
     if relation is None or len(relation[0]) != len(basis):
         return None
     coeffs, scale = relation
@@ -147,7 +149,7 @@ def strong_essential_transform(supports, k):
     distinct = sorted(seen)
     if k == 0:
         basis = ()
-    elif len(distinct) == k and rank_and_pivots(distinct)[0] == k:
+    elif len(distinct) == k and eliminate(distinct).rank == k:
         basis = tuple(distinct)
     else:
         basis = hermite_basis(distinct)
@@ -197,18 +199,24 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
         raise CorankLost(f"order bounds must be finite and nonnegative: {bounds}")
     matrix = prolonged_support_matrix(spec_polys, bounds)
     oracle = RankOracle(matrix, seed=seed, exact=exact)
-    excess = len(matrix.rows) - oracle.rank() - 1
-    if excess < 0:
-        raise CorankLost("prolonged rows are independent; order bounds failed")
+    try:
+        found = find_minimal_essential(oracle, len(matrix.rows))
+    except NoEssentialSubset:
+        raise CorankLost("prolonged rows are independent; order bounds failed"
+                         ) from None
+    excess = len(matrix.rows) - found.rank - 1
     used = tuple(bounds)
     if excess > 0:
         used = tuple(max(0, b - excess) for b in bounds)
         matrix = prolonged_support_matrix(spec_polys, used)
         oracle = RankOracle(matrix, seed=seed, exact=exact)
-        if oracle.rank() >= len(matrix.rows):
-            raise CorankLost("dependence lost after lowering the order bounds")
+        try:
+            found = find_minimal_essential(oracle, len(matrix.rows))
+        except NoEssentialSubset:
+            raise CorankLost("dependence lost after lowering the order bounds"
+                             ) from None
 
-    ess = find_minimal_essential(oracle, len(matrix.rows))
+    ess = found.circuit
     cols = variable_essential_reduce(list(ess), oracle)
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
@@ -225,7 +233,7 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
 
     return AlgebraicReduction(
         used_bounds=used,
-        corank_offset=max(excess, 0),
+        corank_offset=excess,
         essential_tags=tags,
         essential_polys=polys,
         kept_refs=kept_refs,

@@ -19,7 +19,6 @@ entries and eliminates them exactly.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +31,7 @@ from .diffpoly import (
     support_rows,
 )
 from .errors import InfiniteJacobiBound, RankDrop
-from .multipoly import MultiPoly, first_circuit, rank_and_pivots, uni_gcd
+from .multipoly import MultiPoly, eliminate, uni_gcd
 from .sparseinterp import next_prime
 
 
@@ -48,13 +47,10 @@ def rank_prime(seed):
     return next_prime(stage_rng(seed, "rank-prime").randrange(1 << 62, 1 << 63))
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-
-
 class RankOracle:
-    """Rank queries against row/column subsets of one support matrix.
+    """One query, ``rank_with_pivots``, against row/column subsets of one
+    support matrix: an ``eliminate`` pass giving the rank, the pivots and
+    the first relation at once.
 
     The entries are evaluated modulo the seed's prime p (``rank_prime``) at
     one point drawn uniformly from GF(p): a value for every generic
@@ -107,31 +103,22 @@ class RankOracle:
                  for col, e in row.items()}
                 for row in matrix.rows]
 
-    def rank(self, row_indices=None, col_indices=None):
-        return self.rank_with_pivots(row_indices, col_indices)[0]
-
-    def _select(self, row_indices, col_indices):
-        rows = (range(len(self.matrix.rows)) if row_indices is None
-                else row_indices)
-        if col_indices is None:
-            return rows, [self._entries[r] for r in rows]
-        index = {c: j for j, c in enumerate(col_indices)}
-        return rows, [{index[c]: v for c, v in self._entries[r].items()
-                       if c in index} for r in rows]
-
     def rank_with_pivots(self, row_indices=None, col_indices=None):
-        return rank_and_pivots(self._select(row_indices, col_indices)[1],
-                               self.p)
-
-    def circuit(self, row_indices=None, col_indices=None):
-        """``first_circuit`` of the selected rows, as row indices."""
-        rows, sub = self._select(row_indices, col_indices)
-        found = first_circuit(sub, self.p)
-        return None if found is None else tuple(rows[i] for i in found)
+        """``eliminate`` on the selected rows, in the order given, and the
+        selected columns, renumbered by their position in ``col_indices``;
+        the pivots and the relation index those positions."""
+        rows = (self._entries if row_indices is None
+                else [self._entries[r] for r in row_indices])
+        if col_indices is not None:
+            index = {c: j for j, c in enumerate(col_indices)}
+            rows = [{index[c]: v for c, v in row.items() if c in index}
+                    for row in rows]
+        return eliminate(rows, self.p)
 
 
 def symbolic_rank(matrix, seed=0, exact=False):
-    return RankReport(RankOracle(matrix, seed=seed, exact=exact).rank())
+    """The ``Elimination`` of the whole matrix; its ``rank`` is the rank."""
+    return RankOracle(matrix, seed=seed, exact=exact).rank_with_pivots()
 
 
 def is_transformally_essential(system, seed=0, exact=False):
@@ -144,13 +131,14 @@ def find_super_essential(system, seed=0, exact=False):
     """The unique minimal subset T with card(T) - rank = 1.
 
     With corank one the rows hold exactly one circuit, and that circuit is
-    T.  Precondition: the system is transformally essential.
+    T: the rank and the circuit come from one elimination.  Precondition:
+    the system is transformally essential.
     """
     matrix = support_matrix(system.polys, system.nvars)
-    oracle = RankOracle(matrix, seed=seed, exact=exact)
-    if oracle.rank() != len(system.polys) - 1:
+    found = RankOracle(matrix, seed=seed, exact=exact).rank_with_pivots()
+    if found.rank != len(system.polys) - 1:
         raise RankDrop("system is not transformally essential")
-    return oracle.circuit()
+    return found.circuit
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +267,52 @@ def _specialize_candidate(system, subset_indices, kept_vars):
 MAX_PIVOT_CANDIDATES = 1000
 
 
+def pivot_candidates(oracle, full):
+    """The oracle's column bases in lexicographic order (``full`` is its
+    ``rank_with_pivots()``, of rank m), or the echelon pivots alone once
+    MAX_PIVOT_CANDIDATES are held while a column subset is left.
+
+    Depth first over column prefixes: a query's sorted pivots are the
+    smallest basis of its columns, so the basis after B is B[:k] and the
+    pivots of the query on B[:k] and the columns after B[k], for the
+    largest k at which that query has rank m.  A basis costs at most m
+    queries, and the search ends after m more.
+    """
+    m, ncols = full.rank, len(oracle.matrix.col_labels)
+    bases = [full.pivots]
+    while len(bases) < MAX_PIVOT_CANDIDATES:
+        for k in reversed(range(m)):
+            prefix, c = bases[-1][:k], bases[-1][k] + 1
+            if c > ncols - m + k:
+                continue  # too few columns left after c
+            found = oracle.rank_with_pivots(col_indices=(*prefix,
+                                                         *range(c, ncols)))
+            if found.rank == m:
+                bases.append(prefix + tuple(c - k + i for i in found.pivots[k:]))
+                break
+        else:
+            break
+    if (len(bases) >= MAX_PIVOT_CANDIDATES
+            and bases[-1] != tuple(range(ncols - m, ncols))):
+        return [full.pivots]
+    return bases
+
+
 def select_and_specialize(system, subset_indices, seed=0, kept_override=None,
                           exact=False):
     """Choose rank-many pivot variables for the super-essential subsystem and
     set the rest (all transforms) to 1.
 
-    Among all full-rank column subsets the one minimizing the total modified
-    Jacobi bound is taken (ties: lexicographically smallest), preferring
-    collision-free specializations.  ``kept_override`` forces the choice.
+    Among the column bases of ``pivot_candidates`` the one minimizing the
+    total modified Jacobi bound is taken (ties: lexicographically
+    smallest), preferring collision-free specializations.
+    ``kept_override`` forces the choice.
     """
     matrix = support_matrix(system.subsystem(subset_indices), system.nvars,
                             row_labels=subset_indices)
     oracle = RankOracle(matrix, seed=seed, exact=exact)
-    m = oracle.rank()
+    full = oracle.rank_with_pivots()
+    m = full.rank
     if m != len(subset_indices) - 1:
         raise RankDrop(f"subsystem rank {m}, expected {len(subset_indices) - 1}")
 
@@ -299,22 +320,11 @@ def select_and_specialize(system, subset_indices, seed=0, kept_override=None,
     if kept_override is not None:
         kept = tuple(sorted(kept_override))
         cols = tuple(all_vars.index(v) for v in kept)
-        if oracle.rank(col_indices=cols) != m:
+        if oracle.rank_with_pivots(col_indices=cols).rank != m:
             raise RankDrop(f"kept columns {kept} do not have full rank {m}")
         candidates = [cols]
     else:
-        combos = itertools.combinations(range(len(all_vars)), m)
-        candidates = []
-        for cols in combos:
-            if len(candidates) >= MAX_PIVOT_CANDIDATES:
-                # too many subsets: settle for the echelon pivot columns
-                _, pivots = oracle.rank_with_pivots()
-                candidates = [pivots]
-                break
-            if oracle.rank(col_indices=cols) == m:
-                candidates.append(cols)
-        if not candidates:
-            raise RankDrop("no full-rank column subset found")
+        candidates = pivot_candidates(oracle, full)
 
     best = None
     for cols in candidates:

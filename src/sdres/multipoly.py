@@ -13,6 +13,7 @@ relations) lives here too so that callers never touch floats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import reduce
 
 from .errors import MissingSymbol, NotDivisible
@@ -389,8 +390,26 @@ def _combine(target, lead, f, source, q, p):
             target[c] = v // q
 
 
-def _eliminate(matrix, p=None, relation=False):
-    """Fraction-free elimination on sparse rows: (pivot columns, relation).
+class Elimination(namedtuple("Elimination", "rank pivots relation")):
+    """What one ``eliminate`` pass learns about a sequence of rows: the
+    rank, the sorted pivot columns and the first relation (see
+    ``_eliminate``)."""
+
+    @property
+    def circuit(self):
+        """Rows of the circuit the first relation closes, or None for
+        independent rows: its support plus its row j.  Rows 0..j have
+        corank one, so this is the circuit smallest by its indices read in
+        descending order."""
+        if self.relation is None:
+            return None
+        coeffs, _ = self.relation
+        return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
+
+
+def _eliminate(matrix, p=None):
+    """Fraction-free elimination on sparse rows, in one pass: (pivot
+    columns, first relation).
 
     Rows are ``{column: entry}`` dicts, or dense sequences converted here;
     entries are ints or MultiPoly (anything with +, *, exact ``//`` and
@@ -406,20 +425,23 @@ def _eliminate(matrix, p=None, relation=False):
     columns are the leading columns of an echelon basis of the row space,
     so, sorted, the lexicographically smallest column basis.
 
-    With ``relation`` each row carries its combination of the input rows,
-    and the first row j to reduce to zero ends the scan.  Its combination,
-    lifted like a pivot row, is the vector of signed maximal minors of
-    rows 0..j on the pivot columns (Cramer): (coeffs, scale) with scale *
-    row_j == sum(coeffs[i] * row_i), scaled to scale 1 mod p.  Without
-    one, or for independent rows, the relation is None.
+    Until a row reduces to zero, each row carries its combination of the
+    input rows.  The combination of the first such row j, lifted like a
+    pivot row, is the vector of signed maximal minors of rows 0..j on the
+    pivot columns (Cramer): the relation (coeffs, scale) with scale *
+    row_j == sum(coeffs[i] * row_i), scaled to scale 1 mod p, unique up to
+    its scale because rows 0..j-1 are independent.  The later rows are
+    eliminated without combinations.  For independent rows the relation is
+    None.
     """
     pivots = {}  # column -> (position made, column, lead, tail, combination)
     held = pivots.keys()
     last = None  # lead of the last pivot made
+    relation = None
     for j, row in enumerate(matrix):
         r = {c: v for c, v in (row.items() if isinstance(row, dict)
                                else enumerate(row)) if v}
-        combo = {j: 1} if relation else None
+        combo = {j: 1} if relation is None else None
         q = None  # lead of the last pivot applied
         while not held.isdisjoint(r):
             _, col, lead, tail, tail_combo = min(pivots[c] for c in r
@@ -427,58 +449,35 @@ def _eliminate(matrix, p=None, relation=False):
             f = r.pop(col)
             f = p - f if p else -f
             _combine(r, lead, f, tail, q, p)
-            if relation:
+            if combo is not None:
                 _combine(combo, lead, f, tail_combo, q, p)
             q = lead
         if not p and q != last:  # lift to the level of the last pivot made
             _combine(r, last, 0, {}, q, p)
-            if relation:
+            if combo is not None:
                 _combine(combo, last, 0, {}, q, p)
         if r:
             col = min(r)
             last = r.pop(col)
             pivots[col] = (len(pivots), col, last, r, combo)
-        elif relation:
+        elif combo is not None:
             scale = combo.pop(j)
             if p:
                 unit = p - pow(scale, -1, p)
-                return pivots, (tuple(combo.get(i, 0) * unit % p
-                                      for i in range(j)), 1)
-            return pivots, (tuple(-combo.get(i, 0) for i in range(j)), scale)
-    return pivots, None
+                relation = (tuple(combo.get(i, 0) * unit % p
+                                  for i in range(j)), 1)
+            else:
+                relation = (tuple(-combo.get(i, 0) for i in range(j)), scale)
+    return pivots, relation
 
 
-def rank_and_pivots(matrix, p=None):
-    """Rank of ``{column: entry}`` or dense rows over the entry ring's
-    fraction field, or over GF(p) under a prime p, and the pivot columns,
-    sorted: the lexicographically smallest column basis (``_eliminate``)."""
-    pivots = tuple(sorted(_eliminate(matrix, p)[0]))
-    return len(pivots), pivots
-
-
-def first_relation(matrix, p=None):
-    """(coeffs, scale) with scale * row_j == sum(coeffs[i] * row_i) for the
-    first row j = len(coeffs) that depends on the rows before it, scale
-    nonzero; None for independent rows.  It is unique up to its scale,
-    because the rows before j are independent.  Exactly, (coeffs, -scale)
-    is +- the vector of signed maximal minors of rows 0..j on the pivot
-    columns of rows 0..j-1 (Cramer), so its gcd is theirs; under a prime
-    p the relation holds mod p with scale 1 (``_eliminate``).
-    """
-    return _eliminate(matrix, p, relation=True)[1]
-
-
-def first_circuit(matrix, p=None):
-    """Rows of the circuit closed by the first row j that depends on the
-    rows before it, or None for independent rows: the support of
-    ``first_relation`` plus j.  Rows 0..j have corank one, so this is the
-    circuit smallest by its indices read in descending order.
-    """
-    relation = first_relation(matrix, p)
-    if relation is None:
-        return None
-    coeffs, _ = relation
-    return tuple(i for i, c in enumerate(coeffs) if c) + (len(coeffs),)
+def eliminate(matrix, p=None):
+    """The rank of ``{column: entry}`` or dense rows over the entry ring's
+    fraction field, or over GF(p) under a prime p, their pivot columns,
+    sorted (the lexicographically smallest column basis), and their first
+    relation: one ``_eliminate`` pass, as an ``Elimination``."""
+    pivots, relation = _eliminate(matrix, p)
+    return Elimination(len(pivots), tuple(sorted(pivots)), relation)
 
 
 def permutation_sign(perm, items):

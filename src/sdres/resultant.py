@@ -38,7 +38,7 @@ from .multipoly import (
     MultiPoly,
     SymbolTable,
     determinant,
-    first_relation,
+    eliminate,
     permutation_sign,
 )
 from .sparseinterp import (
@@ -886,8 +886,8 @@ def binomial_resultant(supports):
     sum |lambda_i| rows, |lambda_i| of them for polynomial i, an empty
     minor, and det M1 = +-R; the matrix is never built.
 
-    lambda comes from ``first_relation`` on the v_i reordered so that its
-    first dependent row is last: that answer is the vector of signed
+    lambda is the first relation (``eliminate``) of the v_i reordered so
+    that its first dependent row is last: that answer is the vector of signed
     maximal minors (Cramer), whose gcd is the index of the lattice the v_i
     span.  A rank below k or an index above 1 breaks the lattice-form
     contract and raises InternalError.  No step draws a random number: the
@@ -901,9 +901,9 @@ def binomial_resultant(supports):
     """
     k = len(supports) - 1
     vs = [next(p for p in s.points if any(p)) for s in supports]
-    j = len(first_relation(vs)[0])
+    j = len(eliminate(vs).relation[0])
     order = [i for i in range(k + 1) if i != j] + [j]
-    coeffs, scale = first_relation([vs[i] for i in order])
+    coeffs, scale = eliminate([vs[i] for i in order]).relation
     lam = [0] * (k + 1)
     for i, c in zip(order, (*coeffs, -scale)):
         lam[i] = c

@@ -16,7 +16,7 @@ from sdres.algred import (
     strong_essential_transform,
 )
 from sdres.diffpoly import CoeffRef, VarRef
-from sdres.errors import NoEssentialSubset
+from sdres.errors import CorankLost, NoEssentialSubset
 from sdres.essanalysis import (
     RankOracle,
     find_super_essential,
@@ -61,8 +61,8 @@ def test_alg_matrix_golden_rank():
     spec = golden_specialized()
     matrix = prolonged_support_matrix(spec.polys, spec.bounds.modified)
     assert len(matrix.col_labels) == 10
-    assert RankOracle(matrix, seed=0).rank() == 8
-    assert RankOracle(matrix, seed=0, exact=True).rank() == 8
+    assert RankOracle(matrix, seed=0).rank_with_pivots().rank == 8
+    assert RankOracle(matrix, seed=0, exact=True).rank_with_pivots().rank == 8
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +241,11 @@ def test_modular_oracle_matches_bareiss_at_an_integer_point(name):
     exact_on_circuit = frac_gauss_rank([ints[r] for r in circuit])[:2]
     for seed in range(3):
         oracle = RankOracle(matrix, seed=seed)
-        assert oracle.rank_with_pivots() == exact
-        assert oracle.circuit() == circuit
-        assert oracle.rank_with_pivots(row_indices=circuit) == exact_on_circuit
+        found = oracle.rank_with_pivots()
+        assert found[:2] == exact
+        assert found.circuit == circuit
+        assert oracle.rank_with_pivots(row_indices=circuit)[:2] == \
+            exact_on_circuit
 
 
 def test_minimal_essential_prefers_low_ranking_rows():
@@ -252,7 +254,19 @@ def test_minimal_essential_prefers_low_ranking_rows():
     f = poly(0, [mono({}), mono({(1, 0): 1})])
     matrix = prolonged_support_matrix((f, f, f), (0, 0, 0))
     oracle = RankOracle(matrix, seed=0)
-    assert find_minimal_essential(oracle, 3) == (0, 1)
+    assert find_minimal_essential(oracle, 3).circuit == (0, 1)
+
+
+@pytest.mark.parametrize("name", ["golden", "toy", "corpus1", "shift20"])
+def test_independent_prolonged_rows_lose_the_corank(name):
+    # at all-zero bounds the prolonged rows are independent: the order
+    # bounds failed, which is CorankLost, not NoEssentialSubset
+    system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
+    spec = select_and_specialize(system, find_super_essential(system, seed=0),
+                                 seed=0)
+    with pytest.raises(CorankLost, match="prolonged rows are independent; "
+                                         "order bounds failed"):
+        algebraic_reduction(spec.polys, (0,) * len(spec.polys), seed=0)
 
 
 def test_independent_rows_raise():

@@ -1,13 +1,14 @@
 """Existence, super-essential subsystem, Jacobi order bounds."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdres.diffpoly import support_matrix
+from sdres import essanalysis
+from sdres.diffpoly import CoeffRef, SupportMatrix, support_matrix
 from sdres.errors import RankDrop
 from sdres.essanalysis import (
     RankOracle,
@@ -17,6 +18,7 @@ from sdres.essanalysis import (
     jacobi_number,
     jacobi_numbers_hat,
     modified_jacobi_bounds,
+    pivot_candidates,
     select_and_specialize,
     symbolic_rank,
 )
@@ -120,9 +122,10 @@ def test_randomized_rank_queries_agree_with_paranoid(m, seed, data):
     for _ in range(3):
         rows = data.draw(subsets(len(m.rows)))
         cols = data.draw(subsets(len(m.col_labels)))
-        assert fast.rank_with_pivots(rows, cols) == \
-            exact.rank_with_pivots(rows, cols)
-        assert fast.circuit(rows, cols) == exact.circuit(rows, cols)
+        found = fast.rank_with_pivots(rows, cols)
+        ref = exact.rank_with_pivots(rows, cols)
+        assert found[:2] == ref[:2]
+        assert found.circuit == ref.circuit
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +256,77 @@ def test_toy_specialization():
 def test_rank_oracle_submatrix_queries():
     m = support_matrix(golden_system().polys, 4)
     oracle = RankOracle(m, seed=0)
-    assert oracle.rank() == 4
-    assert oracle.rank(row_indices=(0, 1, 2)) == 2
-    assert oracle.rank(row_indices=(0, 1, 2, 4)) == 3
-    assert oracle.rank(row_indices=(1, 2, 3, 4)) == 4
-    assert oracle.rank(row_indices=(0, 1, 2), col_indices=(0, 3)) == 2
+    assert oracle.rank_with_pivots().rank == 4
+    assert oracle.rank_with_pivots(row_indices=(0, 1, 2)).rank == 2
+    assert oracle.rank_with_pivots(row_indices=(0, 1, 2, 4)).rank == 3
+    assert oracle.rank_with_pivots(row_indices=(1, 2, 3, 4)).rank == 4
+    assert oracle.rank_with_pivots(row_indices=(0, 1, 2),
+                                   col_indices=(0, 3)).rank == 2
+
+
+# ---------------------------------------------------------------------------
+# column bases of the bounds stage
+# ---------------------------------------------------------------------------
+
+@st.composite
+def column_matroids(draw):
+    """Integer support matrices of 1-5 rows over 1-8 columns, entries
+    mostly zero, some columns repeated: few column subsets are bases.
+    Every entry is its integer times u[0,0], so the oracle's matroid is the
+    integer matrix's."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2))
+    cols = [draw(st.lists(entry, min_size=nrows, max_size=nrows))
+            for _ in range(ncols)]
+    index = st.integers(0, ncols - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        cols[dst] = list(cols[src])
+    coeff = CoeffRef(0, 0, 0)
+    rows = [{c: {coeff: {0: col[r]}} for c, col in enumerate(cols) if col[r]}
+            for r in range(nrows)]
+    return SupportMatrix.of(rows, range(nrows), range(ncols))
+
+
+def subset_loop_candidates(oracle, full):
+    """The reference for ``pivot_candidates``: every m-subset of the
+    columns in lexicographic order, one rank query each, settling for the
+    echelon pivots once MAX_PIVOT_CANDIDATES bases are held and a subset is
+    still untried."""
+    candidates = []
+    for cols in combinations(range(len(oracle.matrix.col_labels)), full.rank):
+        if len(candidates) >= essanalysis.MAX_PIVOT_CANDIDATES:
+            return [full.pivots]
+        if oracle.rank_with_pivots(col_indices=cols).rank == full.rank:
+            candidates.append(cols)
+    return candidates
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_support_matrices() | column_matroids(), st.integers(0, 3),
+       st.sampled_from((0, 1, 2, 1000)))
+def test_bases_search_matches_the_subset_loop(m, seed, cap):
+    oracle = RankOracle(m, seed=seed)
+    full = oracle.rank_with_pivots()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(essanalysis, "MAX_PIVOT_CANDIDATES", cap)
+        assert pivot_candidates(oracle, full) == \
+            subset_loop_candidates(oracle, full)
+
+
+def block_system(m):
+    """2m variables; P0..Pm carry the resultant, and their support matrix
+    has m zero columns, so one of its C(2m, m) column subsets is a basis."""
+    lines = ["P0 = u + u*" + "*".join(f"y[{i},0]" for i in range(1, m + 1))]
+    lines += [f"P{i} = u + u*y[{i},1]" for i in range(1, m + 1)]
+    lines += [f"P{m + j} = u + u*y[{m + j},0]" for j in range(1, m + 1)]
+    return "\n".join(lines)
+
+
+def test_block_system_at_m_12_finds_its_one_basis():
+    # C(24, 12) = 2704156 column subsets; the search makes 13 rank
+    # queries: the whole matrix, then one dead end per prefix length
+    report = run_pipeline(parse_system(block_system(12)), seed=0)
+    assert report.super_essential == tuple(range(13))
+    assert report.kept_vars == tuple(range(1, 13))
+    assert report.modified_jacobi == (12,) + (11,) * 12
+    assert len(report.resultant) == 2

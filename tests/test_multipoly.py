@@ -18,11 +18,9 @@ from sdres.multipoly import (
     MultiPoly,
     _mono_sort_key,
     determinant,
-    first_circuit,
-    first_relation,
+    eliminate,
     mono_div,
     mono_mul,
-    rank_and_pivots,
     uni_gcd,
 )
 
@@ -319,7 +317,7 @@ def test_int_rank_matches_fraction_gauss():
         b = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(k)]
         m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)]
              for i in range(nr)]
-        rank, pivots = rank_and_pivots(m)
+        rank, pivots, _ = eliminate(m)
         assert (rank, pivots) == frac_gauss_rank(m)[:2]
         assert rank <= k
         assert len(pivots) == rank
@@ -333,12 +331,12 @@ def test_unipoly_matrix_rank():
     one = MultiPoly.const(1)
     two = MultiPoly.const(2)
     # rows [x, 1], [2x, 2] are proportional
-    rank, pivots = rank_and_pivots([[x, one], [x * 2, two]])
+    rank, pivots, _ = eliminate([[x, one], [x * 2, two]])
     assert rank == 1 and pivots == (0,)
-    rank, pivots = rank_and_pivots([[x, one], [one, x]])
+    rank, pivots, _ = eliminate([[x, one], [one, x]])
     assert rank == 2 and pivots == (0, 1)
     # rank of a matrix with a zero column skips it
-    rank, pivots = rank_and_pivots([[MultiPoly(), one], [MultiPoly(), x]])
+    rank, pivots, _ = eliminate([[MultiPoly(), one], [MultiPoly(), x]])
     assert rank == 1 and pivots == (1,)
 
 
@@ -402,8 +400,9 @@ def assert_first_circuit_is_brute_force(matrix, rank_of):
             memo[rows] = rank_of([matrix[r] for r in rows])
         return memo[rows]
 
-    assert first_circuit(matrix) == brute_force_circuit(len(matrix), rank)
-    relation = first_relation(matrix)
+    found = eliminate(matrix)
+    assert found.circuit == brute_force_circuit(len(matrix), rank)
+    relation = found.relation
     if relation is not None:
         # scale * row_j == sum(coeffs[i] * row_i), with a nonzero scale
         coeffs, scale = relation
@@ -456,10 +455,10 @@ def test_first_circuit_examples():
     one, x = MultiPoly.const(1), MultiPoly.symbol(0)
     zero = MultiPoly()
     # row 2 = x * row 0: the circuit skips the independent row 1
-    assert first_circuit([[one, x], [x, one], [x, x * x]]) == (0, 2)
-    assert first_circuit([[one, zero], [zero, one]]) is None
-    assert first_circuit([[zero, zero], [one, x]]) == (0,)
-    assert first_circuit([]) is None
+    assert eliminate([[one, x], [x, one], [x, x * x]]).circuit == (0, 2)
+    assert eliminate([[one, zero], [zero, one]]).circuit is None
+    assert eliminate([[zero, zero], [one, x]]).circuit == (0,)
+    assert eliminate([]).circuit is None
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +506,10 @@ def test_modular_elimination_matches_bareiss(drawn, seed, data):
     p = rank_prime(seed)
     rows = dict_rows(m, p)
     ref = frac_gauss_rank(m)
-    assert rank_and_pivots(rows, p) == ref[:2]
-    assert first_circuit(rows, p) == ref.circuit
-    relation = first_relation(rows, p)
+    found = eliminate(rows, p)
+    assert found[:2] == ref[:2]
+    assert found.circuit == ref.circuit
+    relation = found.relation
     assert (relation is None) == (ref.relation is None)
     if relation is not None:
         # rows before j are independent, so the relation is unique up to
@@ -531,11 +531,9 @@ def test_modular_elimination_matches_bareiss(drawn, seed, data):
                                  max_size=ncols))
     picked = m if row_sel is None else [m[r] for r in row_sel]
     sub = frac_gauss_rank([[row[c] for c in col_sel] for row in picked])
-    assert oracle.rank_with_pivots(row_sel, col_sel) == sub[:2]
-    circuit = sub.circuit
-    if circuit is not None and row_sel is not None:
-        circuit = tuple(row_sel[i] for i in circuit)
-    assert oracle.circuit(row_sel, col_sel) == circuit
+    found = oracle.rank_with_pivots(row_sel, col_sel)
+    assert found[:2] == sub[:2]
+    assert found.circuit == sub.circuit
 
 
 @st.composite
@@ -565,7 +563,7 @@ def test_exact_relation_is_the_cramer_vector(m):
     # maximal minors on any column basis of rows 0..j-1 (Cramer); the exact
     # relation must be that vector up to sign, not a multiple of it
     ref = frac_gauss_rank(m)
-    relation = first_relation(m)
+    relation = eliminate(m).relation
     assert (relation is None) == (ref.relation is None)
     if relation is None:
         return
@@ -580,3 +578,35 @@ def test_exact_relation_is_the_cramer_vector(m):
     assert found in (minors, [-v for v in minors])
     # so it is primitive when the rows span the lattice on those columns
     assert math.gcd(*found) == math.gcd(*minors)
+
+
+@st.composite
+def late_rows_after_a_relation(draw):
+    """Integer rows whose first dependent row is not the last: drawn rows,
+    then a multiple of one of them (zero included), then 1-4 more drawn
+    rows, all over 1-6 columns."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=ncols,
+                   max_size=ncols)
+    head = draw(st.lists(row, min_size=1, max_size=4))
+    x, a = draw(st.integers(-2, 2)), draw(st.integers(0, len(head) - 1))
+    tail = draw(st.lists(row, min_size=1, max_size=4))
+    return head + [[x * v for v in head[a]]] + tail
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(late_rows_after_a_relation(), st.integers(0, 3))
+def test_one_pass_eliminates_past_the_first_relation(m, seed):
+    # the rank and the pivots count the rows after the relation, which the
+    # relation and the circuit do not see
+    ref = frac_gauss_rank(m)
+    assert ref.relation is not None and len(ref.relation) < len(m) - 1
+    p = rank_prime(seed)
+    for found in (eliminate(m), eliminate(dict_rows(m, p), p)):
+        assert found[:2] == ref[:2]
+        assert found.circuit == ref.circuit
+    coeffs, scale = eliminate(m).relation
+    assert tuple(Fraction(c, scale) for c in coeffs) == ref.relation
+    assert eliminate(dict_rows(m, p), p).relation == (
+        tuple(c.numerator * pow(c.denominator, -1, p) % p
+              for c in ref.relation), 1)

@@ -37,7 +37,7 @@ from sdres.essanalysis import (
     select_and_specialize,
     stage_rng,
 )
-from sdres.multipoly import MultiPoly, rank_and_pivots
+from sdres.multipoly import MultiPoly, eliminate
 from sdres.resultant import (
     CERTIFICATE_ROUNDS,
     MAX_BOX_POINTS,
@@ -584,7 +584,7 @@ def _full_dimensional_supports(draw):
     sets = [tuple(sorted(draw(st.sets(point, min_size=1, max_size=4))))
             for _ in range(k + 1)]
     edges = [[a - b for a, b in zip(p, pts[0])] for pts in sets for p in pts[1:]]
-    assume(edges and rank_and_pivots(edges)[0] == k)
+    assume(edges and eliminate(edges).rank == k)
     return tuple(SupportSet(i, pts, ()) for i, pts in enumerate(sets))
 
 
@@ -610,7 +610,7 @@ def test_start_simplex_matches_the_rational_lp(supports, lifts):
     columns = [tuple(int(j == i) for j in range(len(supports))) + a
                for i, s in enumerate(supports) for a in s.points]
     costs = lifts[:len(columns)]
-    _, pivots = rank_and_pivots(list(zip(*columns)))
+    pivots = eliminate(list(zip(*columns))).pivots
     rhs = [sum(columns[c][j] for c in pivots) for j in range(len(columns[0]))]
     start = resultant.solve_lp(columns, costs)
     assert start.status == "optimal"
