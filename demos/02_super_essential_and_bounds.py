@@ -2,7 +2,14 @@
 # Extract it, pick the variables to keep, and compute the order bounds that
 # control how often each polynomial must be transformed.
 
-from sdres import find_super_essential, parse_system, select_and_specialize
+from sdres import (
+    RankOracle,
+    find_super_essential,
+    parse_system,
+    select_and_specialize,
+    support_matrix,
+    symbolic_rank,
+)
 
 TEXT = """
 # five generic difference polynomials in y1..y4
@@ -14,10 +21,12 @@ P4 = u + u*y[1,1]*y[3,2]*y[4,1] + u*y[1,1]^2*y[2,2]*y[4,0]
 """
 
 system = parse_system(TEXT).to_system()
-subset = find_super_essential(system)
+# one evaluation of the symbolic support matrix answers all three questions
+oracle = RankOracle(support_matrix(system.polys, system.nvars))
+subset = find_super_essential(symbolic_rank(oracle), len(system.polys))
 print("super-essential subsystem:", ", ".join(f"P{i}" for i in subset))
 
-spec = select_and_specialize(system, subset)
+spec = select_and_specialize(system, oracle, subset)
 print("variables kept as pivots:", ", ".join(f"y{v}" for v in spec.kept_vars))
 print("order matrix (None = variable absent):")
 for row in spec.bounds.order_mat:

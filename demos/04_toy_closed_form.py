@@ -5,7 +5,13 @@
 
 from sdres import parse_system, run_pipeline
 from sdres.algred import algebraic_reduction
-from sdres.essanalysis import find_super_essential, select_and_specialize
+from sdres.diffpoly import support_matrix
+from sdres.essanalysis import (
+    RankOracle,
+    find_super_essential,
+    select_and_specialize,
+    symbolic_rank,
+)
 from sdres.pipeline import resultant_terms
 from sdres.resultant import extract_supports, sylvester_resultant
 
@@ -24,8 +30,9 @@ for coeff, factors in resultant_terms(report):
 
 # same thing through the classical Sylvester matrix of the z-system
 system = parse_system(TEXT).to_system()
-subset = find_super_essential(system)
-spec = select_and_specialize(system, subset)
+oracle = RankOracle(support_matrix(system.polys, system.nvars))
+subset = find_super_essential(symbolic_rank(oracle), len(system.polys))
+spec = select_and_specialize(system, oracle, subset)
 red = algebraic_reduction(spec.polys, spec.bounds.modified)
 supports, _ = extract_supports(red.zpolys)
 poly, size = sylvester_resultant(supports)

@@ -19,6 +19,7 @@ from .diffpoly import (
 )
 from .errors import InputError, InternalError, SDResError
 from .essanalysis import (
+    RankOracle,
     find_super_essential,
     is_transformally_essential,
     jacobi_number,
@@ -48,6 +49,7 @@ __all__ = [
     "Monomial",
     "MultiPoly",
     "PipelineReport",
+    "RankOracle",
     "ResultantResult",
     "SDResError",
     "SymbolTable",

@@ -6,10 +6,12 @@ turns it into an ordinary sparse-resultant problem:
 1. prolong every polynomial up to its order bound, treating each transform
    instance y_j^(k) as an independent algebraic variable;
 2. measure the corank of the algebraic support matrix; corank above one
-   means the bounds overshoot, so all bounds are lowered by the excess;
+   means the bounds overshoot, so all bounds are lowered by the excess,
+   which keeps a subsequence of the same rows;
 3. extract the minimal essential subsystem: the lowest-ranking circuit of
    the row matroid (dependent, every proper subset independent), read off
-   the first row dependency of the elimination that measured the corank;
+   the first row dependency of the elimination that measured the corank,
+   or of the one query on the lowered bounds' rows;
 4. keep only rank-many algebraic variables, the echelon pivots, setting
    the rest to one, which keeps the subsystem essential;
 5. re-express all supports over a basis of the lattice they generate, which
@@ -22,6 +24,7 @@ so entries may be negative (Laurent); everything downstream handles that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly, support_rows
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
@@ -33,16 +36,20 @@ def prolonged_support_matrix(polys, bounds):
     """Algebraic support matrix of delta^l P_i, 0 <= l <= bounds[i], rows
     tagged (i, l): P_i's ``support_rows`` row (every transform instance a
     column at shift 0) with l added to every VarRef and CoeffRef shift.
-    Columns: every transform instance seen, sorted."""
+    Columns: every transform instance seen, sorted once from the base rows'
+    keys and the bounds; each row is written by column index."""
+    base = support_rows(polys, lambda v: (v, 0))
+    cols = sorted({VarRef(v.var, v.shift + l) for row, bound in zip(base, bounds)
+                   for v in row for l in range(bound + 1)})
+    index = {v: j for j, v in enumerate(cols)}
     rows, tags = [], []
-    for i, (row, bound) in enumerate(zip(support_rows(polys, lambda v: (v, 0)),
-                                         bounds)):
+    for i, (row, bound) in enumerate(zip(base, bounds)):
         for l in range(bound + 1):
             tags.append((i, l))
-            rows.append({VarRef(v.var, v.shift + l): {
+            rows.append({index[v.var, v.shift + l]: {
                 CoeffRef(r.poly, r.coeff, r.shift + l): d for r, d in e.items()}
                 for v, e in row.items()})
-    return SupportMatrix.of(rows, tags, sorted({v for row in rows for v in row}))
+    return SupportMatrix(tuple(rows), tuple(tags), tuple(cols))
 
 
 def relative_supports(poly):
@@ -118,17 +125,18 @@ def hermite_basis(vectors):
     return tuple(tuple(r) for r in work[:row])
 
 
-def lattice_coordinates(basis, vector):
-    """Integer coordinates of vector in the span of the basis rows, or None
-    when the vector lies outside: the first row relation of basis + vector,
-    which must end at the vector and divide exactly by its scale."""
-    relation = eliminate([*basis, vector]).relation
-    if relation is None or len(relation[0]) != len(basis):
-        return None
-    coeffs, scale = relation
-    if any(c % scale for c in coeffs):
-        return None
-    return tuple(c // scale for c in coeffs)
+def echelon_coordinates(basis, vector):
+    """Integer coordinates of vector over the rows of an echelon basis (as
+    ``hermite_basis`` returns), or None when it lies outside their lattice:
+    back-substitution, each coordinate the quotient at its row's pivot
+    column.  A remainder there survives the later rows, which are zero in
+    that column, so the division is exact iff nothing remains at the end."""
+    rest, coords = list(vector), []
+    for row in basis:
+        col = next(c for c, v in enumerate(row) if v)
+        coords.append(rest[col] // row[col])
+        rest = [a - coords[-1] * b for a, b in zip(rest, row)]
+    return None if any(rest) else tuple(coords)
 
 
 def strong_essential_transform(supports, k):
@@ -137,35 +145,28 @@ def strong_essential_transform(supports, k):
     vectors generate.
 
     When there are exactly k distinct nonzero vectors and they are
-    independent they generate the lattice themselves, so they are the basis
-    and every polynomial becomes linear in the new variables.  Otherwise an
-    echelon lattice basis is computed.
+    independent they generate the lattice themselves, so they are the basis,
+    each vector's coordinates are a unit vector, and every polynomial
+    becomes linear in the new variables.  Otherwise an echelon lattice
+    basis is computed and coordinates come from ``echelon_coordinates``.
     """
-    seen = set()
-    for sup in supports:
-        for _, vec in sup:
-            if any(vec):
-                seen.add(tuple(vec))
-    distinct = sorted(seen)
-    if k == 0:
-        basis = ()
-    elif len(distinct) == k and eliminate(distinct).rank == k:
+    distinct = sorted({tuple(vec) for sup in supports for _, vec in sup
+                       if any(vec)})
+    if len(distinct) == k and eliminate(distinct).rank == k:
         basis = tuple(distinct)
+        coordinates = {v: tuple(int(v == b) for b in basis)
+                       for v in (*basis, (0,) * k)}.get
     else:
         basis = hermite_basis(distinct)
         if len(basis) != k:
             raise DegenerateLattice(
                 f"support lattice has rank {len(basis)}, expected {k}")
-    zpolys = []
-    for sup in supports:
-        zp = []
-        for ref, vec in sup:
-            coords = lattice_coordinates(basis, tuple(vec))
-            if coords is None:
-                raise DegenerateLattice("support vector outside the lattice")
-            zp.append((ref, coords))
-        zpolys.append(tuple(zp))
-    return basis, tuple(zpolys)
+        coordinates = partial(echelon_coordinates, basis)
+    zpolys = tuple(tuple((ref, coordinates(tuple(vec))) for ref, vec in sup)
+                   for sup in supports)
+    if any(coords is None for zp in zpolys for _, coords in zp):
+        raise DegenerateLattice("support vector outside the lattice")
+    return basis, zpolys
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +207,17 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
                          ) from None
     excess = len(matrix.rows) - found.rank - 1
     used = tuple(bounds)
+    rows = range(len(matrix.rows))
     if excess > 0:
+        # the lowered bounds' rows: a subsequence of these, in order
         used = tuple(max(0, b - excess) for b in bounds)
-        matrix = prolonged_support_matrix(spec_polys, used)
-        oracle = RankOracle(matrix, seed=seed, exact=exact)
-        try:
-            found = find_minimal_essential(oracle, len(matrix.rows))
-        except NoEssentialSubset:
-            raise CorankLost("dependence lost after lowering the order bounds"
-                             ) from None
+        rows = [r for r, (i, l) in enumerate(matrix.row_labels) if l <= used[i]]
+        found = oracle.rank_with_pivots(rows)
+        if found.relation is None:
+            raise CorankLost("dependence lost after lowering the order bounds")
 
-    ess = found.circuit
-    cols = variable_essential_reduce(list(ess), oracle)
+    ess = tuple(rows[r] for r in found.circuit)
+    cols = variable_essential_reduce(ess, oracle)
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
     tags = tuple(matrix.row_labels[r] for r in ess)

@@ -259,7 +259,7 @@ def support_rows(polys, place):
     """One row per polynomial, a dict column -> entry.  Each factor v^e of a
     ratio M_ik/M_i0 adds e*x^s to the u_ik part of the entry in column c,
     where (c, s) = place(v); the symbolic matrix places y_j^(k), the VarRef
-    (j, k), in column j at shift k, so there place(v) is v itself."""
+    (j, k), in column j - 1 at shift k."""
     rows = []
     for f in polys:
         m0, row = f.distinguished[1], {}
@@ -277,14 +277,6 @@ class SupportMatrix:
     row_labels: tuple  # polynomial indices, or prolongation tags
     col_labels: tuple  # difference variable indices, or transform instances
 
-    @classmethod
-    def of(cls, rows, row_labels, col_labels):
-        """``support_rows`` output, column labels replaced by indices."""
-        cols = tuple(col_labels)
-        index = {c: j for j, c in enumerate(cols)}
-        return cls(tuple({index[c]: e for c, e in row.items()} for row in rows),
-                   tuple(row_labels), cols)
-
     def coeff_refs(self):
         return {r for row in self.rows for entry in row.values() for r in entry}
 
@@ -293,5 +285,6 @@ def support_matrix(system_polys, nvars, row_labels=None):
     """The symbolic support matrix over the variables 1..nvars."""
     if row_labels is None:
         row_labels = range(len(system_polys))
-    rows = support_rows(system_polys, lambda v: v)
-    return SupportMatrix.of(rows, row_labels, range(1, nvars + 1))
+    rows = support_rows(system_polys, lambda v: (v.var - 1, v.shift))
+    return SupportMatrix(tuple(rows), tuple(row_labels),
+                         tuple(range(1, nvars + 1)))

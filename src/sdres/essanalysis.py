@@ -116,27 +116,27 @@ class RankOracle:
         return eliminate(rows, self.p)
 
 
-def symbolic_rank(matrix, seed=0, exact=False):
-    """The ``Elimination`` of the whole matrix; its ``rank`` is the rank."""
-    return RankOracle(matrix, seed=seed, exact=exact).rank_with_pivots()
+def symbolic_rank(oracle):
+    """The ``Elimination`` of the oracle's whole matrix; its ``rank`` is the
+    rank, and ``find_super_essential`` reads the circuit off it."""
+    return oracle.rank_with_pivots()
 
 
 def is_transformally_essential(system, seed=0, exact=False):
     """rank(support matrix) == n decides existence of the resultant."""
-    m = support_matrix(system.polys, system.nvars)
-    return symbolic_rank(m, seed=seed, exact=exact).rank == system.nvars
+    oracle = RankOracle(support_matrix(system.polys, system.nvars), seed, exact)
+    return symbolic_rank(oracle).rank == system.nvars
 
 
-def find_super_essential(system, seed=0, exact=False):
-    """The unique minimal subset T with card(T) - rank = 1.
+def find_super_essential(found, npolys):
+    """The unique minimal subset T with card(T) - rank = 1, from ``found``,
+    the ``symbolic_rank`` of the npolys rows of the symbolic support matrix.
 
     With corank one the rows hold exactly one circuit, and that circuit is
     T: the rank and the circuit come from one elimination.  Precondition:
     the system is transformally essential.
     """
-    matrix = support_matrix(system.polys, system.nvars)
-    found = RankOracle(matrix, seed=seed, exact=exact).rank_with_pivots()
-    if found.rank != len(system.polys) - 1:
+    if found.rank != npolys - 1:
         raise RankDrop("system is not transformally essential")
     return found.circuit
 
@@ -267,10 +267,11 @@ def _specialize_candidate(system, subset_indices, kept_vars):
 MAX_PIVOT_CANDIDATES = 1000
 
 
-def pivot_candidates(oracle, full):
-    """The oracle's column bases in lexicographic order (``full`` is its
-    ``rank_with_pivots()``, of rank m), or the echelon pivots alone once
-    MAX_PIVOT_CANDIDATES are held while a column subset is left.
+def pivot_candidates(oracle, full, rows=None):
+    """The column bases of the oracle's ``rows`` (all of them for None) in
+    lexicographic order (``full`` is their ``rank_with_pivots``, of rank
+    m), or the echelon pivots alone once MAX_PIVOT_CANDIDATES are held
+    while a column subset is left.
 
     Depth first over column prefixes: a query's sorted pivots are the
     smallest basis of its columns, so the basis after B is B[:k] and the
@@ -285,8 +286,7 @@ def pivot_candidates(oracle, full):
             prefix, c = bases[-1][:k], bases[-1][k] + 1
             if c > ncols - m + k:
                 continue  # too few columns left after c
-            found = oracle.rank_with_pivots(col_indices=(*prefix,
-                                                         *range(c, ncols)))
+            found = oracle.rank_with_pivots(rows, (*prefix, *range(c, ncols)))
             if found.rank == m:
                 bases.append(prefix + tuple(c - k + i for i in found.pivots[k:]))
                 break
@@ -298,33 +298,32 @@ def pivot_candidates(oracle, full):
     return bases
 
 
-def select_and_specialize(system, subset_indices, seed=0, kept_override=None,
-                          exact=False):
+def select_and_specialize(system, oracle, subset_indices, kept_override=None):
     """Choose rank-many pivot variables for the super-essential subsystem and
     set the rest (all transforms) to 1.
 
-    Among the column bases of ``pivot_candidates`` the one minimizing the
-    total modified Jacobi bound is taken (ties: lexicographically
-    smallest), preferring collision-free specializations.
-    ``kept_override`` forces the choice.
+    ``oracle`` holds the evaluated symbolic support matrix of the system,
+    or of the subsystem alone; its rows labelled by ``subset_indices`` are
+    queried, so the stage draws nothing of its own.  Among the column bases
+    of ``pivot_candidates`` the one minimizing the total modified Jacobi
+    bound is taken (ties: lexicographically smallest), preferring
+    collision-free specializations.  ``kept_override`` forces the choice.
     """
-    matrix = support_matrix(system.subsystem(subset_indices), system.nvars,
-                            row_labels=subset_indices)
-    oracle = RankOracle(matrix, seed=seed, exact=exact)
-    full = oracle.rank_with_pivots()
+    rows = tuple(map(oracle.matrix.row_labels.index, subset_indices))
+    full = oracle.rank_with_pivots(rows)
     m = full.rank
     if m != len(subset_indices) - 1:
         raise RankDrop(f"subsystem rank {m}, expected {len(subset_indices) - 1}")
 
-    all_vars = matrix.col_labels
+    all_vars = oracle.matrix.col_labels
     if kept_override is not None:
         kept = tuple(sorted(kept_override))
         cols = tuple(all_vars.index(v) for v in kept)
-        if oracle.rank_with_pivots(col_indices=cols).rank != m:
+        if oracle.rank_with_pivots(rows, cols).rank != m:
             raise RankDrop(f"kept columns {kept} do not have full rank {m}")
         candidates = [cols]
     else:
-        candidates = pivot_candidates(oracle, full)
+        candidates = pivot_candidates(oracle, full, rows)
 
     best = None
     for cols in candidates:

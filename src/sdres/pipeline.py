@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .algred import algebraic_reduction
 from .diffpoly import DiffSystem, support_matrix
 from .essanalysis import (
+    RankOracle,
     find_super_essential,
     select_and_specialize,
     symbolic_rank,
@@ -82,29 +83,28 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
                     f"a sparse difference resultant needs exactly {n + 1}"))
         tick("check")
         return report
-    rank = symbolic_rank(support_matrix(polys, n), seed=seed,
-                         exact=paranoid).rank
-    essential = rank == n
+    # one evaluation of the symbolic support matrix serves stages 1-3
+    oracle = RankOracle(support_matrix(polys, n), seed=seed, exact=paranoid)
+    found = symbolic_rank(oracle)
     report = PipelineReport(
-        seed=seed, stage="check", essential=essential, rank=rank,
+        seed=seed, stage="check", essential=found.rank == n, rank=found.rank,
         nvars=n, npolys=len(polys), timing=timing)
     tick("check")
-    if not essential:
-        report.reason = f"symbolic support matrix has rank {rank} < {n}"
+    if not report.essential:
+        report.reason = f"symbolic support matrix has rank {found.rank} < {n}"
         return report
     if depth < 1:
         return report
 
     system = DiffSystem(polys=polys, nvars=n)
-    report.super_essential = find_super_essential(system, seed=seed,
-                                                  exact=paranoid)
+    report.super_essential = find_super_essential(found, len(polys))
     report.stage = "super"
     tick("super")
     if depth < 2:
         return report
 
-    spec = select_and_specialize(system, report.super_essential, seed=seed,
-                                 kept_override=kept_override, exact=paranoid)
+    spec = select_and_specialize(system, oracle, report.super_essential,
+                                 kept_override=kept_override)
     report.kept_vars = spec.kept_vars
     report.order_matrix = spec.bounds.order_mat
     report.jacobi = spec.bounds.jacobi

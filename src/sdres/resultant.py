@@ -887,11 +887,12 @@ def binomial_resultant(supports):
     minor, and det M1 = +-R; the matrix is never built.
 
     lambda is the first relation (``eliminate``) of the v_i reordered so
-    that its first dependent row is last: that answer is the vector of signed
-    maximal minors (Cramer), whose gcd is the index of the lattice the v_i
-    span.  A rank below k or an index above 1 breaks the lattice-form
-    contract and raises InternalError.  No step draws a random number: the
-    failure probability is 0 and the answer does not depend on the seed.
+    that its first dependent row is last (one pass when it already is):
+    that answer is the vector of signed maximal minors (Cramer), whose gcd
+    is the index of the lattice the v_i span.  A rank below k or an index
+    above 1 breaks the lattice-form contract and raises InternalError.  No
+    step draws a random number: the failure probability is 0 and the
+    answer does not depend on the seed.
     A coefficient of t terms raised to the power e has C(e + t - 1, t - 1)
     terms, and each side's count is the product of its factors' counts.
     The sides are multiplied out only while the answer has at most 1200
@@ -901,9 +902,11 @@ def binomial_resultant(supports):
     """
     k = len(supports) - 1
     vs = [next(p for p in s.points if any(p)) for s in supports]
-    j = len(eliminate(vs).relation[0])
+    coeffs, scale = eliminate(vs).relation
+    j = len(coeffs)
     order = [i for i in range(k + 1) if i != j] + [j]
-    coeffs, scale = eliminate([vs[i] for i in order]).relation
+    if j < k:
+        coeffs, scale = eliminate([vs[i] for i in order]).relation
     lam = [0] * (k + 1)
     for i, c in zip(order, (*coeffs, -scale)):
         lam[i] = c

@@ -6,7 +6,20 @@ for it (frozen in the tests that use them).  The toy system is the smallest
 nontrivial case and its resultant is known in closed form.
 """
 
-from sdres.diffpoly import CoeffRef, DiffPolynomial, DiffSystem, Monomial, VarRef
+from sdres.diffpoly import (
+    CoeffRef,
+    DiffPolynomial,
+    DiffSystem,
+    Monomial,
+    VarRef,
+    support_matrix,
+)
+from sdres.essanalysis import (
+    RankOracle,
+    find_super_essential,
+    select_and_specialize,
+    symbolic_rank,
+)
 
 
 def mono(powers):
@@ -80,3 +93,23 @@ P1 = u + u*y[2,0]*y[3,0]
 P2 = u + u*y[1,0]*y[2,0]^2*y[3,0]
 P3 = u + u*y[1,0]^2*y[2,0]^2
 """
+
+
+def symbolic_oracle(system, seed=0, exact=False):
+    """The rank oracle on the system's symbolic support matrix, the one
+    evaluation that stages 1-3 share."""
+    return RankOracle(support_matrix(system.polys, system.nvars), seed=seed,
+                      exact=exact)
+
+
+def super_essential(system, seed=0, exact=False):
+    """Stages 1-2: the super-essential subset, from the check's elimination."""
+    found = symbolic_rank(symbolic_oracle(system, seed=seed, exact=exact))
+    return find_super_essential(found, len(system.polys))
+
+
+def specialize(system, subset, seed=0, exact=False, kept_override=None):
+    """Stage 3 on the system's symbolic oracle."""
+    return select_and_specialize(system,
+                                 symbolic_oracle(system, seed=seed, exact=exact),
+                                 subset, kept_override=kept_override)

@@ -26,7 +26,6 @@ from sdres.essanalysis import (
     stage_rng,
     symbolic_rank,
 )
-from sdres.diffpoly import support_matrix
 from sdres.multipoly import MultiPoly, determinant
 from sdres.parsing import parse_system
 from sdres.pipeline import resultant_terms, run_pipeline
@@ -34,7 +33,15 @@ from sdres.resultant import compute_resultant, extract_supports, mixed_subdivisi
 
 from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
-from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT, golden_system
+from systems import (
+    GOLDEN_TEXT,
+    RANK_DEFICIENT_TEXT,
+    TOY_TEXT,
+    golden_system,
+    specialize,
+    super_essential,
+    symbolic_oracle,
+)
 
 UNIT = {
     1: (1, 0, 0, 0, 0, 0), 2: (0, 1, 0, 0, 0, 0), 3: (0, 0, 1, 0, 0, 0),
@@ -57,8 +64,8 @@ GOLDEN_Z_SUPPORTS = (
 
 
 def full_stack(system, seed=0):
-    subset = find_super_essential(system, seed=seed)
-    spec = select_and_specialize(system, subset, seed=seed)
+    subset = super_essential(system, seed=seed)
+    spec = specialize(system, subset, seed=seed)
     red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=seed)
     res = compute_resultant(red.zpolys, seed=seed)
     return subset, spec, red, res
@@ -170,8 +177,8 @@ def random_essential_cases(count=5):
         if not is_transformally_essential(system, seed=0):
             continue
         try:
-            subset = find_super_essential(system, seed=0)
-            spec = select_and_specialize(system, subset, seed=0)
+            subset = super_essential(system, seed=0)
+            spec = specialize(system, subset, seed=0)
             red = algebraic_reduction(spec.polys, spec.bounds.modified,
                                       seed=0)
             if not tractable(red):
@@ -191,11 +198,13 @@ def random_essential_cases(count=5):
 def test_criterion_1_golden_stage_checks():
     start = time.perf_counter()
     system = golden_system()
-    rank = symbolic_rank(support_matrix(system.polys, system.nvars)).rank
+    oracle = symbolic_oracle(system, seed=0)
+    found = symbolic_rank(oracle)
+    rank = found.rank
     assert rank == 4
-    subset = find_super_essential(system, seed=0)
+    subset = find_super_essential(found, len(system.polys))
     assert subset == (0, 1, 2)
-    spec = select_and_specialize(system, subset, seed=0)
+    spec = select_and_specialize(system, oracle, subset)
     assert spec.bounds.order_mat == ((1, 1), (1, 2), (2, 1))
     assert spec.bounds.jacobi == (4, 3, 3)
     assert spec.bounds.modified == (3, 2, 2)
@@ -395,11 +404,11 @@ def test_randomized_circuits_match_exact_route():
     for system, subset, spec, red in stacks:
         exact_red = algebraic_reduction(spec.polys, spec.bounds.modified,
                                         exact=True)
-        assert find_super_essential(system, exact=True) == subset
+        assert super_essential(system, exact=True) == subset
         assert (red.essential_tags, red.kept_refs) == \
             (exact_red.essential_tags, exact_red.kept_refs)
         for seed in (1, 2, 3):
-            assert find_super_essential(system, seed=seed) == subset
+            assert super_essential(system, seed=seed) == subset
             other = algebraic_reduction(spec.polys, spec.bounds.modified,
                                         seed=seed)
             assert (other.essential_tags, other.kept_refs) == \

@@ -1,37 +1,43 @@
 """Prolongation, essential circuit extraction, lattice re-expression."""
 
+import importlib.util
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres.algred import (
     AlgebraicReduction,
     algebraic_reduction,
+    echelon_coordinates,
     find_minimal_essential,
     hermite_basis,
-    lattice_coordinates,
     prolonged_support_matrix,
     relative_supports,
     strong_essential_transform,
+    variable_essential_reduce,
 )
 from sdres.diffpoly import CoeffRef, VarRef
-from sdres.errors import CorankLost, NoEssentialSubset
-from sdres.essanalysis import (
-    RankOracle,
-    find_super_essential,
-    select_and_specialize,
+from sdres.errors import (
+    CorankLost,
+    DegenerateLattice,
+    NoEssentialSubset,
+    SDResError,
 )
+from sdres.essanalysis import RankOracle
+from sdres.multipoly import eliminate
 from sdres.parsing import parse_system
 
 from det_oracles import frac_gauss_rank
-from systems import golden_system, mono, poly, toy_system
+from systems import golden_system, mono, poly, specialize, super_essential, toy_system
 
 CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
 
 
 def golden_specialized():
-    return select_and_specialize(golden_system(), (0, 1, 2), seed=0)
+    return specialize(golden_system(), (0, 1, 2), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,19 @@ def test_hermite_basis_is_canonical_for_the_lattice():
         assert hermite_basis(list(vecs) + [combo]) == basis
 
 
+def lattice_coordinates(basis, vector):
+    """The reference for the transform's coordinates: the first row
+    relation of basis + vector, which must end at the vector and divide
+    exactly by its scale; None when the vector lies outside the lattice."""
+    relation = eliminate([*basis, vector]).relation
+    if relation is None or len(relation[0]) != len(basis):
+        return None
+    coeffs, scale = relation
+    if any(c % scale for c in coeffs):
+        return None
+    return tuple(c // scale for c in coeffs)
+
+
 def test_lattice_coordinates():
     basis = ((1, 1), (0, 2))
     assert lattice_coordinates(basis, (2, 0)) == (2, -1)
@@ -118,6 +137,68 @@ def test_lattice_coordinates_additive():
             x + y for x, y in zip(a, b))
 
 
+def integer_vectors(k):
+    return st.tuples(*[st.integers(-4, 4)] * k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(integer_vectors(k), min_size=1, max_size=5),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+    integer_vectors(k))))
+def test_echelon_coordinates_match_the_reference(drawn):
+    # a combination of the generators lies in their lattice; the free
+    # vector often does not (a half coordinate or outside the span)
+    gens, mult, free = drawn
+    basis = hermite_basis(gens)
+    combo = tuple(sum(m * g[i] for m, g in zip(mult, gens))
+                  for i in range(len(free)))
+    assert echelon_coordinates(basis, combo) is not None
+    for vector in (combo, free, *gens):
+        assert echelon_coordinates(basis, vector) == \
+            lattice_coordinates(basis, vector)
+
+
+@st.composite
+def lattice_supports(draw):
+    """Supports over Z^k, each polynomial the origin plus 1-3 vectors: on
+    the special path k distinct vectors of rank k, on the Hermite path any
+    vectors, so the lattice may also have a rank below k."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pool = draw(st.lists(integer_vectors(k), min_size=k, max_size=k,
+                             unique=True).filter(
+            lambda vs: all(any(v) for v in vs) and eliminate(vs).rank == k))
+    else:
+        pool = draw(st.lists(integer_vectors(k), min_size=1, max_size=6))
+    refs = iter(CoeffRef(i, j, 0) for i in range(8) for j in range(4))
+    supports = []
+    while pool:
+        n = draw(st.integers(1, 3))
+        supports.append(((next(refs), (0,) * k),
+                         *((next(refs), v) for v in pool[:n])))
+        pool = pool[n:]
+    return k, tuple(supports)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lattice_supports())
+def test_transform_coordinates_match_the_reference(drawn):
+    k, supports = drawn
+    distinct = {v for sup in supports for _, v in sup if any(v)}
+    try:
+        basis, zpolys = strong_essential_transform(supports, k)
+    except DegenerateLattice:
+        assert len(hermite_basis(sorted(distinct))) != k
+        return
+    if len(distinct) == k and eliminate(sorted(distinct)).rank == k:
+        assert basis == tuple(sorted(distinct))  # the special path
+    for sup, zp in zip(supports, zpolys):
+        assert [ref for ref, _ in sup] == [ref for ref, _ in zp]
+        for (_, v), (_, coords) in zip(sup, zp):
+            assert coords == lattice_coordinates(basis, v)
+
+
 def test_strong_transform_fallback_path():
     # two distinct vectors in a rank-1 lattice: basis must come from the
     # Hermite form and both points get integer coordinates
@@ -140,7 +221,7 @@ def test_strong_transform_zero_dimensional():
 # ---------------------------------------------------------------------------
 
 def test_toy_reduction():
-    spec = select_and_specialize(toy_system(), (0, 1), seed=0)
+    spec = specialize(toy_system(), (0, 1), seed=0)
     red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
     assert red.used_bounds == (1, 0)
     assert red.corank_offset == 0
@@ -191,13 +272,63 @@ def test_golden_reduction():
             assert ref == CoeffRef(i, j, l)
 
 
+def rebuilt_reduction(spec, seed):
+    """The reference for overshooting bounds: (excess, essential tags, kept
+    transform instances), with the lowered bounds' matrix and its oracle
+    built anew."""
+    bounds = spec.bounds.modified
+    matrix = prolonged_support_matrix(spec.polys, bounds)
+    found = find_minimal_essential(RankOracle(matrix, seed=seed),
+                                   len(matrix.rows))
+    excess = len(matrix.rows) - found.rank - 1
+    lowered = prolonged_support_matrix(
+        spec.polys, tuple(max(0, b - excess) for b in bounds))
+    oracle = RankOracle(lowered, seed=seed)
+    ess = find_minimal_essential(oracle, len(lowered.rows)).circuit
+    cols = variable_essential_reduce(ess, oracle)
+    return (excess, tuple(lowered.row_labels[r] for r in ess),
+            tuple(lowered.col_labels[c] for c in cols))
+
+
+def overshooting_specializations(draws=150):
+    """Golden and the specialized analysis draws of ``bench/workloads.py``
+    (seed 0, loaded by path) whose order bounds overshoot."""
+    module = importlib.util.spec_from_file_location(
+        "bench_workloads", CASES.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(module)
+    module.loader.exec_module(workloads)
+    found = [golden_specialized()]
+    for text in workloads.analysis_texts(0, draws):
+        try:
+            system = parse_system(text).to_system()
+            spec = specialize(system, super_essential(system, seed=0), seed=0)
+            red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+        except SDResError:
+            continue
+        if red.corank_offset > 0:
+            found.append(spec)
+    return found
+
+
+def test_lowered_bounds_select_rows_of_the_first_oracle():
+    specs = overshooting_specializations()
+    assert len(specs) >= 10
+    for spec in specs:
+        for seed in (0, 1):
+            red = algebraic_reduction(spec.polys, spec.bounds.modified,
+                                      seed=seed)
+            assert red.corank_offset > 0
+            assert (red.corank_offset, red.essential_tags, red.kept_refs) == \
+                rebuilt_reduction(spec, seed)
+
+
 def test_golden_reduction_exact_path_agrees():
     # the shift family at k = 300 prolongs to 303 rows with about two
     # nonzeros each, which the exact route eliminates sparsely too
     shifted = parse_system(shift_family(300)).to_system()
     for spec in (golden_specialized(),
-                 select_and_specialize(
-                     shifted, find_super_essential(shifted, seed=0), seed=0)):
+                 specialize(shifted, super_essential(shifted, seed=0),
+                            seed=0)):
         red_r = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
         red_x = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0,
                                     exact=True)
@@ -218,8 +349,8 @@ def prolonged_matrix(name):
     else:
         text = (CASES / f"{name}.sys").read_text()
     system = parse_system(text).to_system()
-    subset = find_super_essential(system, seed=0)
-    spec = select_and_specialize(system, subset, seed=0)
+    subset = super_essential(system, seed=0)
+    spec = specialize(system, subset, seed=0)
     return prolonged_support_matrix(spec.polys, spec.bounds.modified)
 
 
@@ -262,8 +393,7 @@ def test_independent_prolonged_rows_lose_the_corank(name):
     # at all-zero bounds the prolonged rows are independent: the order
     # bounds failed, which is CorankLost, not NoEssentialSubset
     system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
-    spec = select_and_specialize(system, find_super_essential(system, seed=0),
-                                 seed=0)
+    spec = specialize(system, super_essential(system, seed=0), seed=0)
     with pytest.raises(CorankLost, match="prolonged rows are independent; "
                                          "order bounds failed"):
         algebraic_reduction(spec.polys, (0,) * len(spec.polys), seed=0)

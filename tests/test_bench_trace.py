@@ -56,3 +56,24 @@ def test_traced_run_case_reads_todays_counters(bench, case):
     terms = len(json.loads(reply["payload"])["resultant"]["terms"])
     metrics = run.layer_metrics(reply["spans"], terms)
     assert {k: metrics[k] for k in COUNTERS[case]} == COUNTERS[case]
+
+
+# the stage entry points that ``run_pipeline`` calls by name, each the span
+# behind a per-layer metric
+STAGE_SPANS = ("symbolic_rank", "find_super_essential", "select_and_specialize",
+               "algebraic_reduction", "find_minimal_essential",
+               "variable_essential_reduce", "strong_essential_transform",
+               "compute_resultant")
+
+
+def test_traced_run_keeps_a_span_per_stage(bench):
+    # moving a stage's work out of its wrapped name would silently zero
+    # that stage's metric rather than fail
+    worker, _ = bench
+    request = {"text": (BENCH / "cases" / "S4.sys").read_text(),
+               "stage": "resultant", "seed": 0, "paranoid": False,
+               "trace": True}
+    reply = worker.run_case(sdres, request, worker.Tracer())
+    assert reply["kind"] == "ok", reply.get("error")
+    names = [span[0] for span in reply["spans"]]
+    assert [name for name in STAGE_SPANS if name not in names] == []

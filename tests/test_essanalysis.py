@@ -4,12 +4,12 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdres import essanalysis
-from sdres.diffpoly import CoeffRef, SupportMatrix, support_matrix
-from sdres.errors import RankDrop
+from sdres.diffpoly import CoeffRef, DiffSystem, SupportMatrix, support_matrix
+from sdres.errors import InfiniteJacobiBound, RankDrop
 from sdres.essanalysis import (
     RankOracle,
     Specialization,
@@ -26,7 +26,16 @@ from sdres.essanalysis import (
 from sdres.parsing import parse_system
 from sdres.pipeline import run_pipeline
 
-from systems import golden_system, mono, poly, rank_deficient_system, toy_system
+from systems import (
+    golden_system,
+    mono,
+    poly,
+    rank_deficient_system,
+    specialize,
+    super_essential,
+    symbolic_oracle,
+    toy_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +44,15 @@ from systems import golden_system, mono, poly, rank_deficient_system, toy_system
 
 def test_golden_rank_is_four():
     m = support_matrix(golden_system().polys, 4)
-    assert symbolic_rank(m, seed=0).rank == 4
-    assert symbolic_rank(m, seed=0, exact=True).rank == 4
+    assert symbolic_rank(RankOracle(m, seed=0)).rank == 4
+    assert symbolic_rank(RankOracle(m, seed=0, exact=True)).rank == 4
 
 
 def test_rank_seed_stability():
     m = support_matrix(golden_system().polys, 4)
-    assert symbolic_rank(m, seed=0) == symbolic_rank(m, seed=0)
-    assert symbolic_rank(m, seed=7).rank == 4
+    assert symbolic_rank(RankOracle(m, seed=0)) == \
+        symbolic_rank(RankOracle(m, seed=0))
+    assert symbolic_rank(RankOracle(m, seed=7)).rank == 4
 
 
 def test_transformally_essential():
@@ -55,7 +65,6 @@ def test_transformally_essential():
 def test_shared_direction_system_not_essential():
     # all ratios proportional to y1*y2: rank 1 < 2
     shared = mono({(1, 0): 1, (2, 0): 1})
-    from sdres.diffpoly import DiffSystem
     polys = tuple(poly(i, [mono({}), shared]) for i in range(3))
     sys2 = DiffSystem(polys=polys, nvars=2)
     assert not is_transformally_essential(sys2)
@@ -64,7 +73,7 @@ def test_shared_direction_system_not_essential():
 def test_high_shift_rank_costs_terms_not_shifts():
     # entries are sparse in the shift: transform count 100000 is two terms
     src = parse_system("P0 = u + u*y[1,0]*y[1,100000]\nP1 = u + u*y[1,1]")
-    assert symbolic_rank(support_matrix(src.polys, src.nvars)).rank == 1
+    assert symbolic_rank(RankOracle(support_matrix(src.polys, src.nvars))).rank == 1
 
 
 def test_bounds_at_shift_1e5_keep_oracle_entries_below_the_prime(monkeypatch):
@@ -133,18 +142,18 @@ def test_randomized_rank_queries_agree_with_paranoid(m, seed, data):
 # ---------------------------------------------------------------------------
 
 def test_golden_super_essential():
-    assert find_super_essential(golden_system(), seed=0) == (0, 1, 2)
-    assert find_super_essential(golden_system(), seed=3) == (0, 1, 2)
-    assert find_super_essential(golden_system(), seed=0, exact=True) == (0, 1, 2)
+    assert super_essential(golden_system(), seed=0) == (0, 1, 2)
+    assert super_essential(golden_system(), seed=3) == (0, 1, 2)
+    assert super_essential(golden_system(), seed=0, exact=True) == (0, 1, 2)
 
 
 def test_toy_super_essential_is_everything():
-    assert find_super_essential(toy_system(), seed=0) == (0, 1)
+    assert super_essential(toy_system(), seed=0) == (0, 1)
 
 
 def test_super_essential_rejects_non_essential_input():
     with pytest.raises(RankDrop):
-        find_super_essential(rank_deficient_system(), seed=0)
+        super_essential(rank_deficient_system(), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def test_jacobi_numbers_hat_golden():
 
 def test_golden_specialization_defaults_to_minimal_bounds():
     sys = golden_system()
-    spec = select_and_specialize(sys, (0, 1, 2), seed=0)
+    spec = specialize(sys, (0, 1, 2), seed=0)
     assert isinstance(spec, Specialization)
     assert spec.kept_vars == (1, 4)
     assert spec.bounds.order_mat == ((1, 1), (1, 2), (2, 1))
@@ -223,7 +232,7 @@ def test_golden_specialization_defaults_to_minimal_bounds():
 
 def test_golden_specialization_override():
     sys = golden_system()
-    spec = select_and_specialize(sys, (0, 1, 2), seed=0, kept_override=(1, 2))
+    spec = specialize(sys, (0, 1, 2), seed=0, kept_override=(1, 2))
     assert spec.kept_vars == (1, 2)
     assert spec.bounds.order_mat == ((1, 1), (1, 1), (2, 2))
     assert spec.bounds.jacobi == (3, 3, 2)
@@ -235,22 +244,62 @@ def test_golden_override_must_have_full_rank():
     sys = golden_system()
     with pytest.raises(RankDrop):
         # a single column cannot have rank 2
-        select_and_specialize(sys, (0, 1, 2), seed=0, kept_override=(1,))
+        specialize(sys, (0, 1, 2), seed=0, kept_override=(1,))
 
 
 def test_modified_bounds_direct():
     sys = golden_system()
-    spec = select_and_specialize(sys, (0, 1, 2), seed=0, kept_override=(1, 4))
+    spec = specialize(sys, (0, 1, 2), seed=0, kept_override=(1, 4))
     b = modified_jacobi_bounds(spec.polys, spec.kept_vars)
     assert b.modified == (3, 2, 2)
 
 
 def test_toy_specialization():
-    spec = select_and_specialize(toy_system(), (0, 1), seed=0)
+    spec = specialize(toy_system(), (0, 1), seed=0)
     assert spec.kept_vars == (1,)
     assert spec.bounds.order_mat == ((0,), (1,))
     assert spec.bounds.jacobi == (1, 0)
     assert spec.bounds.modified == (1, 0)
+
+
+@st.composite
+def systems_with_a_proper_core(draw):
+    """n + 1 polynomials in 2 <= n <= 4 variables, 2-3 terms each, shifts
+    0-2, whose first t + 1 polynomials (t < n) use only y_1..y_t: those
+    rows are dependent, so a super-essential subsystem is a proper subset."""
+    n = draw(st.integers(2, 4))
+    t = draw(st.integers(1, n - 1))
+    polys = []
+    for i in range(n + 1):
+        factor = st.tuples(st.integers(1, t if i <= t else n),
+                           st.integers(0, 2))
+        monos = st.dictionaries(factor, st.sampled_from((-2, -1, 1, 2)),
+                                max_size=3).map(mono)
+        polys.append(poly(i, draw(st.lists(monos, min_size=2, max_size=3,
+                                           unique_by=lambda m: m.powers))))
+    return DiffSystem(polys=tuple(polys), nvars=n)
+
+
+def specialization_or_error(system, oracle, subset):
+    try:
+        return select_and_specialize(system, oracle, subset)
+    except InfiniteJacobiBound as exc:
+        return repr(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(systems_with_a_proper_core(), st.integers(0, 3))
+def test_bounds_stage_on_the_shared_oracle_matches_a_subset_matrix(system,
+                                                                   seed):
+    oracle = symbolic_oracle(system, seed=seed)
+    found = symbolic_rank(oracle)
+    assume(found.rank == system.nvars)
+    subset = find_super_essential(found, len(system.polys))
+    assert len(subset) < len(system.polys)
+    fresh = RankOracle(support_matrix(system.subsystem(subset), system.nvars,
+                                      row_labels=subset), seed=seed)
+    assert specialization_or_error(system, oracle, subset) == \
+        specialization_or_error(system, fresh, subset)
 
 
 def test_rank_oracle_submatrix_queries():
@@ -284,7 +333,7 @@ def column_matroids(draw):
     coeff = CoeffRef(0, 0, 0)
     rows = [{c: {coeff: {0: col[r]}} for c, col in enumerate(cols) if col[r]}
             for r in range(nrows)]
-    return SupportMatrix.of(rows, range(nrows), range(ncols))
+    return SupportMatrix(tuple(rows), tuple(range(nrows)), tuple(range(ncols)))
 
 
 def subset_loop_candidates(oracle, full):

@@ -521,9 +521,9 @@ def test_modular_elimination_matches_bareiss(drawn, seed, data):
     # oracle value is v times one nonzero draw, and a column subset (in
     # any order) is remapped to positions in the subset
     coeff = CoeffRef(0, 0, 0)
-    matrix = SupportMatrix.of(
-        [{c: {coeff: {0: v}} for c, v in enumerate(row) if v} for row in m],
-        range(len(m)), range(ncols))
+    matrix = SupportMatrix(
+        tuple({c: {coeff: {0: v}} for c, v in enumerate(row) if v} for row in m),
+        tuple(range(len(m))), tuple(range(ncols)))
     oracle = RankOracle(matrix, seed=seed)
     row_sel = data.draw(st.none() | st.lists(
         st.integers(0, max(len(m) - 1, 0)), unique=True, max_size=len(m)))

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from sdres import essanalysis
+from sdres import essanalysis, multipoly
 from sdres.parsing import parse_system
 from sdres.pipeline import (
     PipelineReport,
@@ -70,6 +70,34 @@ def test_echelon_pivot_fallback_keeps_the_resultant(monkeypatch, name):
         assert report.kept_vars == (1, 2)
         assert report.modified_jacobi == (3, 3, 2)
     assert resultant_terms(report) == expected
+
+
+# (RankOracle constructions, _eliminate passes) of one run at seed 0: one
+# oracle on the symbolic support matrix for stages 1-3 and one on the
+# prolonged matrix for stage 4; golden's overshooting bounds (3, 2, 2) are
+# lowered by selecting rows of the same oracle
+WORK_PER_RUN = {"shift20": (2, 6), "S6": (2, 5), "golden": (2, 10)}
+
+
+@pytest.mark.parametrize("name", WORK_PER_RUN)
+def test_each_support_matrix_is_evaluated_once_per_run(monkeypatch, name):
+    counts = {"oracles": 0, "passes": 0}
+    init, eliminate = essanalysis.RankOracle.__init__, multipoly._eliminate
+
+    def counted_init(self, *args, **kwargs):
+        counts["oracles"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_eliminate(*args, **kwargs):
+        counts["passes"] += 1
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(essanalysis.RankOracle, "__init__", counted_init)
+    monkeypatch.setattr(multipoly, "_eliminate", counted_eliminate)
+    report = run_pipeline(parse_system((CASES / f"{name}.sys").read_text()),
+                          seed=0)
+    assert report.resultant is not None
+    assert (counts["oracles"], counts["passes"]) == WORK_PER_RUN[name]
 
 
 def test_resultant_stage_full_report():

@@ -32,11 +32,7 @@ from sdres.errors import (
     NotDivisible,
     RetriesExhausted,
 )
-from sdres.essanalysis import (
-    find_super_essential,
-    select_and_specialize,
-    stage_rng,
-)
+from sdres.essanalysis import stage_rng
 from sdres.multipoly import MultiPoly, eliminate
 from sdres.resultant import (
     CERTIFICATE_ROUNDS,
@@ -57,17 +53,17 @@ import rational_lp
 from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
 from lp_subdivision import lp_subdivision
-from systems import golden_system, toy_system
+from systems import golden_system, specialize, super_essential, toy_system
 from vanishing import vanishes_on_difference_system, vanishes_on_lattice_system
 
 
 def golden_reduction():
-    spec = select_and_specialize(golden_system(), (0, 1, 2), seed=0)
+    spec = specialize(golden_system(), (0, 1, 2), seed=0)
     return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
 
 
 def toy_reduction():
-    spec = select_and_specialize(toy_system(), (0, 1), seed=0)
+    spec = specialize(toy_system(), (0, 1), seed=0)
     return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
 
 
@@ -76,8 +72,8 @@ CASES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "cases"
 
 def case_reduction(name):
     system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
-    subset = find_super_essential(system, seed=0)
-    spec = select_and_specialize(system, subset, seed=0)
+    subset = super_essential(system, seed=0)
+    spec = specialize(system, subset, seed=0)
     return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
 
 
