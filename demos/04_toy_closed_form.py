@@ -33,7 +33,7 @@ system = parse_system(TEXT).to_system()
 oracle = RankOracle(support_matrix(system.polys, system.nvars))
 subset = find_super_essential(symbolic_rank(oracle), len(system.polys))
 spec = select_and_specialize(system, oracle, subset)
-red = algebraic_reduction(spec.polys, spec.bounds.modified)
+red = algebraic_reduction(spec, spec.bounds.modified)
 supports, _ = extract_supports(red.zpolys)
 poly, size = sylvester_resultant(supports)
 print(f"{size}x{size} Sylvester determinant agrees:", poly == report.resultant)

@@ -13,7 +13,6 @@ from .diffpoly import (
     Monomial,
     VarRef,
     norm_form,
-    order_matrix,
     shift_poly,
     support_matrix,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "mixed_subdivision",
     "modified_jacobi_bounds",
     "norm_form",
-    "order_matrix",
     "parse_system",
     "print_system",
     "run_pipeline",

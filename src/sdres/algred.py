@@ -26,19 +26,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly, support_rows
+from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
 from .multipoly import eliminate
 
 
-def prolonged_support_matrix(polys, bounds):
+def prolonged_support_matrix(matrix, bounds):
     """Algebraic support matrix of delta^l P_i, 0 <= l <= bounds[i], rows
-    tagged (i, l): P_i's ``support_rows`` row (every transform instance a
-    column at shift 0) with l added to every VarRef and CoeffRef shift.
+    tagged (i, l), re-keyed from row i of ``matrix`` (``Specialization``'s):
+    the part {ref: {s: e}} of entry (i, y_j) becomes {ref shifted by l:
+    {0: e}} in the column of y_j^(s + l), each {0: e} shared across l.
     Columns: every transform instance seen, sorted once from the base rows'
     keys and the bounds; each row is written by column index."""
-    base = support_rows(polys, lambda v: (v, 0))
+    base = [{} for _ in matrix.rows]
+    for row, placed in zip(matrix.rows, base):
+        for c, entry in row.items():
+            for r, d in entry.items():
+                for s, e in d.items():
+                    v = VarRef(matrix.col_labels[c], s)
+                    placed.setdefault(v, {})[r] = {0: e}
     cols = sorted({VarRef(v.var, v.shift + l) for row, bound in zip(base, bounds)
                    for v in row for l in range(bound + 1)})
     index = {v: j for j, v in enumerate(cols)}
@@ -50,13 +57,6 @@ def prolonged_support_matrix(polys, bounds):
                 CoeffRef(r.poly, r.coeff, r.shift + l): d for r, d in e.items()}
                 for v, e in row.items()})
     return SupportMatrix(tuple(rows), tuple(tags), tuple(cols))
-
-
-def relative_supports(poly):
-    """Per term: its generic coefficient and the exponent vector of the
-    monomial relative to the distinguished one (dict VarRef -> int)."""
-    base = poly.terms[0][1]
-    return [(ref, dict(mono.ratio(base).powers)) for ref, mono in poly.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +189,16 @@ class AlgebraicReduction:
         return len(self.basis)
 
 
-def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
-    """Full reduction of the specialized subsystem to lattice form.
+def algebraic_reduction(spec, bounds, seed=0, exact=False):
+    """Full reduction of the ``Specialization`` spec to lattice form.
 
-    spec_polys must be in norm form; bounds are their (finite, nonnegative)
-    order bounds.  Only the essential circuit's rows are transformed as
-    polynomials; the rest stay rows of ``prolonged_support_matrix``.
+    bounds are its (finite, nonnegative) order bounds.  The lattice vectors
+    are read off the essential circuit's rows of the matrix prolonged from
+    ``spec.matrix``; only those rows are also transformed as polynomials.
     """
     if any(b is None or b < 0 for b in bounds):
         raise CorankLost(f"order bounds must be finite and nonnegative: {bounds}")
-    matrix = prolonged_support_matrix(spec_polys, bounds)
+    matrix = prolonged_support_matrix(spec.matrix, bounds)
     oracle = RankOracle(matrix, seed=seed, exact=exact)
     try:
         found = find_minimal_essential(oracle, len(matrix.rows))
@@ -221,14 +221,19 @@ def algebraic_reduction(spec_polys, bounds, seed=0, exact=False):
     kept_refs = tuple(matrix.col_labels[c] for c in cols)
 
     tags = tuple(matrix.row_labels[r] for r in ess)
-    polys = tuple(shift_poly(spec_polys[i], l) for i, l in tags)
-    ess_supports = [relative_supports(poly) for poly in polys]
-    present = {v for sup in ess_supports for _, vec in sup for v in vec}
-    dropped_refs = tuple(sorted(present - set(kept_refs)))
+    polys = tuple(shift_poly(spec.polys[i], l) for i, l in tags)
+    present = {c for r in ess for c in matrix.rows[r]}
+    dropped_refs = tuple(matrix.col_labels[c]
+                         for c in sorted(present.difference(cols)))
 
-    projected = tuple(
-        tuple((ref, tuple(vec.get(v, 0) for v in kept_refs)) for ref, vec in sup)
-        for sup in ess_supports)
+    # each term's exponents on the kept columns relative to the distinguished
+    # term; an exponent 0, the distinguished term's included, is absent
+    projected = []
+    for r, poly in zip(ess, polys):
+        entries = [matrix.rows[r].get(c, {}) for c in cols]
+        projected.append(tuple(
+            (ref, tuple(e[ref][0] if ref in e else 0 for e in entries))
+            for ref in poly.coeff_refs()))
     basis, zpolys = strong_essential_transform(projected, len(kept_refs))
 
     return AlgebraicReduction(

@@ -9,9 +9,10 @@ A support row encodes, for each difference variable, the shift structure of
 every monomial ratio M_ik/M_i0 as a sparse univariate polynomial in the shift
 operator: exponent e on transform k contributes e*x^k.  Stacking those rows
 over a system gives the symbolic support matrix whose rank decides whether
-the sparse difference resultant exists at all.  The same row builder, with
-every transform instance a column of its own, gives the algebraic support
-matrix of the prolonged system.
+the sparse difference resultant exists at all.  It is the one matrix built
+from polynomials: the later stages select its rows and columns (setting
+variables to one drops columns, a norm form changes no quotient) and
+shift its keys (a transform adds l to every shift).
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ class Monomial:
 
     def var_refs(self):
         return tuple(v for v, _ in self.powers)
-
-    def order_in(self, var):
-        """Highest transform of y_var present, or None when absent."""
-        shifts = [v.shift for v, e in self.powers if v.var == var]
-        return max(shifts) if shifts else None
-
-    def drop_vars(self, vars_to_one):
-        """Set whole difference variables (all transforms) to 1."""
-        return Monomial(tuple((v, e) for v, e in self.powers if v.var not in vars_to_one))
 
     def evaluate(self, assignment):
         """Exact value at a dict VarRef -> number; Laurent exponents need
@@ -188,10 +180,6 @@ class DiffSystem:
                 f"{len(self.polys)} polynomials over {self.nvars} variables; "
                 f"need exactly n+1 = {self.nvars + 1}")
 
-    def subsystem(self, indices):
-        """Row selection only; still indexed by the original positions."""
-        return tuple(self.polys[i] for i in indices)
-
 
 def shift_poly(f, l):
     """Apply the transform operator l times."""
@@ -223,29 +211,14 @@ def norm_form(f):
     return normal, mult
 
 
-def order_of(f, var):
-    """ord(f, y_var) computed on the norm form; None when absent (-infinity)."""
-    nf, _ = norm_form(f)
-    best = None
-    for _, m in nf.terms:
-        o = m.order_in(var)
-        if o is not None:
-            best = o if best is None else max(best, o)
-    return best
-
-
-def order_matrix(system_polys, variables):
-    """Rows: polynomials; columns: the given difference variables; entries
-    ord(N(P_i), y_j) with None standing in for -infinity."""
-    return tuple(tuple(order_of(p, v) for v in variables) for p in system_polys)
-
-
 def specialize_poly(f, keep_vars):
     """Set every difference variable outside keep_vars (all transforms) to 1."""
     drop = set(f.variables()) - set(keep_vars)
     if not drop:
         return f
-    return DiffPolynomial(tuple((r, m.drop_vars(drop)) for r, m in f.terms))
+    return DiffPolynomial(tuple(
+        (r, Monomial(tuple((v, e) for v, e in m.powers if v.var not in drop)))
+        for r, m in f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +228,16 @@ def specialize_poly(f, keep_vars):
 # A matrix entry is a dict CoeffRef -> {shift: int}: the formal sum of generic
 # coefficients weighted by sparse shift polynomials in x.
 
-def support_rows(polys, place):
+def support_rows(polys):
     """One row per polynomial, a dict column -> entry.  Each factor v^e of a
-    ratio M_ik/M_i0 adds e*x^s to the u_ik part of the entry in column c,
-    where (c, s) = place(v); the symbolic matrix places y_j^(k), the VarRef
-    (j, k), in column j - 1 at shift k."""
+    ratio M_ik/M_i0, v = y_j^(s), adds e*x^s to the u_ik part of the entry
+    in column j - 1."""
     rows = []
     for f in polys:
         m0, row = f.distinguished[1], {}
         for r, m in f.terms[1:]:
             for v, e in m.ratio(m0).powers:
-                col, s = place(v)
-                row.setdefault(col, {}).setdefault(r, {})[s] = e
+                row.setdefault(v.var - 1, {}).setdefault(r, {})[v.shift] = e
         rows.append(row)
     return rows
 
@@ -280,11 +251,19 @@ class SupportMatrix:
     def coeff_refs(self):
         return {r for row in self.rows for entry in row.values() for r in entry}
 
+    def select(self, row_indices, col_indices):
+        """The submatrix on the given rows and columns, in the order given,
+        its columns renumbered by their position in ``col_indices``."""
+        index = {c: j for j, c in enumerate(col_indices)}
+        return SupportMatrix(
+            tuple({index[c]: e for c, e in self.rows[r].items() if c in index}
+                  for r in row_indices),
+            tuple(self.row_labels[r] for r in row_indices),
+            tuple(self.col_labels[c] for c in col_indices))
 
-def support_matrix(system_polys, nvars, row_labels=None):
+
+def support_matrix(system_polys, nvars):
     """The symbolic support matrix over the variables 1..nvars."""
-    if row_labels is None:
-        row_labels = range(len(system_polys))
-    rows = support_rows(system_polys, lambda v: (v.var - 1, v.shift))
-    return SupportMatrix(tuple(rows), tuple(row_labels),
+    return SupportMatrix(tuple(support_rows(system_polys)),
+                         tuple(range(len(system_polys))),
                          tuple(range(1, nvars + 1)))

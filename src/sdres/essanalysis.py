@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diffpoly import (
+    SupportMatrix,
     norm_form,
-    order_matrix,
     specialize_poly,
     support_matrix,
-    support_rows,
 )
-from .errors import InfiniteJacobiBound, RankDrop
+from .errors import InfiniteJacobiBound, InputError, RankDrop
 from .multipoly import MultiPoly, eliminate, uni_gcd
 from .sparseinterp import next_prime
 
@@ -219,20 +218,27 @@ class JacobiBounds:
         return sum(self.modified)
 
 
-def modified_jacobi_bounds(spec_polys, kept_vars):
-    """Order bounds for the specialized subsystem.
+def modified_jacobi_bounds(matrix):
+    """Order bounds for the specialized subsystem, from ``matrix``, its rows
+    of the symbolic support matrix on the kept columns.
 
-    Bound i covers the order of the resultant in the coefficients of the
-    i-th polynomial: the Jacobi number of the order matrix with row i
-    removed, lowered by the total degree of the common x-polynomial factors
-    of the support matrix columns.
+    Order entry (i, j), ord(N(P_i), y_j), is the largest shift in entry
+    (i, j), or None (-infinity) when it is absent: y_j^(s) occurs in N(P_i)
+    exactly when its exponent differs between two terms, so when some
+    quotient M_ik/M_i0 holds it.  The norm form multiplies every term by
+    one monomial, and the dropped variables have no column, so neither
+    changes a quotient on these columns.  Bound i is the Jacobi number of
+    the order matrix without row i, lowered by the total degree of the
+    columns' common x-polynomial factors.
     """
-    omat = order_matrix(spec_polys, kept_vars)
+    cols = range(len(matrix.col_labels))
+    omat = tuple(tuple(max(s for d in row[c].values() for s in d)
+                       if c in row else None for c in cols)
+                 for row in matrix.rows)
     jac = jacobi_numbers_hat(omat)
-    rows = support_rows(spec_polys, lambda v: v)
     gcd_deg = 0
-    for var in kept_vars:
-        g = uni_gcd(d for row in rows for d in row.get(var, {}).values())
+    for c in cols:
+        g = uni_gcd(d for row in matrix.rows for d in row.get(c, {}).values())
         gcd_deg += max(len(g) - 1, 0)
     modified = tuple(None if j is None else j - gcd_deg for j in jac)
     return JacobiBounds(order_mat=omat, jacobi=jac, gcd_degree=gcd_deg,
@@ -249,19 +255,21 @@ class Specialization:
     polys: tuple              # specialized polynomials in norm form
     bounds: JacobiBounds
     has_collisions: bool      # two monomials of one polynomial coincided
+    matrix: SupportMatrix     # the subsystem's rows, the kept columns
 
 
-def _specialize_candidate(system, subset_indices, kept_vars):
-    polys = []
-    collide = False
-    for i in subset_indices:
-        p = specialize_poly(system.polys[i], set(kept_vars))
-        p, _ = norm_form(p)
-        monos = [m for _, m in p.terms]
-        if len(set(monos)) != len(monos):
-            collide = True
-        polys.append(p)
-    return tuple(polys), collide
+def has_collisions(matrix, nterms):
+    """Whether two of the nterms[i] terms of some row's polynomial agree on
+    ``matrix``'s columns: their quotients M_ik/M_i0 do.  The terms absent
+    from the row share the distinguished term's empty quotient."""
+    for row, n in zip(matrix.rows, nterms):
+        refs = {r for entry in row.values() for r in entry}
+        quotients = {frozenset((c, s, e) for c, entry in row.items()
+                               for s, e in entry.get(r, {}).items())
+                     for r in refs}
+        if len(quotients) + 1 < n:
+            return True
+    return False
 
 
 MAX_PIVOT_CANDIDATES = 1000
@@ -304,10 +312,11 @@ def select_and_specialize(system, oracle, subset_indices, kept_override=None):
 
     ``oracle`` holds the evaluated symbolic support matrix of the system,
     or of the subsystem alone; its rows labelled by ``subset_indices`` are
-    queried, so the stage draws nothing of its own.  Among the column bases
-    of ``pivot_candidates`` the one minimizing the total modified Jacobi
-    bound is taken (ties: lexicographically smallest), preferring
-    collision-free specializations.  ``kept_override`` forces the choice.
+    queried, so the stage draws nothing of its own.  Each column basis of
+    ``pivot_candidates`` is scored on those rows and its columns; the one
+    minimizing the total modified Jacobi bound is taken (ties:
+    lexicographically smallest), preferring collision-free ones, and only
+    its polynomials are specialized.  ``kept_override`` forces the choice.
     """
     rows = tuple(map(oracle.matrix.row_labels.index, subset_indices))
     full = oracle.rank_with_pivots(rows)
@@ -318,6 +327,9 @@ def select_and_specialize(system, oracle, subset_indices, kept_override=None):
     all_vars = oracle.matrix.col_labels
     if kept_override is not None:
         kept = tuple(sorted(kept_override))
+        if len(set(kept)) != len(kept) or not set(kept) <= set(all_vars):
+            raise InputError(f"kept variables {tuple(kept_override)} must be "
+                             f"distinct variables among {all_vars}")
         cols = tuple(all_vars.index(v) for v in kept)
         if oracle.rank_with_pivots(rows, cols).rank != m:
             raise RankDrop(f"kept columns {kept} do not have full rank {m}")
@@ -325,19 +337,19 @@ def select_and_specialize(system, oracle, subset_indices, kept_override=None):
     else:
         candidates = pivot_candidates(oracle, full, rows)
 
-    best = None
+    nterms = [len(system.polys[i].terms) for i in subset_indices]
+    scored = []
     for cols in candidates:
-        kept = tuple(all_vars[c] for c in cols)
-        polys, collide = _specialize_candidate(system, subset_indices, kept)
-        bounds = modified_jacobi_bounds(polys, kept)
-        if any(j is None for j in bounds.modified):
-            continue  # infeasible order bound for this choice
-        key = (collide, bounds.total, kept)
-        cand = Specialization(kept_vars=kept, polys=polys, bounds=bounds,
-                              has_collisions=collide)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    if best is None:
+        matrix = oracle.matrix.select(rows, cols)
+        bounds = modified_jacobi_bounds(matrix)
+        if None not in bounds.modified:  # else an order bound is -infinity
+            scored.append(((has_collisions(matrix, nterms), bounds.total,
+                            matrix.col_labels), matrix, bounds))
+    if not scored:
         raise InfiniteJacobiBound(
             "every pivot choice leaves some order bound at -infinity")
-    return best[1]
+    (collide, _, kept), matrix, bounds = min(scored, key=lambda s: s[0])
+    polys = tuple(norm_form(specialize_poly(system.polys[i], kept))[0]
+                  for i in subset_indices)
+    return Specialization(kept_vars=kept, polys=polys, bounds=bounds,
+                          has_collisions=collide, matrix=matrix)

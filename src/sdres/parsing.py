@@ -10,7 +10,8 @@ MAX_TRANSFORM); exponents are signed integers.  The bare token ``u`` marks
 a term's generic coefficient and is auto-numbered as u[i,j] in term order;
 a term written without it gets one implicitly, so every term carries
 exactly one fresh coefficient symbol.  ``#`` starts a comment, blank lines
-are skipped, and all other whitespace is insignificant.
+are skipped, and spaces and tabs are insignificant.  A line ends at ``\n``
+or ``\r\n`` only.
 
 MAX_TRANSFORM bounds the work of the existence check, whose cost grows
 with the transform counts (about 1 s at 10^5); a larger count is a parse
@@ -180,7 +181,8 @@ def parse_system(text):
     """Parse the full input language into a SystemSource."""
     by_index = {}
     order = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # not str.splitlines, which also ends lines at \f, U+2028 and others
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue

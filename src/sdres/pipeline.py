@@ -83,7 +83,7 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
                     f"a sparse difference resultant needs exactly {n + 1}"))
         tick("check")
         return report
-    # one evaluation of the symbolic support matrix serves stages 1-3
+    # the one matrix built from polynomials, evaluated once for stages 1-3
     oracle = RankOracle(support_matrix(polys, n), seed=seed, exact=paranoid)
     found = symbolic_rank(oracle)
     report = PipelineReport(
@@ -114,7 +114,7 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     if depth < 3:
         return report
 
-    red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=seed,
+    red = algebraic_reduction(spec, spec.bounds.modified, seed=seed,
                               exact=paranoid)
     res = compute_resultant(red.zpolys, seed=seed, max_retries=max_retries)
     report.alg_essential = red.essential_tags

@@ -66,7 +66,7 @@ GOLDEN_Z_SUPPORTS = (
 def full_stack(system, seed=0):
     subset = super_essential(system, seed=seed)
     spec = specialize(system, subset, seed=seed)
-    red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=seed)
+    red = algebraic_reduction(spec, spec.bounds.modified, seed=seed)
     res = compute_resultant(red.zpolys, seed=seed)
     return subset, spec, red, res
 
@@ -179,7 +179,7 @@ def random_essential_cases(count=5):
         try:
             subset = super_essential(system, seed=0)
             spec = specialize(system, subset, seed=0)
-            red = algebraic_reduction(spec.polys, spec.bounds.modified,
+            red = algebraic_reduction(spec, spec.bounds.modified,
                                       seed=0)
             if not tractable(red):
                 continue
@@ -402,14 +402,14 @@ def test_randomized_circuits_match_exact_route():
     stacks = [(golden_system(),) + full_stack(golden_system(), seed=0)[:3]]
     stacks.extend(case[:4] for case in random_essential_cases())
     for system, subset, spec, red in stacks:
-        exact_red = algebraic_reduction(spec.polys, spec.bounds.modified,
+        exact_red = algebraic_reduction(spec, spec.bounds.modified,
                                         exact=True)
         assert super_essential(system, exact=True) == subset
         assert (red.essential_tags, red.kept_refs) == \
             (exact_red.essential_tags, exact_red.kept_refs)
         for seed in (1, 2, 3):
             assert super_essential(system, seed=seed) == subset
-            other = algebraic_reduction(spec.polys, spec.bounds.modified,
+            other = algebraic_reduction(spec, spec.bounds.modified,
                                         seed=seed)
             assert (other.essential_tags, other.kept_refs) == \
                 (red.essential_tags, red.kept_refs)

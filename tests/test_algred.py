@@ -15,11 +15,10 @@ from sdres.algred import (
     find_minimal_essential,
     hermite_basis,
     prolonged_support_matrix,
-    relative_supports,
     strong_essential_transform,
     variable_essential_reduce,
 )
-from sdres.diffpoly import CoeffRef, VarRef
+from sdres.diffpoly import CoeffRef, VarRef, support_matrix
 from sdres.errors import (
     CorankLost,
     DegenerateLattice,
@@ -31,6 +30,7 @@ from sdres.multipoly import eliminate
 from sdres.parsing import parse_system
 
 from det_oracles import frac_gauss_rank
+from polynomial_route import relative_supports
 from systems import golden_system, mono, poly, specialize, super_essential, toy_system
 
 CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
@@ -46,7 +46,7 @@ def golden_specialized():
 
 def test_prolong_counts_and_tags():
     spec = golden_specialized()
-    matrix = prolonged_support_matrix(spec.polys, spec.bounds.modified)
+    matrix = prolonged_support_matrix(spec.matrix, spec.bounds.modified)
     assert len(matrix.rows) == 10
     assert list(matrix.row_labels) == [(0, 0), (0, 1), (0, 2), (0, 3),
                                        (1, 0), (1, 1), (1, 2),
@@ -65,7 +65,7 @@ def test_relative_supports_laurent():
 
 def test_alg_matrix_golden_rank():
     spec = golden_specialized()
-    matrix = prolonged_support_matrix(spec.polys, spec.bounds.modified)
+    matrix = prolonged_support_matrix(spec.matrix, spec.bounds.modified)
     assert len(matrix.col_labels) == 10
     assert RankOracle(matrix, seed=0).rank_with_pivots().rank == 8
     assert RankOracle(matrix, seed=0, exact=True).rank_with_pivots().rank == 8
@@ -222,7 +222,7 @@ def test_strong_transform_zero_dimensional():
 
 def test_toy_reduction():
     spec = specialize(toy_system(), (0, 1), seed=0)
-    red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+    red = algebraic_reduction(spec, spec.bounds.modified, seed=0)
     assert red.used_bounds == (1, 0)
     assert red.corank_offset == 0
     assert red.essential_tags == ((0, 1), (1, 0))
@@ -237,7 +237,7 @@ def test_toy_reduction():
 
 def test_golden_reduction():
     spec = golden_specialized()
-    red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+    red = algebraic_reduction(spec, spec.bounds.modified, seed=0)
     assert red.corank_offset == 1
     assert red.used_bounds == (2, 1, 1)
     assert red.essential_tags == ((0, 0), (0, 1), (0, 2),
@@ -277,12 +277,12 @@ def rebuilt_reduction(spec, seed):
     transform instances), with the lowered bounds' matrix and its oracle
     built anew."""
     bounds = spec.bounds.modified
-    matrix = prolonged_support_matrix(spec.polys, bounds)
+    matrix = prolonged_support_matrix(spec.matrix, bounds)
     found = find_minimal_essential(RankOracle(matrix, seed=seed),
                                    len(matrix.rows))
     excess = len(matrix.rows) - found.rank - 1
     lowered = prolonged_support_matrix(
-        spec.polys, tuple(max(0, b - excess) for b in bounds))
+        spec.matrix, tuple(max(0, b - excess) for b in bounds))
     oracle = RankOracle(lowered, seed=seed)
     ess = find_minimal_essential(oracle, len(lowered.rows)).circuit
     cols = variable_essential_reduce(ess, oracle)
@@ -302,7 +302,7 @@ def overshooting_specializations(draws=150):
         try:
             system = parse_system(text).to_system()
             spec = specialize(system, super_essential(system, seed=0), seed=0)
-            red = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+            red = algebraic_reduction(spec, spec.bounds.modified, seed=0)
         except SDResError:
             continue
         if red.corank_offset > 0:
@@ -315,7 +315,7 @@ def test_lowered_bounds_select_rows_of_the_first_oracle():
     assert len(specs) >= 10
     for spec in specs:
         for seed in (0, 1):
-            red = algebraic_reduction(spec.polys, spec.bounds.modified,
+            red = algebraic_reduction(spec, spec.bounds.modified,
                                       seed=seed)
             assert red.corank_offset > 0
             assert (red.corank_offset, red.essential_tags, red.kept_refs) == \
@@ -329,8 +329,8 @@ def test_golden_reduction_exact_path_agrees():
     for spec in (golden_specialized(),
                  specialize(shifted, super_essential(shifted, seed=0),
                             seed=0)):
-        red_r = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
-        red_x = algebraic_reduction(spec.polys, spec.bounds.modified, seed=0,
+        red_r = algebraic_reduction(spec, spec.bounds.modified, seed=0)
+        red_x = algebraic_reduction(spec, spec.bounds.modified, seed=0,
                                     exact=True)
         assert red_r == red_x
 
@@ -351,7 +351,7 @@ def prolonged_matrix(name):
     system = parse_system(text).to_system()
     subset = super_essential(system, seed=0)
     spec = specialize(system, subset, seed=0)
-    return prolonged_support_matrix(spec.polys, spec.bounds.modified)
+    return prolonged_support_matrix(spec.matrix, spec.bounds.modified)
 
 
 @pytest.mark.parametrize("name", ["shift20", "shift30", "S4", "shift-300"])
@@ -383,7 +383,7 @@ def test_minimal_essential_prefers_low_ranking_rows():
     # three identical single-term polynomials: every pair is a circuit; the
     # ranking-minimal one is the first two rows
     f = poly(0, [mono({}), mono({(1, 0): 1})])
-    matrix = prolonged_support_matrix((f, f, f), (0, 0, 0))
+    matrix = prolonged_support_matrix(support_matrix((f, f, f), 1), (0, 0, 0))
     oracle = RankOracle(matrix, seed=0)
     assert find_minimal_essential(oracle, 3).circuit == (0, 1)
 
@@ -396,12 +396,13 @@ def test_independent_prolonged_rows_lose_the_corank(name):
     spec = specialize(system, super_essential(system, seed=0), seed=0)
     with pytest.raises(CorankLost, match="prolonged rows are independent; "
                                          "order bounds failed"):
-        algebraic_reduction(spec.polys, (0,) * len(spec.polys), seed=0)
+        algebraic_reduction(spec, (0,) * len(spec.polys), seed=0)
 
 
 def test_independent_rows_raise():
     f = poly(0, [mono({}), mono({(1, 0): 1})])
     g = poly(1, [mono({}), mono({(2, 0): 1})])
-    oracle = RankOracle(prolonged_support_matrix((f, g), (0, 0)), seed=0)
+    oracle = RankOracle(prolonged_support_matrix(support_matrix((f, g), 2),
+                                                 (0, 0)), seed=0)
     with pytest.raises(NoEssentialSubset):
         find_minimal_essential(oracle, 2)

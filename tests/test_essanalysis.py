@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdres import essanalysis
+from sdres.algred import prolonged_support_matrix
 from sdres.diffpoly import CoeffRef, DiffSystem, SupportMatrix, support_matrix
 from sdres.errors import InfiniteJacobiBound, RankDrop
 from sdres.essanalysis import (
     RankOracle,
     Specialization,
     find_super_essential,
+    has_collisions,
     is_transformally_essential,
     jacobi_number,
     jacobi_numbers_hat,
@@ -26,6 +28,7 @@ from sdres.essanalysis import (
 from sdres.parsing import parse_system
 from sdres.pipeline import run_pipeline
 
+import polynomial_route
 from systems import (
     golden_system,
     mono,
@@ -250,7 +253,7 @@ def test_golden_override_must_have_full_rank():
 def test_modified_bounds_direct():
     sys = golden_system()
     spec = specialize(sys, (0, 1, 2), seed=0, kept_override=(1, 4))
-    b = modified_jacobi_bounds(spec.polys, spec.kept_vars)
+    b = modified_jacobi_bounds(spec.matrix)
     assert b.modified == (3, 2, 2)
 
 
@@ -296,10 +299,61 @@ def test_bounds_stage_on_the_shared_oracle_matches_a_subset_matrix(system,
     assume(found.rank == system.nvars)
     subset = find_super_essential(found, len(system.polys))
     assert len(subset) < len(system.polys)
-    fresh = RankOracle(support_matrix(system.subsystem(subset), system.nvars,
-                                      row_labels=subset), seed=seed)
+    fresh = RankOracle(oracle.matrix.select(subset, range(system.nvars)),
+                       seed=seed)
     assert specialization_or_error(system, oracle, subset) == \
         specialization_or_error(system, fresh, subset)
+
+
+@st.composite
+def colliding_systems(draw):
+    """1-4 polynomials in 1-3 variables, 1-4 terms each, shifts 0-2: few
+    factors per monomial, so some variables are absent from a polynomial
+    (order -infinity), and terms are often powers of a few shared
+    monomials, so monomials repeat (here, or once variables are set to
+    one) or differ only in their exponents."""
+    nvars = draw(st.integers(1, 3))
+    factor = st.tuples(st.integers(1, nvars), st.integers(0, 2))
+    powers = st.dictionaries(factor, st.sampled_from((-2, -1, 1, 2)),
+                             max_size=2)
+    pool = draw(st.lists(powers, min_size=1, max_size=3))
+    shared = st.tuples(st.sampled_from(pool), st.sampled_from((-1, 1, 2))).map(
+        lambda pk: {v: pk[1] * e for v, e in pk[0].items()})
+    monomial = (powers | shared).map(mono)
+    polys = []
+    for i in range(draw(st.integers(1, 4))):
+        monos = draw(st.lists(monomial, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            monos.append(draw(st.sampled_from(monos)))
+        polys.append(poly(i, monos))
+    return tuple(polys), nvars
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(colliding_systems(), st.data())
+def test_row_route_matches_the_polynomial_route(drawn, data):
+    # every column subset: the order matrix, the collisions, the gcd
+    # degree and the prolonged matrix, read off the selected rows, equal
+    # those of the specialized polynomials in norm form
+    polys, nvars = drawn
+    matrix = support_matrix(polys, nvars)
+    nterms = [len(p.terms) for p in polys]
+    bounds = data.draw(st.lists(st.integers(0, 2), min_size=len(polys),
+                                max_size=len(polys)))
+    for size in range(nvars + 1):
+        for cols in combinations(range(nvars), size):
+            selected = matrix.select(range(len(polys)), cols)
+            kept = selected.col_labels
+            spec_polys, collide = polynomial_route.specialize_candidate(
+                polys, kept)
+            jacobi = modified_jacobi_bounds(selected)
+            assert jacobi.order_mat == polynomial_route.order_matrix(
+                spec_polys, kept)
+            assert has_collisions(selected, nterms) == collide
+            assert jacobi.gcd_degree == polynomial_route.gcd_degree(
+                spec_polys, kept)
+            assert prolonged_support_matrix(selected, bounds) == \
+                polynomial_route.prolonged_support_matrix(spec_polys, bounds)
 
 
 def test_rank_oracle_submatrix_queries():

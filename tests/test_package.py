@@ -1,11 +1,13 @@
-"""The package has no runtime dependency (``dependencies = []``), and
-the README names only objects that exist."""
+"""The package has no runtime dependency (``dependencies = []``), every
+name it exports exists, and the README names only objects that exist."""
 
 import ast
 import importlib
 import pathlib
 import re
 import sys
+
+import sdres
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sdres"
@@ -39,3 +41,16 @@ def test_every_dotted_name_in_the_readme_resolves():
         if obj is None:
             missing.append(name)
     assert names and missing == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sdres.__all__ if not hasattr(sdres, name)]
+    assert sdres.__all__ and missing == []
+
+
+def test_the_readme_stage_list_names_exported_objects():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Every stage is importable on its own:(.*?)\.\s",
+                         readme, re.S)
+    names = re.findall(r"`(\w+)`", sentence[1])
+    assert names and set(names) <= set(sdres.__all__)

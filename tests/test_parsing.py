@@ -130,6 +130,25 @@ def test_parse_error_carries_line_and_column():
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("sep", ["\f", "\u2028"], ids=["form-feed", "u2028"])
+def test_only_newlines_end_a_line(sep):
+    # a form feed or U+2028 inside a line is an error on that line, not
+    # the end of it
+    with pytest.raises(ParseError) as info:
+        parse_system(f"P0 = u + u*y[1,0]{sep} + u*y[1,1]\nP1 = u + u*y[1,1]")
+    assert info.value.line == 1
+    with pytest.raises(ParseError) as info:
+        parse_system(f"P0 = u + u*y[1,0]{sep}P1 = u + u*y[1,1]")
+    assert info.value.line == 1
+
+
+def test_crlf_line_ends_parse():
+    assert parse_system(TOY_TEXT.replace("\n", "\r\n")) == parse_system(TOY_TEXT)
+    with pytest.raises(ParseError) as info:
+        parse_system("P0 = u + u*y[1,0]\r\nP1 = u + u*y[1 1]\r\n")
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("text", [
     "P0 u + u*y[1,0]",          # missing '='
     "P0 = u + ",                # dangling '+'

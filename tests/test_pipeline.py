@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from sdres import essanalysis, multipoly
+from sdres import algred, diffpoly, essanalysis, multipoly, pipeline
+from sdres.errors import InputError
 from sdres.parsing import parse_system
 from sdres.pipeline import (
     PipelineReport,
@@ -16,7 +17,8 @@ from sdres.pipeline import (
     serialize,
 )
 
-from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT
+from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT, specialize
+from vanishing import vanishes_on_difference_system
 
 SCHEMA_KEYS = {
     "essential", "super_essential", "kept_vars", "order_matrix", "jacobi",
@@ -100,6 +102,31 @@ def test_each_support_matrix_is_evaluated_once_per_run(monkeypatch, name):
     assert (counts["oracles"], counts["passes"]) == WORK_PER_RUN[name]
 
 
+@pytest.mark.parametrize("name", ["golden", "shift20", "S1"])
+def test_support_rows_are_built_once_per_run(monkeypatch, name):
+    # stages 3 and 4 select and re-key the symbolic matrix's rows; only the
+    # chosen basis's polynomials are specialized and put in norm form
+    counts = dict.fromkeys(("support_rows", "specialize_poly", "norm_form"), 0)
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    # every module's name for each function, so an imported copy counts too
+    for fn in [getattr(diffpoly, fname) for fname in counts]:
+        for module in (diffpoly, essanalysis, algred, pipeline):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
+    report = run_pipeline(parse_system((CASES / f"{name}.sys").read_text()),
+                          seed=0)
+    assert report.resultant is not None
+    npolys = len(report.super_essential)
+    assert counts == {"support_rows": 1, "specialize_poly": npolys,
+                      "norm_form": npolys}
+
+
 def test_resultant_stage_full_report():
     report = run_pipeline(golden_source(), stage="resultant", seed=0)
     assert report.stage == "resultant"
@@ -109,6 +136,39 @@ def test_resultant_stage_full_report():
     assert report.m2_dim == 0
     assert len(report.resultant.sorted_terms()) == 26
     assert set(report.timing) == {"check", "super", "bounds", "resultant"}
+
+
+@pytest.mark.parametrize("kept", [(1, 7), (1, 1)])
+def test_kept_override_must_name_distinct_variables(kept):
+    # golden has the variables 1..4
+    with pytest.raises(InputError, match=r"kept variables \(1, \d\) must be "
+                                         r"distinct variables among"):
+        run_pipeline(golden_source(), kept_override=kept)
+
+
+COLLIDING_TEXT = """\
+P0 = u + u*y[1,1]*y[2,1] + u*y[1,1]*y[2,1]
+P1 = u + u*y[1,1]*y[2,0]^-1*y[3,1] + u*y[2,0]*y[3,0]
+P2 = u + u*y[1,1]*y[3,0]
+P3 = u + u*y[1,1]^2*y[2,1]^2
+"""
+
+
+def test_colliding_specialization_still_vanishes_on_solutions():
+    # P0 repeats a monomial, so its specialization to y1 has two equal
+    # terms; they merge into one lattice point with a two-symbol
+    # coefficient
+    src = parse_system(COLLIDING_TEXT)
+    report = run_pipeline(src, seed=0)
+    assert report.super_essential == (0, 3)
+    assert report.kept_vars == (1,)
+    assert len(report.resultant) == 4
+    system = src.to_system()
+    assert specialize(system, report.super_essential).has_collisions
+    rng = random.Random(0)
+    for _ in range(3):
+        assert vanishes_on_difference_system(report.resultant, report.symbols,
+                                             system, rng)
 
 
 def test_rank_deficient_reports_no_resultant():

@@ -59,12 +59,12 @@ from vanishing import vanishes_on_difference_system, vanishes_on_lattice_system
 
 def golden_reduction():
     spec = specialize(golden_system(), (0, 1, 2), seed=0)
-    return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+    return algebraic_reduction(spec, spec.bounds.modified, seed=0)
 
 
 def toy_reduction():
     spec = specialize(toy_system(), (0, 1), seed=0)
-    return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+    return algebraic_reduction(spec, spec.bounds.modified, seed=0)
 
 
 CASES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "cases"
@@ -74,7 +74,7 @@ def case_reduction(name):
     system = parse_system((CASES / f"{name}.sys").read_text()).to_system()
     subset = super_essential(system, seed=0)
     spec = specialize(system, subset, seed=0)
-    return algebraic_reduction(spec.polys, spec.bounds.modified, seed=0)
+    return algebraic_reduction(spec, spec.bounds.modified, seed=0)
 
 
 def ref_ids(table):
