@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .diffpoly import CoeffRef, SupportMatrix, VarRef, shift_poly
+from .diffpoly import SupportMatrix, VarRef, shift_poly
 from .errors import CorankLost, DegenerateLattice, NoEssentialSubset
 from .essanalysis import RankOracle
 from .multipoly import eliminate
@@ -35,27 +35,39 @@ from .multipoly import eliminate
 def prolonged_support_matrix(matrix, bounds):
     """Algebraic support matrix of delta^l P_i, 0 <= l <= bounds[i], rows
     tagged (i, l), re-keyed from row i of ``matrix`` (``Specialization``'s):
-    the part {ref: {s: e}} of entry (i, y_j) becomes {ref shifted by l:
-    {0: e}} in the column of y_j^(s + l), each {0: e} shared across l.
-    Columns: every transform instance seen, sorted once from the base rows'
-    keys and the bounds; each row is written by column index."""
-    base = [{} for _ in matrix.rows]
-    for row, placed in zip(matrix.rows, base):
+    the part {ref: {s: e}} of entry (i, y_j) becomes {ref: {0: e}} in the
+    column of y_j^(s + l).  Row (i, l) keeps P_i's refs as keys, each
+    standing for that ref shifted by l (``RankOracle`` numbers symbols per
+    row), so one entry dict serves every l.  Columns: every transform
+    instance seen, sorted; per variable the union of the shift ranges
+    s..s + bounds[i] of its base instances."""
+    base = []
+    for row in matrix.rows:
+        placed = {}
         for c, entry in row.items():
+            var = matrix.col_labels[c]
             for r, d in entry.items():
                 for s, e in d.items():
-                    v = VarRef(matrix.col_labels[c], s)
-                    placed.setdefault(v, {})[r] = {0: e}
-    cols = sorted({VarRef(v.var, v.shift + l) for row, bound in zip(base, bounds)
-                   for v in row for l in range(bound + 1)})
-    index = {v: j for j, v in enumerate(cols)}
+                    placed.setdefault((var, s), {})[r] = {0: e}
+        base.append(placed)
+    shifts = {}
+    for row, bound in zip(base, bounds):
+        for var, s in row:
+            shifts.setdefault(var, set()).update(range(s, s + bound + 1))
+    cols, index = [], {}
+    for var in sorted(shifts):
+        ordered = sorted(shifts[var])
+        index[var] = dict(zip(ordered, range(len(cols), len(cols) + len(ordered))))
+        cols.extend(VarRef(var, s) for s in ordered)
     rows, tags = [], []
     for i, (row, bound) in enumerate(zip(base, bounds)):
-        for l in range(bound + 1):
-            tags.append((i, l))
-            rows.append({index[v.var, v.shift + l]: {
-                CoeffRef(r.poly, r.coeff, r.shift + l): d for r, d in e.items()}
-                for v, e in row.items()})
+        entries = tuple(row.values())
+        # per base instance, its columns at l = 0..bound
+        at = [list(map(index[var].__getitem__, range(s, s + bound + 1)))
+              for var, s in row]
+        tags.extend((i, l) for l in range(bound + 1))
+        rows.extend(dict(zip(c, entries))
+                    for c in (zip(*at) if at else [()] * (bound + 1)))
     return SupportMatrix(tuple(rows), tuple(tags), tuple(cols))
 
 
@@ -227,13 +239,15 @@ def algebraic_reduction(spec, bounds, seed=0, exact=False):
                          for c in sorted(present.difference(cols)))
 
     # each term's exponents on the kept columns relative to the distinguished
-    # term; an exponent 0, the distinguished term's included, is absent
+    # term; an exponent 0, the distinguished term's included, is absent.  The
+    # rows are keyed by the base polynomial's refs, so each is read by its
+    # base ref and reported as the transformed polynomial's
     projected = []
-    for r, poly in zip(ess, polys):
+    for (i, _), r, poly in zip(tags, ess, polys):
         entries = [matrix.rows[r].get(c, {}) for c in cols]
         projected.append(tuple(
-            (ref, tuple(e[ref][0] if ref in e else 0 for e in entries))
-            for ref in poly.coeff_refs()))
+            (ref, tuple(e[base][0] if base in e else 0 for e in entries))
+            for base, ref in zip(spec.polys[i].coeff_refs(), poly.coeff_refs())))
     basis, zpolys = strong_essential_transform(projected, len(kept_refs))
 
     return AlgebraicReduction(

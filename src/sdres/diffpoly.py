@@ -12,7 +12,8 @@ over a system gives the symbolic support matrix whose rank decides whether
 the sparse difference resultant exists at all.  It is the one matrix built
 from polynomials: the later stages select its rows and columns (setting
 variables to one drops columns, a norm form changes no quotient) and
-shift its keys (a transform adds l to every shift).
+shift its columns (a transform adds l to every shift, and row (i, l) keeps
+P_i's coefficient keys, each standing for its own shift by l).
 """
 
 from __future__ import annotations
@@ -247,9 +248,6 @@ class SupportMatrix:
     rows: tuple        # dict rows, column index -> nonzero entry
     row_labels: tuple  # polynomial indices, or prolongation tags
     col_labels: tuple  # difference variable indices, or transform instances
-
-    def coeff_refs(self):
-        return {r for row in self.rows for entry in row.values() for r in entry}
 
     def select(self, row_indices, col_indices):
         """The submatrix on the given rows and columns, in the order given,

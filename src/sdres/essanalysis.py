@@ -51,12 +51,20 @@ class RankOracle:
     support matrix: an ``eliminate`` pass giving the rank, the pivots and
     the first relation at once.
 
+    A coefficient key names a symbol of its row only: every support matrix
+    holds each symbol in one row, and the prolonged matrix keys row (i, l)
+    by P_i's own refs, standing for them shifted by l.  So a key shared by
+    two rows is two symbols, and both routes number symbols per (row, key).
+
     The entries are evaluated modulo the seed's prime p (``rank_prime``) at
-    one point drawn uniformly from GF(p): a value for every generic
-    coefficient and one, x0, for the shift indeterminate, so an entry is
-    sum value * c * x0^k mod p, for the entries present only, into sparse
-    rows.  Substitution can only lower a rank, and a dependency it finds
-    is never later than the generic one.  A nonzero r x r minor is lost only if
+    one point drawn uniformly from GF(p): x0 for the shift indeterminate
+    first, then one value per symbol, row by row, each key at its first
+    appearance in its row, so an entry is sum value * c * x0^k mod p, for
+    the entries present only, into sparse rows.  The draw order moves no
+    bound below: it is still one uniform point, one coordinate per
+    distinct symbol.  Substitution can only lower a rank, and a dependency
+    it finds is never later than the generic one.  A nonzero r x r minor
+    is lost only if
 
     * p divides every coefficient of the minor: at most log2(H)/62 of the
       about 2^56 primes in the range do, H the largest coefficient (a
@@ -76,31 +84,48 @@ class RankOracle:
 
     def __init__(self, matrix, seed=0, exact=False):
         self.matrix = matrix
-        refs = sorted(matrix.coeff_refs())
         if exact:
             self.p = None
-            self._entries = self._symbolic_matrix(matrix, refs)
-        else:
-            p = self.p = rank_prime(seed)
-            rng = stage_rng(seed, "rank")
-            values = {r: rng.randrange(p) for r in refs}
-            x0 = rng.randrange(p)
-            self._entries = [{col: sum(values[r] * c * pow(x0, k, p)
-                                       for r, d in e.items() for k, c in d.items())
-                                   % p for col, e in row.items()}
-                             for row in matrix.rows]
+            self._entries = self._symbolic_matrix(matrix)
+            return
+        p = self.p = rank_prime(seed)
+        draw = stage_rng(seed, "rank").randrange
+        x0 = draw(p)
+        powers = {}  # k -> x0^k mod p
+        self._entries = entries = []
+        for row in matrix.rows:
+            values, out = {}, {}
+            for col, e in row.items():
+                acc = 0
+                for r, d in e.items():
+                    v = values.get(r)
+                    if v is None:
+                        v = values[r] = draw(p)
+                    for k, c in d.items():
+                        x = powers.get(k)
+                        if x is None:
+                            x = powers[k] = pow(x0, k, p)
+                        acc += v * c * x
+                out[col] = acc % p
+            entries.append(out)
 
     @staticmethod
-    def _symbolic_matrix(matrix, refs):
+    def _symbolic_matrix(matrix):
         # exact route: entries become multivariate polynomials in the
-        # coefficients and the shift indeterminate
-        ids = {r: i for i, r in enumerate(refs)}
-        x_id = len(refs)
-        return [{col: MultiPoly({((ids[r], 1), (x_id, k)) if k
-                                 else ((ids[r], 1),): c
+        # symbols, numbered per (row, key) in the draw order, and the
+        # shift indeterminate, numbered last
+        ids, n = [], 0
+        for row in matrix.rows:
+            own = {}
+            for e in row.values():
+                for r in e:
+                    if r not in own:
+                        own[r], n = n, n + 1
+            ids.append(own)
+        return [{col: MultiPoly({((own[r], 1), (n, k)) if k else ((own[r], 1),): c
                                  for r, d in e.items() for k, c in d.items()})
                  for col, e in row.items()}
-                for row in matrix.rows]
+                for row, own in zip(matrix.rows, ids)]
 
     def rank_with_pivots(self, row_indices=None, col_indices=None):
         """``eliminate`` on the selected rows, in the order given, and the

@@ -5,7 +5,6 @@ from one user seed through the shared per-stage splitting rule, so a fixed
 seed gives byte-identical structured output.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -214,34 +213,58 @@ def _timing_lines(report):
         f"{k} {v:.3f}s" for k, v in report.timing.items())]
 
 
-def _structured_dict(report):
-    out = {"essential": report.essential, "seed": report.seed}
+def _json_list(items, indent):
+    """A JSON array of the encoded ``items`` laid out as ``json.dumps`` lays
+    it out with indent=2, its brackets at ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n%s%s\n%s]" % (pad, (",\n" + pad).join(items), " " * indent)
+
+
+def _ints(values):
+    return _json_list(list(map(str, values)), 2)
+
+
+def _json_payload(report):
+    """The structured report: the fixed schema's keys present at the
+    deepest stage run, written in sorted key order with the layout of
+    ``json.dumps(..., indent=2, sort_keys=True)``.  Values need no
+    escaping: numbers, booleans, "-inf" and integer coefficients."""
+    out = {"essential": "true" if report.essential else "false",
+           "seed": str(report.seed)}
     if report.super_essential is not None:
-        out["super_essential"] = list(report.super_essential)
+        out["super_essential"] = _ints(report.super_essential)
     if report.kept_vars is not None:
-        out["kept_vars"] = list(report.kept_vars)
-        out["order_matrix"] = [
-            ["-inf" if e is None else e for e in row]
-            for row in report.order_matrix]
-        out["jacobi"] = list(report.jacobi)
-        out["modified_jacobi"] = list(report.modified_jacobi)
+        out["kept_vars"] = _ints(report.kept_vars)
+        out["order_matrix"] = _json_list(
+            [_json_list(['"-inf"' if e is None else str(e) for e in row], 4)
+             for row in report.order_matrix], 2)
+        out["jacobi"] = _ints(report.jacobi)
+        out["modified_jacobi"] = _ints(report.modified_jacobi)
     if report.resultant is not None:
-        out["alg_essential"] = [
-            {"poly": i, "shift": l} for i, l in report.alg_essential]
-        out["m1_dim"] = report.m1_dim
-        out["m2_dim"] = report.m2_dim
-        out["resultant"] = {"terms": [
-            {
-                "coeff": str(coeff),
-                "factors": [
-                    {"u": [ref.poly, ref.coeff], "shift": ref.shift,
-                     "exp": exp}
-                    for ref, exp in factors
-                ],
-            }
-            for coeff, factors in resultant_terms(report)
-        ]}
-    return out
+        out["alg_essential"] = _json_list(
+            ['{\n      "poly": %d,\n      "shift": %d\n    }' % tag
+             for tag in report.alg_essential], 2)
+        out["m1_dim"] = str(report.m1_dim)
+        out["m2_dim"] = str(report.m2_dim)
+        factor = ('{\n'
+                  '            "exp": %d,\n'
+                  '            "shift": %d,\n'
+                  '            "u": [\n'
+                  '              %d,\n'
+                  '              %d\n'
+                  '            ]\n'
+                  '          }')
+        terms = []
+        for coeff, factors in resultant_terms(report):
+            listed = _json_list([factor % (exp, ref.shift, ref.poly, ref.coeff)
+                                 for ref, exp in factors], 8)
+            terms.append('{\n        "coeff": "%s",\n        "factors": %s\n      }'
+                         % (coeff, listed))
+        out["resultant"] = '{\n    "terms": %s\n  }' % _json_list(terms, 4)
+    return "{\n%s\n}" % ",\n".join(
+        '  "%s": %s' % item for item in sorted(out.items()))
 
 
 def serialize(report, format="text", verbose=False):
@@ -249,7 +272,5 @@ def serialize(report, format="text", verbose=False):
     if format == "text":
         return ("\n".join(_text_lines(report, verbose=verbose)) + "\n").encode()
     if format in ("structured", "json"):
-        payload = json.dumps(_structured_dict(report), indent=2,
-                             sort_keys=True)
-        return (payload + "\n").encode()
+        return (_json_payload(report) + "\n").encode()
     raise ValueError(f"unknown serialization format {format!r}")

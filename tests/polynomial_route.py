@@ -91,6 +91,18 @@ def prolonged_support_matrix(polys, bounds):
     return SupportMatrix(tuple(rows), tuple(tags), tuple(cols))
 
 
+def shifted_keys(matrix):
+    """A prolonged ``matrix`` with row (i, l)'s coefficient keys shifted by
+    l: the program keys row (i, l) by P_i's own refs, each standing for
+    that ref transformed l times, as ``prolonged_support_matrix`` above
+    writes them."""
+    return SupportMatrix(
+        tuple({c: {CoeffRef(r.poly, r.coeff, r.shift + l): d
+                   for r, d in e.items()} for c, e in row.items()}
+              for row, (_, l) in zip(matrix.rows, matrix.row_labels)),
+        matrix.row_labels, matrix.col_labels)
+
+
 def relative_supports(poly):
     """Per term: its generic coefficient and the exponent vector of the
     monomial relative to the distinguished one (dict VarRef -> int)."""

@@ -30,7 +30,7 @@ from sdres.multipoly import eliminate
 from sdres.parsing import parse_system
 
 from det_oracles import frac_gauss_rank
-from polynomial_route import relative_supports
+from polynomial_route import relative_supports, shifted_keys
 from systems import golden_system, mono, poly, specialize, super_essential, toy_system
 
 CASES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "cases"
@@ -51,9 +51,17 @@ def test_prolong_counts_and_tags():
     assert list(matrix.row_labels) == [(0, 0), (0, 1), (0, 2), (0, 3),
                                        (1, 0), (1, 1), (1, 2),
                                        (2, 0), (2, 1), (2, 2)]
-    # shifting moves both coefficients and variables
+    # shifting moves both coefficients and variables: row (0, 3) holds row
+    # (0, 0)'s entries, P0's keys standing for its symbols shifted by 3, in
+    # the columns of its transform instances shifted by 3
     assert matrix.row_labels[3] == (0, 3)
-    assert all(r.shift == 3 for e in matrix.rows[3].values() for r in e)
+    assert all(r.shift == 3 for e in shifted_keys(matrix).rows[3].values()
+               for r in e)
+    first, fourth = matrix.rows[0], matrix.rows[3]
+    assert sorted(map(id, first.values())) == sorted(map(id, fourth.values()))
+    assert {matrix.col_labels[c] for c in fourth} == {
+        VarRef(v.var, v.shift + 3) for v in map(matrix.col_labels.__getitem__,
+                                                 first)}
 
 
 def test_relative_supports_laurent():
@@ -358,13 +366,15 @@ def prolonged_matrix(name):
 def test_modular_oracle_matches_bareiss_at_an_integer_point(name):
     # shift-300: 303 prolonged rows with about two nonzeros each
     matrix = prolonged_matrix(name)
+    shifted = shifted_keys(matrix)
     rng = random.Random(name)
-    values = {r: rng.randint(-2 ** 31, 2 ** 31) for r in matrix.coeff_refs()}
+    values = {r: rng.randint(-2 ** 31, 2 ** 31) for r in sorted(
+        {r for row in shifted.rows for e in row.values() for r in e})}
     x0 = rng.randint(-2 ** 31, 2 ** 31)
     ints = [[sum(values[r] * c * x0 ** k
                  for r, d in row.get(col, {}).items() for k, c in d.items())
              for col in range(len(matrix.col_labels))]
-            for row in matrix.rows]
+            for row in shifted.rows]
     ref = frac_gauss_rank(ints)
     circuit = ref.circuit
     assert circuit is not None

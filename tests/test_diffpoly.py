@@ -207,11 +207,12 @@ def test_support_matrix_golden_entries():
 def test_support_matrix_substitution():
     # the exact route's entries with every u = 1: the P0 row is
     # (2x+2, 2x+1, x+1, x+1)
+    # (symbols are numbered per row and key, the shift indeterminate last)
     m = support_matrix(golden_system().polys, 4)
-    refs = sorted(m.coeff_refs())
-    row = RankOracle._symbolic_matrix(m, refs)[0]
+    nsymbols = sum(len({r for e in r_.values() for r in e}) for r_ in m.rows)
+    row = RankOracle._symbolic_matrix(m)[0]
     for x0 in (0, 1, 5):
-        point = {i: 1 for i in range(len(refs))} | {len(refs): x0}
+        point = {i: 1 for i in range(nsymbols)} | {nsymbols: x0}
         assert [row[c].evaluate(point) for c in range(4)] == [
             2 * x0 + 2, 2 * x0 + 1, x0 + 1, x0 + 1]
 

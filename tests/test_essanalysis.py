@@ -352,8 +352,40 @@ def test_row_route_matches_the_polynomial_route(drawn, data):
             assert has_collisions(selected, nterms) == collide
             assert jacobi.gcd_degree == polynomial_route.gcd_degree(
                 spec_polys, kept)
-            assert prolonged_support_matrix(selected, bounds) == \
+            assert polynomial_route.shifted_keys(
+                prolonged_support_matrix(selected, bounds)) == \
                 polynomial_route.prolonged_support_matrix(spec_polys, bounds)
+
+
+def test_the_exact_route_keeps_shared_entries_apart():
+    # prolonged rows (0, 0) and (0, 1) hold the same entry dicts, and the
+    # rows of two copies of one polynomial the same keys; a key is a symbol
+    # of its own row, so both routes keep each pair at full row rank
+    f = poly(0, [mono({}), mono({(1, 0): 1}), mono({(2, 0): 1})])
+    matrix = prolonged_support_matrix(support_matrix((f, f), 2), (1, 1))
+    assert matrix.row_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert sorted(map(id, matrix.rows[0].values())) == \
+        sorted(map(id, matrix.rows[1].values()))
+    for oracle in (RankOracle(matrix, seed=0), RankOracle(matrix, exact=True)):
+        assert oracle.rank_with_pivots((0, 1)).rank == 2
+        assert oracle.rank_with_pivots((0, 2)).rank == 2
+        assert oracle.rank_with_pivots().rank == 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(colliding_systems(), st.integers(0, 3), st.data())
+def test_prolonged_rank_queries_agree_with_paranoid(drawn, seed, data):
+    polys, nvars = drawn
+    bounds = data.draw(st.lists(st.integers(0, 2), min_size=len(polys),
+                                max_size=len(polys)))
+    m = prolonged_support_matrix(support_matrix(polys, nvars), bounds)
+    fast = RankOracle(m, seed=seed)
+    exact = RankOracle(m, exact=True)
+    for rows in (None, *(data.draw(subsets(len(m.rows))) for _ in range(2))):
+        found = fast.rank_with_pivots(rows)
+        ref = exact.rank_with_pivots(rows)
+        assert found[:2] == ref[:2]
+        assert found.circuit == ref.circuit
 
 
 def test_rank_oracle_submatrix_queries():

@@ -6,17 +6,22 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdres import algred, diffpoly, essanalysis, multipoly, pipeline
-from sdres.errors import InputError
+from sdres.diffpoly import CoeffRef
+from sdres.errors import InputError, SDResError
 from sdres.parsing import parse_system
 from sdres.pipeline import (
+    STAGES,
     PipelineReport,
     resultant_terms,
     run_pipeline,
     serialize,
 )
 
+from json_reference import reference_json
 from systems import GOLDEN_TEXT, RANK_DEFICIENT_TEXT, TOY_TEXT, specialize
 from vanishing import vanishes_on_difference_system
 
@@ -317,3 +322,86 @@ def test_resultant_is_invariant_under_reordering_and_relabelling(case):
                                 rng.sample(variables, len(variables))))
         got = answer_terms(renamed(text, poly_perm, var_perm), poly_perm)
         assert got in (expected, flipped), (poly_perm, var_perm)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+# ---------------------------------------------------------------------------
+
+@st.composite
+def system_texts(draw):
+    """Inputs in 1-3 variables, mostly n + 1 polynomials, some n or n + 2,
+    of 1-3 terms with shifts 0-2 and exponents +-1, +-2: essential or not,
+    some failing a later stage."""
+    nvars = draw(st.integers(1, 3))
+    npolys = draw(st.sampled_from((nvars + 1,) * 4 + (nvars, nvars + 2)))
+    factor = st.tuples(st.integers(1, nvars), st.integers(0, 2),
+                       st.sampled_from((-2, -1, 1, 2)))
+    monomial = st.lists(factor, min_size=1, max_size=3,
+                        unique_by=lambda f: f[:2])
+    lines = []
+    for i in range(npolys):
+        terms = ["u"] + ["*".join(["u"] + [
+            f"y[{v},{k}]" + ("" if e == 1 else f"^{e}") for v, k, e in m])
+            for m in draw(st.lists(monomial, max_size=2))]
+        lines.append(f"P{i} = " + " + ".join(terms))
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(system_texts(), st.sampled_from(STAGES), st.integers(-3, 2 ** 70))
+def test_json_writer_matches_json_dumps_on_pipeline_reports(text, stage,
+                                                            seed):
+    try:
+        report = run_pipeline(parse_system(text), stage=stage, seed=seed)
+    except SDResError:
+        return  # no report to write
+    payload = serialize(report, "json")
+    assert payload == reference_json(report)
+    assert json.loads(payload)["seed"] == seed
+
+
+ints = st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def drawn_reports(draw):
+    """Reports of every depth with values the pipeline rarely makes: huge
+    and negative numbers, empty lists, -inf order entries and constant
+    resultant terms."""
+    depth = draw(st.integers(0, 3))
+    report = PipelineReport(seed=draw(ints), stage=STAGES[depth],
+                            essential=draw(st.booleans()), rank=0, nvars=0,
+                            npolys=0)
+    if depth >= 1:
+        report.super_essential = tuple(draw(st.lists(ints, max_size=3)))
+    if depth >= 2:
+        width = draw(st.integers(0, 3))
+        report.kept_vars = tuple(draw(st.lists(ints, min_size=width,
+                                               max_size=width)))
+        report.order_matrix = tuple(tuple(row) for row in draw(st.lists(
+            st.lists(st.none() | ints, min_size=width, max_size=width),
+            max_size=3)))
+        report.jacobi = tuple(draw(st.lists(ints, max_size=3)))
+        report.modified_jacobi = tuple(draw(st.lists(ints, max_size=3)))
+    if depth >= 3:
+        report.alg_essential = tuple(draw(st.lists(
+            st.tuples(ints, ints), max_size=3)))
+        report.m1_dim, report.m2_dim = draw(ints), draw(ints)
+        table = multipoly.SymbolTable()
+        refs = st.builds(CoeffRef, ints, ints, ints).map(table.id_for)
+        monomials = st.dictionaries(refs, st.integers(1, 10 ** 6),
+                                    max_size=3).map(
+            lambda d: tuple(sorted(d.items())))
+        report.resultant = multipoly.MultiPoly(draw(st.dictionaries(
+            monomials, ints, max_size=4)))
+        report.symbols = table
+    return report
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(drawn_reports())
+def test_json_writer_matches_json_dumps_on_drawn_reports(report):
+    payload = serialize(report, "json")
+    assert payload == reference_json(report)
+    assert set(json.loads(payload)) <= SCHEMA_KEYS
