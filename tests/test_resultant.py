@@ -7,11 +7,15 @@ four-variable example, and a convex-hull mixed-volume oracle built on scipy
 for the row multiplicities.  The interpolated quotient of large pairs is
 checked against the Laplace quotient of small ones on the same pairs.  The
 walk over the cells of the mixed subdivision is checked against locating
-every lattice point by its own LP (``lp_subdivision``).  The closed form
+every lattice point by its own LP (``lp_subdivision``), the points of each
+cell against a plain scan of its box (``cell_scan``), and the walks over
+random inputs against a frozen digest.  The closed form
 for binomial systems is checked against the Newton route, the Sylvester
 determinant and random solutions of its system (``vanishing``).
 """
 
+import hashlib
+import importlib.util
 import itertools
 import math
 import pathlib
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdres import parse_system, resultant, run_pipeline
+from sdres import parse_system, pipeline, resultant, run_pipeline
 from sdres.algred import algebraic_reduction
 from sdres.diffpoly import CoeffRef
 from sdres.errors import (
@@ -31,6 +35,7 @@ from sdres.errors import (
     InternalError,
     NotDivisible,
     RetriesExhausted,
+    SDResError,
 )
 from sdres.essanalysis import stage_rng
 from sdres.multipoly import MultiPoly, eliminate
@@ -49,6 +54,7 @@ from sdres.resultant import (
 )
 from sdres.sparseinterp import two_adic_field
 
+import cell_scan
 import rational_lp
 from det_oracles import frac_gauss_det, leibniz_det
 from golden_resultant import BLOCKS, GOLDEN_TERMS
@@ -68,6 +74,8 @@ def toy_reduction():
 
 
 CASES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "cases"
+WALK_DIGEST = \
+    "5d6e8e6618b44af036b90e698a14cfe9584313fe1bcf65a69838309b56979fcd"
 
 
 def case_reduction(name):
@@ -598,6 +606,95 @@ def test_cell_walk_matches_lp_per_point_property(supports, seed):
             == _subdivision_or_degenerate(lp_subdivision, supports, seed))
 
 
+def cells_checked_against_the_plain_scan(supports, seed):
+    """Walk once with every ``_cell_points`` call checked against
+    ``cell_scan.cell_points`` on the same cell: same points, or the same
+    DegenerateLifting.  Returns the number of cells checked."""
+    cell_points, cells = resultant._cell_points, []
+
+    def checked(*args):
+        cells.append(args[1])
+        try:
+            expected = cell_scan.cell_points(*args)
+        except DegenerateLifting as exc:
+            with pytest.raises(DegenerateLifting) as got:
+                cell_points(*args)
+            assert str(got.value) == str(exc)
+            raise
+        assert cell_points(*args) == expected
+        return expected
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(resultant, "_cell_points", checked)
+        try:
+            mixed_subdivision(supports, seed)
+        except DegenerateLifting:
+            pass
+    return len(cells)
+
+
+@pytest.mark.parametrize("name", ["golden", "toy", "corpus1", "corpus2",
+                                  "corpus3", "corpus4", "corpus5", "S2",
+                                  "S3"])
+def test_cell_points_match_the_plain_scan(name):
+    sets, _ = extract_supports(case_reduction(name).zpolys)
+    for seed in (0, 1):
+        assert cells_checked_against_the_plain_scan(sets, seed) > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_full_dimensional_supports(), st.integers(0, 1000), st.booleans())
+def test_cell_points_match_the_plain_scan_property(supports, seed, diagonal):
+    # delta = (1, ..., 1) / DELTA_DENOM is parallel to every wall whose
+    # normal sums to zero, so lattice points on such a wall stay on it and
+    # raise DegenerateLifting
+    with pytest.MonkeyPatch.context() as m:
+        if diagonal:
+            m.setattr(resultant, "DELTA_NUM_BOUND", 1)
+        cells_checked_against_the_plain_scan(supports, seed)
+
+
+class _Stage5(Exception):
+    """Carries the lattice-form system that run_pipeline hands to the
+    resultant stage."""
+
+
+def _stop_at_stage5(zpolys, **kwargs):
+    raise _Stage5(zpolys)
+
+
+def test_walk_digest_over_the_analysis_draws(monkeypatch):
+    # the sha256 of repr(mixed_subdivision(sets, 0, a)), or of the error it
+    # raises, for a = 0, 1, each followed by a NUL byte, over the seed-0
+    # analysis draws among the first 150 that reach stage 5, are not all
+    # binomials and have a Minkowski box of at most 4096 points
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", CASES.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(pipeline, "compute_resultant", _stop_at_stage5)
+    digest, walks = hashlib.sha256(), 0
+    for text in workloads.analysis_texts(0, 150):
+        try:
+            run_pipeline(parse_system(text), seed=0)
+            continue
+        except _Stage5 as stop:
+            sets, _ = extract_supports(stop.args[0])
+        widths = [[max(c) - min(c) for c in zip(*s.points)] for s in sets]
+        box = math.prod(map(sum, zip(*widths)))
+        if box > 4096 or all(len(s.points) == 2 for s in sets):
+            continue
+        for attempt in (0, 1):
+            try:
+                out = repr(mixed_subdivision(sets, 0, attempt))
+            except SDResError as exc:
+                out = repr(exc)
+            digest.update(out.encode() + b"\0")
+            walks += 1
+    assert walks == 156
+    assert digest.hexdigest() == WALK_DIGEST
+
+
 @settings(derandomize=True, deadline=None)
 @given(_full_dimensional_supports(), st.lists(st.integers(0, 9), min_size=12,
                                               max_size=12))
@@ -685,9 +782,12 @@ def assert_walk_tableaux(supports, seed):
 
 
 def test_walk_tableaux_match_fraction_inverse_golden():
-    sets, _ = extract_supports(golden_reduction().zpolys)
-    for seed in (0, 1):
-        assert_walk_tableaux(sets, seed)
+    # and on the acceptance corpus and S3
+    for red in (golden_reduction(), *map(case_reduction, (
+            "corpus1", "corpus2", "corpus3", "corpus4", "corpus5", "S3"))):
+        sets, _ = extract_supports(red.zpolys)
+        for seed in (0, 1):
+            assert_walk_tableaux(sets, seed)
 
 
 @settings(derandomize=True, deadline=None)
