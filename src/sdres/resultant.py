@@ -15,11 +15,13 @@ A pair's one evaluator records a sparse elimination at its first point,
 the minor check's, and replays it at every later one.  Pairs of at most
 LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
 interpolated from those replays modulo a prime p with 2^k dividing p - 1,
-each term read back from a discrete log to an omega of order 2^k, and
-certified at random points.  The classical Sylvester determinant stays as
-a reference for univariate pairs.
+each term read back from a discrete log to an omega of order 2^k, the
+coefficients combined by CRT over further such primes, and certified at
+random points.  The classical Sylvester determinant stays as a reference
+for univariate pairs.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +45,7 @@ from .multipoly import (
 )
 from .sparseinterp import (
     LinearGenerator,
+    crt,
     discrete_log,
     next_prime,
     roots_mod,
@@ -466,10 +469,10 @@ class _Evaluator:
     of degree at most k, nonzero at the recording point, so at a uniformly
     random point of (GF(p)*)^n a replayed pivot vanishes with probability
     at most m1 / (p - 1), and some pivot with at most
-    m1 (m1 + 1) / (2 (p - 1)) (Schwartz-Zippel; S2: below 2^-43 at a
-    61-bit p).  That costs only time: ``_record`` eliminates that one
-    point afresh, so every value stays exact, and the schedule already
-    recorded is kept.
+    m1 (m1 + 1) / (2 (p - 1)) (Schwartz-Zippel; S1, 72 rows: below 2^-17
+    at a sequence prime, all above 2^29).  That costs only time:
+    ``_record`` eliminates that one point afresh, so every value stays
+    exact, and the schedule already recorded is kept.
     """
 
     def __init__(self, pair):
@@ -604,8 +607,8 @@ def _ratio(evaluator, values, p):
 
     A det M2 that is not the zero polynomial has degree m2 in the
     symbols, so at a uniformly random point of (GF(p)*)^n it vanishes with
-    probability at most m2 / (p - 1); the callers then draw a new line or
-    scaling.
+    probability at most m2 / (p - 1), below m2 / 2^29 at a sequence prime;
+    the callers then draw a new line or scaling.
     """
     det1, det2 = evaluator.dets(values, p)
     if not det2:
@@ -653,12 +656,13 @@ def _dense_terms(blocks):
     return math.prod(math.comb(len(syms) + deg - 1, deg) for syms, deg in blocks)
 
 
-def _fits_degree_on_line(evaluator, degree, p, rng):
+def _fits_degree_on_line(evaluator, degree, rng):
     """Whether det M1 / det M2 on one random affine line a + t b fits a
-    polynomial of the quotient's degree D: its (D+1)-th finite difference
-    over t = 0..D+1 vanishes.  A polynomial quotient always passes, so a
-    failure proves that det M2 does not divide det M1."""
-    symbols = evaluator.symbols
+    polynomial of the quotient's degree D, modulo MINOR_CHECK_PRIME: its
+    (D+1)-th finite difference over t = 0..D+1 vanishes.  A polynomial
+    quotient always passes, so a failure proves that det M2 does not divide
+    det M1."""
+    p, symbols = MINOR_CHECK_PRIME, evaluator.symbols
     for _ in range(MAX_SCALINGS):
         a = {s: rng.randrange(p) for s in symbols}
         b = {s: rng.randrange(p) for s in symbols}
@@ -674,18 +678,72 @@ def _fits_degree_on_line(evaluator, degree, p, rng):
     raise ZeroDenominator("non-mixed minor vanished on every line tried")
 
 
+def _coefficient_bound(evaluator, blocks):
+    """A bound B = H * 2^E on the coefficients of R = det M1 / det M2 when
+    R has integer coefficients: H is the product over the rows of M1 of
+    the sum of |c| over the terms c u_s of the row's entries, and E the
+    sum over the blocks of (symbols - 1) * degree.
+
+    Expanding det M1 permutation by permutation, the sum of the |values|
+    of its coefficients is at most H, which bounds its 2-norm and so its
+    Mahler measure M (Landau).  M is multiplicative and at least 1 on a
+    nonzero integer polynomial, so M(R) <= M(det M1) <= H.  R is
+    homogeneous of degree d in each block, so setting the block's first
+    symbol to 1 keeps its coefficients and its Mahler measure (x_s ->
+    x_s / x_first preserves the Haar measure of the torus) and leaves
+    degree at most d in each other symbol; each coefficient of a
+    polynomial of partial degrees d_s is at most prod binom(d_s, e_s)
+    times its Mahler measure (Mahler 1962), at most 2^E H here.
+    """
+    norm = math.prod(sum(abs(v) for form in row.values() for _, v in form)
+                     for row in evaluator.forms)
+    return norm << sum((len(syms) - 1) * deg for syms, deg in blocks)
+
+
+def _scalings(evaluator, q, p, rng):
+    """Per scaling drawn from ``rng``, MAX_SCALINGS in all: the scaling
+    and, lazily, the ratios at the points scale * q^j, j = 0, 1, ..., up
+    to the first point where det M2 vanishes.  Raises ZeroDenominator once
+    the last scaling is spent."""
+    for _ in range(MAX_SCALINGS):
+        scale = {s: rng.randrange(1, p) for s in evaluator.symbols}
+        yield scale, _ratios(evaluator, scale, q, p)
+    raise ZeroDenominator("non-mixed minor vanished at every scaling tried")
+
+
+def _ratios(evaluator, values, q, p):
+    while (value := _ratio(evaluator, values, p)) is not None:
+        yield value
+        values = {s: v * q[s] % p for s, v in values.items()}
+
+
+def _unscaled(weights, monos, scale, p):
+    """Coefficients c_t = w_t / prod scale_s^(e_s) mod p of the terms
+    ``monos`` with the weights w_t, one inverse per symbol."""
+    inv = {s: pow(v, -1, p) for s, v in scale.items()}
+    return [w * math.prod(pow(inv[s], e, p) for s, e in mono) % p
+            for w, mono in zip(weights, monos)]
+
+
+def _lifted(monos, residues, modulus):
+    """The polynomial with the residues lifted to the symmetric range."""
+    return MultiPoly({m: c - modulus if c > modulus // 2 else c
+                      for m, c in zip(monos, residues)})
+
+
 def _reconstruct(gen, blocks, size, scale, field):
-    """The polynomial behind a terminated sequence, or None when the
-    generator's roots are not term values of the blocks' degrees: roots
-    that are not distinct 2^k-th roots of unity (``roots_mod``), a root
-    whose discrete log is an index of ``size`` or more, or one whose
-    digits in one block sum above its degree."""
+    """The polynomial behind a terminated sequence, coefficients in the
+    symmetric range mod p, or None when the generator's roots are not term
+    values of the blocks' degrees: roots that are not distinct 2^k-th
+    roots of unity (``roots_mod``), a root whose discrete log is an index
+    of ``size`` or more, or one whose digits in one block sum above its
+    degree."""
     p = field.p
     roots = roots_mod(gen.generator(), field)
     if roots is None:
         return None
-    terms = {}
-    for m, w in zip(roots, transposed_vandermonde(roots, gen.seq, p)):
+    monos = []
+    for m in roots:
         index = discrete_log(m, field)
         if index >= size:
             return None
@@ -698,15 +756,14 @@ def _reconstruct(gen, blocks, size, scale, field):
             if sum(exps) > deg:
                 return None
             mono += zip(syms, [deg - sum(exps)] + exps)
-        mono = tuple(sorted((s, e) for s, e in mono if e))
-        unscale = math.prod(pow(scale[s], e, p) for s, e in mono)
-        c = w * pow(unscale, -1, p) % p
-        terms[mono] = c - p if c > p // 2 else c
-    return MultiPoly(terms)
+        monos.append(tuple(sorted((s, e) for s, e in mono if e)))
+    weights = transposed_vandermonde(roots, gen.seq, p)
+    return _lifted(monos, _unscaled(weights, monos, scale, p), p)
 
 
 def _interpolate(evaluator, blocks, field, rng, margin):
-    """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo field.p.
+    """Ben-Or--Tiwari interpolation of det M1 / det M2 modulo field.p: the
+    support round.
 
     Point j is scale * q^j, with q_s = omega^(R_s) for the omega of order
     2^k of ``field`` and the positions R_s of ``_term_weights``, and scale
@@ -715,28 +772,52 @@ def _interpolate(evaluator, blocks, field, rng, margin):
     terms has a generator of length T, at most the dense term count, so a
     sequence that reaches twice that count plus ``margin`` proves that
     det M2 does not divide det M1.  A point where det M2 vanishes draws a
-    new scale.
+    new scale.  A stop before the whole generator is seen (``margin``
+    discrepancies in a row that vanish mod p by chance) costs only time:
+    its roots fail ``_reconstruct``, or its terms fail a check point or
+    the certificate, and the next round runs with a longer margin.
     """
     p = field.p
     positions, size = _term_weights(blocks)
-    weights = {s: pow(field.omega, r, p) for s, r in positions.items()}
+    q = {s: pow(field.omega, r, p) for s, r in positions.items()}
     cap = 2 * _dense_terms(blocks) + margin
-    for _ in range(MAX_SCALINGS):
-        scale = {s: rng.randrange(1, p) for s in evaluator.symbols}
-        values = dict(scale)
+    for scale, ratios in _scalings(evaluator, q, p, rng):
         gen = LinearGenerator(p)
-        while len(gen.seq) < 2 * gen.length + margin:
+        for value in ratios:
+            gen.add(value)
+            if len(gen.seq) >= 2 * gen.length + margin:
+                return _reconstruct(gen, blocks, size, scale, field)
             if len(gen.seq) >= cap:
                 raise NotDivisible(f"no generator of length at most "
                                    f"{(cap - margin) // 2} found")
-            value = _ratio(evaluator, values, p)
-            if value is None:
-                break
-            gen.add(value)
-            values = {s: v * weights[s] % p for s, v in values.items()}
-        else:
-            return _reconstruct(gen, blocks, size, scale, field)
-    raise ZeroDenominator("non-mixed minor vanished at every scaling tried")
+
+
+def _residues(evaluator, quotient, positions, field, rng):
+    """The coefficients of the T terms of ``quotient`` modulo field.p, from
+    T + 1 points scale * q^j, q_s = omega^(R_s) for the omega of
+    ``field``; None when the last point disagrees with them.
+
+    The term values omega^index are known from the support, so the first
+    T ratios give the weights (``transposed_vandermonde``).  If det M1 /
+    det M2 has terms outside the support, the last ratio differs from the
+    fitted weights' prediction by sum_t w_t prod_s (m_t - m_s), over the
+    missing terms t and the support's terms s: one missing term always
+    shows, and several cancel only where that nonzero polynomial in the
+    scaling vanishes.
+    """
+    p = field.p
+    monos = list(quotient.terms)
+    roots = [pow(field.omega, sum(positions[s] * e for s, e in mono), p)
+             for mono in monos]
+    q = {s: pow(field.omega, r, p) for s, r in positions.items()}
+    for scale, ratios in _scalings(evaluator, q, p, rng):
+        seq = list(itertools.islice(ratios, len(monos) + 1))
+        if len(seq) > len(monos):
+            weights = transposed_vandermonde(roots, seq, p)
+            last = sum(w * pow(m, len(monos), p) for w, m in zip(weights, roots))
+            if (last - seq[-1]) % p:
+                return None
+            return _unscaled(weights, monos, scale, p)
 
 
 def _eval_mod(poly, values, p):
@@ -760,73 +841,99 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     """det M1 / det M2 by sparse interpolation, primitive and
     sign-normalized; raises NotDivisible when no quotient is found.
 
-    The quotient is homogeneous of known degree in each polynomial's
+    The quotient R is homogeneous of known degree in each polynomial's
     coefficients (``_blocks``), so it is interpolated with one symbol per
     block set to weight 1, from the sequence of sparse determinants mod p
     at the points scale * q^j (``_interpolate``).  The other symbols get
     mixed-radix positions R_s (``_term_weights``), so each term has an
     index below D = prod (block degree + 1) over them, and q_s =
-    omega^(R_s) for an omega of order 2^k, k = max(1, bitlen(D - 1)).  p
-    is the smallest prime above 2^61 with 2^k dividing p - 1
-    (``two_adic_field``): since 2^k >= D, a term's value omega^index is
-    distinct from every other term's, and its discrete log, read bit by
-    bit, is its index (Kaltofen-Lakshman-Wiley 1990).  p > 2^61 bounds the
-    coefficient range, and D enters only through k: p stays 62 bits up to
-    k = 57, which covers S1 (D has 19 bits) and S5 (45 bits).  Above that
-    p grows by a few bits, to 65 on S3 (D of 60 bits) and 76 on S2 (70
-    bits); both time out before their expansion ends (ROADMAP stress
-    table), so no solved case is affected.  Every draw comes from
+    omega^(R_s) for an omega of order 2^k, k = max(1, bitlen(D - 1)).  The
+    sequence prime p is the smallest prime above 2^29 with 2^k dividing
+    p - 1 (``two_adic_field``): since 2^k >= D, a term's value omega^index
+    is distinct from every other term's, and its discrete log, read bit by
+    bit, is its index (Kaltofen-Lakshman-Wiley 1990).  p stays below 2^30,
+    one machine digit, up to k = 24, which covers S1 (D has 19 bits); at
+    k = 25 to 27 it has 31 bits, and above that about k bits (S5: 51 bits
+    for D of 45 bits).  Every draw comes from
     ``stage_rng(seed, "interpolation-{attempt}")``.
+
+    That support round gives R's terms, with coefficients in the
+    symmetric range mod p.  Coefficients beyond p/2 come from further
+    two-adic primes p_i of the same k, each unused before (Javadi-Monagan
+    2010): T + 1 points at a new scaling give the T coefficients mod p_i
+    and check the support (``_residues``), and CRT combines them.  The
+    symmetric lift is certified after the support round and after each
+    prime.  Once the primes' product passes twice the bound B of
+    ``_coefficient_bound``, the lift on the right support is R itself, so
+    a lift that still fails, a check point that disagrees, or roots that
+    are no terms (``_reconstruct``) start a new support round at an
+    unused prime with a longer margin, CERTIFICATE_ROUNDS rounds in all.
+    Every prime exceeds 2^29, so a round takes at most 1 + bitlen(2 B) /
+    29 primes.
 
     Each point, the certificate's included, replays the elimination that
     the pair's evaluator recorded, at the minor check's first point when
     the minor is nonempty.  A replayed pivot vanishes at a point
     with probability at most m1 / (p - 1), and det M2 with at most
-    m2 / (p - 1); the first costs one fresh elimination of that point,
-    the second a new scaling, so neither changes the answer.  Roots of the
-    generator come from one power chain of z (``roots_mod``), which draws
-    nothing: every root is a 2^k-th root of unity, and the chain splits
-    them all.
+    m2 / (p - 1), below m1 / 2^29 and m2 / 2^29 at a sequence prime; the
+    first costs one fresh elimination of that point, the second a new
+    scaling, so neither changes the answer.  Roots of the generator come
+    from one power chain of z (``roots_mod``), which draws nothing: every
+    root is a 2^k-th root of unity, and the chain splits them all.
 
     With a nonempty minor, a random line a + t b first checks that the
-    quotient is a polynomial (``_fits_degree_on_line``), at the same p.  A
-    dividing pair always passes.  For a pair where det M2 does not divide
-    det M1, the check's numerator sum_t c_t det M1(a + t b) prod_(s != t)
-    det M2(a + s b) is a polynomial of degree at most m1 + (d + 1) m2 in
-    (a, b), with d the quotient's degree and m1, m2 the two matrix sizes;
-    unless p divides all its coefficients, the check passes with
-    probability at most (m1 + (d + 1) m2) / 2^61 (Schwartz-Zippel; S5:
-    40743 / 2^61 < 2^-45).  Such a pass costs only time: the sequence cap
-    and the certificate still reject the pair.
+    quotient is a polynomial (``_fits_degree_on_line``), modulo
+    MINOR_CHECK_PRIME = 2^61 - 1.  A dividing pair always passes.  For a
+    pair where det M2 does not divide det M1, the check's numerator
+    sum_t c_t det M1(a + t b) prod_(s != t) det M2(a + s b) is a
+    polynomial of degree at most m1 + (d + 1) m2 in (a, b), with d the
+    quotient's degree and m1, m2 the two matrix sizes; unless 2^61 - 1
+    divides all its coefficients, the check passes with probability at
+    most (m1 + (d + 1) m2) / 2^61 (Schwartz-Zippel; S5: 40743 / 2^61 <
+    2^-45).  Such a pass costs only time: the sequence cap and the
+    certificate still reject the pair.
 
     The answer R is certified by det M1 == R * det M2 at two random
     points modulo a random prime P in [2^62, 2^63]: for a wrong R that P
     does not divide every coefficient of det M1 - R * det M2, a
     polynomial of degree at most m1_dim, each point passes with
     probability at most m1_dim / 2^62 (Schwartz-Zippel), so both with at
-    most (m1_dim / 2^62)^2.  About 2^56 primes lie in that range, and a
-    coefficient of size H has at most log2(H) / 62 of them as factors.
-    A failed certificate retries with a longer sequence and a two-adic
-    prime 64 bits larger, CERTIFICATE_ROUNDS times in all.
+    most (m1_dim / 2^62)^2, once per certificate tried.  About 2^56
+    primes lie in that range, and a coefficient of size H has at most
+    log2(H) / 62 of them as factors.
     """
     rng = stage_rng(seed, f"interpolation-{attempt}")
     evaluator = pair.evaluator
     blocks = _blocks(pair)
-    k = max(1, (_term_weights(blocks)[1] - 1).bit_length())
-    field = two_adic_field(1 << 61, k)
+    positions, size = _term_weights(blocks)
+    k = max(1, (size - 1).bit_length())
     if pair.minor_rows:
         degree = sum(deg for _, deg in blocks)
-        if not _fits_degree_on_line(evaluator, degree, field.p, rng):
+        if not _fits_degree_on_line(evaluator, degree, rng):
             raise NotDivisible("determinant quotient is not a polynomial "
                                "on a random line")
+    bound = _coefficient_bound(evaluator, blocks)
+    last = 1 << 29      # each prime is the next one above the last used
     for rnd in range(CERTIFICATE_ROUNDS):
-        if rnd:
-            field = two_adic_field(1 << (61 + 64 * rnd), k)
+        field = two_adic_field(last, k)
         quotient = _interpolate(evaluator, blocks, field, rng, 2 << rnd)
-        if quotient is not None and _certified(quotient, evaluator, rng):
-            if quotient.is_zero():
-                raise ZeroDenominator("determinant quotient vanished")
-            return quotient.primitive().sign_normalized()
+        modulus = field.p
+        while quotient is not None:
+            if _certified(quotient, evaluator, rng):
+                if quotient.is_zero():
+                    raise ZeroDenominator("determinant quotient vanished")
+                return quotient.primitive().sign_normalized()
+            if modulus > 2 * bound:
+                break
+            field = two_adic_field(field.p, k)
+            residues = _residues(evaluator, quotient, positions, field, rng)
+            if residues is None:
+                break
+            residues = crt([c % modulus for c in quotient.terms.values()],
+                           modulus, residues, field.p)
+            modulus *= field.p
+            quotient = _lifted(quotient.terms, residues, modulus)
+        last = field.p
     raise NotDivisible(f"interpolated quotient failed its certificate "
                        f"{CERTIFICATE_ROUNDS} times")
 

@@ -16,7 +16,8 @@ the m_t, their indices and the w_t over GF(p):
 * ``roots_mod``: the generator's roots among the 2^k-th roots of unity,
   from one power chain of z, with no random draw;
 * ``discrete_log``: a root's exponent to omega, bit by bit;
-* ``transposed_vandermonde``: the weights w_t from the first T terms.
+* ``transposed_vandermonde``: the weights w_t from the first T terms;
+* ``crt``: residues modulo a product of primes, one prime more.
 
 Polynomials over GF(p) are lists of ints, lowest degree first, with no
 trailing zeros.
@@ -76,8 +77,9 @@ def two_adic_field(n, k):
 
     omega^(2^(k-1)) = x^((p-1)/2) = -1, so omega has order exactly 2^k.
     The candidates m 2^k + 1 are tried for m = ceil(n / 2^k), m + 1, ...
-    (2^61 at k = 19 gives 2^61 + 10 * 2^19 + 1; at k = 57, 29 * 2^57 + 1;
-    at k = 70, 39 * 2^70 + 1).
+    (2^29 at k = 15 gives 16385 * 2^15 + 1 and at k = 19, 1031 * 2^19 + 1,
+    both below 2^30; at k = 27, 15 * 2^27 + 1, 31 bits, since no prime
+    below 2^30 has 2^27 dividing p - 1; at k = 45, 35 * 2^45 + 1).
     """
     m = max(1, -(-n >> k))
     while not is_prime((m << k) + 1):
@@ -125,7 +127,7 @@ class LinearGenerator:
         self.conn = [1]
         self.length = 0
         self._prev = [1]
-        self._prev_disc = 1
+        self._prev_inv = 1     # inverse of the discrepancy that made _prev
         self._shift = 1
 
     def add(self, value):
@@ -136,14 +138,14 @@ class LinearGenerator:
         if disc == 0:
             self._shift += 1
             return
-        coef = disc * pow(self._prev_disc, -1, p) % p
+        coef = disc * self._prev_inv % p
         new = self.conn + [0] * (len(self._prev) + self._shift - len(self.conn))
         for i, b in enumerate(self._prev):
             new[i + self._shift] = (new[i + self._shift] - coef * b) % p
         while len(new) > 1 and new[-1] == 0:
             new.pop()
         if 2 * self.length <= n:
-            self._prev, self._prev_disc = self.conn, disc
+            self._prev, self._prev_inv = self.conn, pow(disc, -1, p)
             self.length = n + 1 - self.length
             self._shift = 1
         else:
@@ -302,3 +304,12 @@ def transposed_vandermonde(roots, seq, p):
             den = (den * m + b) % p
         weights.append(num * pow(den, -1, p) % p)
     return weights
+
+
+def crt(residues, modulus, more, p):
+    """The residues modulo modulus * p that are ``residues`` modulo
+    ``modulus`` and ``more`` modulo the prime p, p not dividing modulus;
+    each lies in [0, modulus * p) when its ``residues`` entry lies in
+    [0, modulus)."""
+    inv = pow(modulus, -1, p)
+    return [r + modulus * ((s - r) * inv % p) for r, s in zip(residues, more)]

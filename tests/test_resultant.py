@@ -1110,11 +1110,14 @@ def planted(terms):
 
 
 class PlantedEvaluator:
-    """A Newton pair whose det M1 is a planted polynomial and det M2 is 1."""
+    """A Newton pair whose det M1 is a planted polynomial and det M2 is 1.
+    Its forms are one row whose coefficients are the planted ones, so the
+    coefficient bound that ``_coefficient_bound`` reads from them holds."""
 
     def __init__(self, poly):
         self.poly = poly
         self.symbols = list(range(6))
+        self.forms = [{0: tuple((0, c) for c in poly.terms.values())}]
 
     def dets(self, values, p):
         return resultant._eval_mod(self.poly, values, p), 1
@@ -1161,11 +1164,8 @@ def test_term_off_its_block_degrees_fails_every_round(monkeypatch, exps):
         interpolate_planted(monkeypatch, poly)
 
 
-def test_s1_interpolates_over_a_word_size_two_adic_prime(monkeypatch):
-    sets, _ = extract_supports(case_reduction("S1").zpolys)
-    pair = build_matrices(mixed_subdivision(sets, seed=0))
-    blocks = resultant._blocks(pair)
-    assert resultant._term_weights(blocks)[1] == 7 * 31 * 37 ** 2
+def recording_fields(monkeypatch):
+    """The two-adic fields interpolated_quotient asks for, in order."""
     fields = []
 
     def recording(n, k):
@@ -1173,7 +1173,77 @@ def test_s1_interpolates_over_a_word_size_two_adic_prime(monkeypatch):
         return fields[-1]
 
     monkeypatch.setattr(resultant, "two_adic_field", recording)
+    return fields
+
+
+def test_planted_coefficient_above_2_200_is_recovered_by_crt(monkeypatch):
+    # the support prime is below 2^30; six more primes of the same k, each
+    # giving T + 1 = 4 ratios, carry the coefficient past 2^200
+    big = (1 << 200) + 12345
+    poly = planted({(0, 3, 0, 0, 2, 1): big,
+                    (3, 0, 0, 2, 0, 1): -3,
+                    (1, 1, 1, 1, 1, 1): 5})
+    fields = recording_fields(monkeypatch)
+    assert interpolate_planted(monkeypatch, poly) == poly.sign_normalized()
+    assert [f.k for f in fields] == [6] * 7
+    assert fields[0].p < 1 << 30
+    assert math.prod(f.p for f in fields[:-1]) <= 2 * big < math.prod(
+        f.p for f in fields)
+
+
+def test_term_lost_at_the_support_prime_comes_back_at_a_fresh_one(monkeypatch):
+    # a coefficient that is a multiple of the first sequence prime p0
+    # vanishes there: the support round finds two terms of three, and the
+    # check point of the next prime p1 disagrees at once, before the primes
+    # that the 2^100 coefficient's bound would allow; a support round at p2
+    # finds all three, and three more primes lift the coefficients
+    p0 = two_adic_field(1 << 29, 6).p
+    poly = planted({(0, 3, 0, 0, 2, 1): 3 * p0,
+                    (3, 0, 0, 2, 0, 1): (1 << 100) + 7,
+                    (1, 1, 1, 1, 1, 1): 5})
+    supports = []
+
+    def recording_reconstruct(gen, blocks, size, scale, field):
+        supports.append((field.p, ORIGINAL_RECONSTRUCT(
+            gen, blocks, size, scale, field)))
+        return supports[-1][1]
+
+    fields = recording_fields(monkeypatch)
+    monkeypatch.setattr(resultant, "_reconstruct", recording_reconstruct)
+    assert interpolate_planted(monkeypatch, poly) == poly.sign_normalized()
+    p = [f.p for f in fields]
+    assert [(q, len(r.terms)) for q, r in supports] == [(p0, 2), (p[2], 3)]
+    assert len(p) == 6 and p == sorted(set(p))
+
+
+def test_a_wrong_coefficient_spends_the_bounded_primes_of_every_round(
+        monkeypatch):
+    # the support is right but one coefficient is off by one at every
+    # support prime: each round adds primes until their product passes
+    # twice the coefficient bound, and no lift ever certifies
+    poly = planted({(3, 0, 0, 2, 0, 1): 1 << 40, (0, 0, 3, 1, 1, 1): 2})
+    bound = resultant._coefficient_bound(PlantedEvaluator(poly),
+                                         PLANTED_BLOCKS)
+    assert bound == ((1 << 40) + 2) << 8
+    fields = recording_fields(monkeypatch)
+    monkeypatch.setattr(resultant, "_reconstruct", perturbed_reconstruct)
+    with pytest.raises(NotDivisible,
+                       match=f"certificate {CERTIFICATE_ROUNDS} times"):
+        interpolate_planted(monkeypatch, poly)
+    # p0 <= 2 * bound < p0 * p1: each round takes two primes, none used twice
+    p = [f.p for f in fields]
+    assert len(p) == 2 * CERTIFICATE_ROUNDS == len(set(p))
+    assert all(p[i] <= 2 * bound < p[i] * p[i + 1] for i in range(0, len(p), 2))
+
+
+def test_s1_interpolates_over_a_word_size_two_adic_prime(monkeypatch):
+    sets, _ = extract_supports(case_reduction("S1").zpolys)
+    pair = build_matrices(mixed_subdivision(sets, seed=0))
+    blocks = resultant._blocks(pair)
+    assert resultant._term_weights(blocks)[1] == 7 * 31 * 37 ** 2
+    fields = recording_fields(monkeypatch)
     assert len(interpolated_quotient(pair, 0, 0).terms) == 28
-    # D = 297073 < 2^19: one round, over a 62-bit prime
-    assert [(f.k, f.p < 1 << 63, (f.p - 1) % (1 << 19)) for f in fields] == [
+    # D = 297073 < 2^19: one support round, over a prime below 2^30, and
+    # no further prime
+    assert [(f.k, f.p < 1 << 30, (f.p - 1) % (1 << 19)) for f in fields] == [
         (19, True, 0)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sdres.sparseinterp import (
     LinearGenerator,
+    crt,
     discrete_log,
     is_prime,
     next_prime,
@@ -21,7 +22,7 @@ from sdres.sparseinterp import (
 
 P61 = (1 << 61) - 1
 P62 = 531 * 2**52 + 1           # a word-size prime with 2^52 | p - 1
-WORD = two_adic_field(1 << 61, 19)   # S1's field: D = 297073 < 2^19
+WORD = two_adic_field(1 << 61, 19)   # S1's k: D = 297073 < 2^19
 
 
 def trial_division_prime(n):
@@ -205,6 +206,30 @@ def test_two_adic_field_is_the_smallest_above_a_large_bound(n, k):
 def test_two_adic_field_stays_word_size_above_2_61():
     assert [two_adic_field(1 << 61, k).p < 1 << 63 for k in (19, 57)] == [
         True, True]
+
+
+def test_two_adic_field_above_2_29_is_one_digit_up_to_k_24():
+    # a sequence prime fits one 30-bit CPython digit up to k = 24; no
+    # prime below 2^30 has 2^27 | p - 1, so k = 25..27 take 31 bits
+    assert all(two_adic_field(1 << 29, k).p < 1 << 30 for k in range(1, 25))
+    assert not any(is_prime((m << 27) + 1) for m in range(1, 8))
+    assert [two_adic_field(1 << 29, k).p.bit_length()
+            for k in (25, 26, 27)] == [31, 31, 31]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 1 << 80), min_size=1, max_size=5),
+       st.integers(0, 4), st.integers(1, 3))
+def test_crt_matches_the_residues_of_each_prime(values, first, count):
+    primes = [two_adic_field(1 << 29, 6).p]
+    for _ in range(first + count):
+        primes.append(two_adic_field(primes[-1], 6).p)
+    primes = primes[first:]
+    residues, modulus = [v % primes[0] for v in values], primes[0]
+    for p in primes[1:]:
+        residues = crt(residues, modulus, [v % p for v in values], p)
+        modulus *= p
+    assert residues == [v % modulus for v in values]
 
 
 @pytest.mark.parametrize("n", [0, 1000, 297073, 1 << 61, (1 << 61) << 64])
