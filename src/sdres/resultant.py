@@ -11,13 +11,16 @@ of the supports over its principal minor on the non-mixed points (D'Andrea
 basis of the lifted Cayley embedding finds a first cell of the lifted
 subdivision, an integer walk on the same tableau visits the others, and
 each lattice point is placed in its cell by its barycentric coordinates.
-A pair's one evaluator records a sparse elimination at its first point,
-the minor check's, and replays it at every later one.  Pairs of at most
-LAPLACE_MAX_DIM rows divide two Laplace expansions; larger ones are
-interpolated from those replays modulo a prime p with 2^k dividing p - 1,
-each term read back from a discrete log to an omega of order 2^k, the
-coefficients combined by CRT over further such primes, and certified at
-random points.  The classical Sylvester determinant stays as a reference
+A pair's one evaluator asks each point one question, det M1 / det M2 or
+whether det M2 vanished: it records a sparse elimination at its first
+point, the minor check's, and replays it at every later one.  A pair with
+a nonempty minor first passes one check, that the ratio is a polynomial
+on a random line.  Pairs of at most LAPLACE_MAX_DIM rows then divide two
+Laplace expansions; larger ones are interpolated from the replays modulo
+a prime p with 2^k dividing p - 1, each term read back from a discrete
+log to an omega of order 2^k, the coefficients combined by CRT over
+further such primes, and certified at random points modulo the seed's
+prime.  The classical Sylvester determinant stays as a reference
 for univariate pairs.
 """
 
@@ -35,7 +38,7 @@ from .errors import (
     RetriesExhausted,
     ZeroDenominator,
 )
-from .essanalysis import stage_rng
+from .essanalysis import rank_prime, stage_rng
 from .multipoly import (
     MultiPoly,
     SymbolTable,
@@ -47,7 +50,6 @@ from .sparseinterp import (
     LinearGenerator,
     crt,
     discrete_log,
-    next_prime,
     roots_mod,
     transposed_vandermonde,
     two_adic_field,
@@ -59,7 +61,6 @@ DELTA_NUM_BOUND = 1 << 16
 MAX_RETRIES = 8
 MAX_BOX_POINTS = 1 << 20  # lattice points in the Minkowski box
 LAPLACE_MAX_DIM = 16      # larger Newton pairs are interpolated
-MINOR_CHECK_PRIME = (1 << 61) - 1
 CERTIFICATE_ROUNDS = 3
 MAX_SCALINGS = 8          # scalings (or lines) tried before det M2 counts as zero
 
@@ -407,19 +408,48 @@ def build_matrices(subdiv):
 
 
 def _minor_nonzero_check(pair, seed, attempt):
-    """Vanishing precheck of the denominator minor by random evaluation:
-    det M2 nonzero modulo MINOR_CHECK_PRIME at one of two points proves it
-    nonzero.  A point draws from [1, 2^31] for every symbol of the pair and
-    goes to the pair's evaluator, whose first point records the elimination
-    that the quotient replays.  A det M2 that is nonzero modulo 2^61 - 1
-    vanishes at a point with probability at most m2 / 2^31 (Schwartz-Zippel
-    on its degree m2)."""
+    """Whether det M2 is nonzero, by the one check of a pair with a
+    nonempty minor: det M1 / det M2 on a random line a + t b fits a
+    polynomial of the quotient's degree d = m1 - m2, modulo the seed's
+    prime P in [2^62, 2^63) (``rank_prime``), when its (d + 1)-th finite
+    difference over t = 0..d+1 vanishes.  True when a line fits; a line
+    that does not fit proves that det M2 does not divide det M1 and raises
+    NotDivisible; a line where det M2 vanishes at some point is redrawn,
+    and after MAX_SCALINGS such lines the answer is False.  The lines come
+    from ``stage_rng(seed, "minor-check-{attempt}")``, and their first
+    point records the elimination that the pair's evaluator replays at
+    every later one.
+
+    Each point a + t b is uniform, so a nonzero det M2, of degree m2,
+    vanishes somewhere on a line with probability at most (d + 2) m2 / P,
+    and False comes with at most that to the power MAX_SCALINGS.  A
+    dividing pair always fits.  Otherwise the numerator sum_t c_t
+    det M1(a + t b) prod_(s != t) det M2(a + s b) of the difference is a
+    polynomial of degree at most m1 + (d + 1) m2 in (a, b), so unless P
+    divides all its coefficients a line fits with probability at most
+    (m1 + (d + 1) m2) / 2^62 (Schwartz-Zippel; S5: 40743 / 2^62 <
+    2^-46).  Either error costs only time: a new lifting, or a pair that
+    the Laplace division, the sequence cap or the certificate rejects.
+    """
     if not pair.minor_rows:
         return True
+    evaluator, p = pair.evaluator, rank_prime(seed)
+    degree = len(pair.m1) - len(pair.minor_rows)
     rng = stage_rng(seed, f"minor-check-{attempt}")
-    for _ in range(2):
-        values = {s: rng.randint(1, 1 << 31) for s in pair.evaluator.symbols}
-        if pair.evaluator.dets(values, MINOR_CHECK_PRIME)[1]:
+    for _ in range(MAX_SCALINGS):
+        a = {s: rng.randrange(p) for s in evaluator.symbols}
+        b = {s: rng.randrange(p) for s in evaluator.symbols}
+        diff = 0
+        for t in range(degree + 2):
+            value = evaluator.ratio({s: a[s] + t * b[s] for s in a}, p)
+            if value is None:
+                break
+            sign = -1 if (degree + 1 - t) & 1 else 1
+            diff += sign * math.comb(degree + 1, t) * value
+        else:
+            if diff % p:
+                raise NotDivisible("determinant quotient is not a polynomial "
+                                   "on a random line")
             return True
     return False
 
@@ -446,8 +476,8 @@ def quotient_resultant(pair, seed=0, attempt=0):
 
 
 class _Evaluator:
-    """det M1 and det M2 of one Newton pair at points mod p, by replaying
-    one recorded elimination.
+    """det M1 / det M2 of one Newton pair at points mod p, or None where
+    det M2 vanishes, by replaying one recorded elimination.
 
     Every entry is a linear form in the coefficient symbols, kept as
     ``(sid, coeff)`` pairs, so a point needs only sums of products.  The
@@ -458,21 +488,21 @@ class _Evaluator:
     in column order to 3110), its pivot the sparsest row with a nonzero
     there.  The symbolic fill of that order is compiled into a flat
     schedule of slots.  Every point, at any prime, writes its entries into
-    the slots and replays the schedule: the first m2 pivots multiply to
-    +-det M2 and the remaining ones to +-det M1 / det M2 (the Schur
-    complement of M2), with no second elimination.  Pivots whose rows are
-    final at the same step are inverted together, with one modular inverse
-    per run (Montgomery's trick).
+    the slots and replays the schedule: the first m2 pivots are nonzero
+    exactly where det M2 is, and the remaining ones multiply to
+    +-det M1 / det M2 (the Schur complement of M2), with no inverse of
+    det M2.  Pivots whose rows are final at the same step are inverted
+    together, with one modular inverse per run (Montgomery's trick).
 
     The k-th pivot is the ratio of the leading minors of orders k and
     k - 1 of M1 in the recorded order.  The order-k minor is a polynomial
     of degree at most k, nonzero at the recording point, so at a uniformly
-    random point of (GF(p)*)^n a replayed pivot vanishes with probability
-    at most m1 / (p - 1), and some pivot with at most
-    m1 (m1 + 1) / (2 (p - 1)) (Schwartz-Zippel; S1, 72 rows: below 2^-17
-    at a sequence prime, all above 2^29).  That costs only time:
-    ``_record`` eliminates that one point afresh, so every value stays
-    exact, and the schedule already recorded is kept.
+    random point a replayed pivot vanishes with probability at most
+    m1 / (p - 1), and some pivot with at most m1 (m1 + 1) / (2 (p - 1))
+    (Schwartz-Zippel; S1, 72 rows: below 2^-17 at a sequence prime, all
+    above 2^29).  That costs only time: ``_record`` eliminates that one
+    point afresh, so every value stays exact, and the schedule already
+    recorded is kept.
     """
 
     def __init__(self, pair):
@@ -489,32 +519,28 @@ class _Evaluator:
                                for sid, _ in form})
         self.schedule = None
 
-    def _record(self, values, p, minor=None):
-        """(det M1, det M2, schedule) mod p at the point where M1's nonzero
-        entries, row by row, take the slot values ``values``, by one
-        elimination in the pivot order chosen there; the schedule is None
-        where det M2 or det M1 vanishes.
-
-        A minor column with no nonzero in a minor row makes det M2 zero;
-        det M1 then comes from one more elimination with an empty minor.
-        Any other column with no nonzero makes det M1 zero.
+    def _record(self, values, p):
+        """(det M1 / det M2, schedule) mod p at the point where M1's
+        nonzero entries, row by row, take the slot values ``values``, by one
+        elimination in the pivot order chosen there.  A minor column with
+        no nonzero in a minor row makes det M2 zero: (None, None).  Any
+        other column with no nonzero makes det M1 zero: (0, None).
 
         Slots number the nonzero entries row by row, then the fill.  The
         schedule is (the minor's runs, the other runs, fill count, sign of
-        det M2, sign of det M1).  A run is the slots of consecutive pivots
-        whose rows no pivot of the run updates, and per pivot the slots of
-        the rest of its row and, per row it updates, that row's slot in
-        the pivot column and its slots in the pivot row's columns.
+        det M1 times that of det M2).  A run is the slots of consecutive
+        pivots whose rows no pivot of the run updates, and per pivot the
+        slots of the rest of its row and, per row it updates, that row's
+        slot in the pivot column and its slots in the pivot row's columns.
         """
-        minor = self.minor if minor is None else minor
-        n, in_minor = len(self.forms), set(minor)
+        n, minor, in_minor = len(self.forms), self.minor, set(self.minor)
         vals, slots, number = list(values), [], iter(range(len(values)))
         holders = [set() for _ in range(n)]   # column -> unpivoted rows
         for i, row in enumerate(self.forms):
             slots.append({c: next(number) for c in row})
             for c in row:
                 holders[c].add(i)
-        runs, product, pivot_of, last_update = ([], []), [1, 1], {}, {}
+        runs, ratio, pivot_of, last_update = ([], []), 1, {}, {}
         phases = [list(minor), sorted(set(range(n)) - in_minor)]
         for k in range(n):
             phase = 0 if phases[0] else 1     # 0 while the minor's columns last
@@ -523,10 +549,8 @@ class _Evaluator:
             live = holders[col]
             pool = [i for i in live if vals[slots[i][col]]
                     and (phase or i in in_minor)]
-            if not pool and not phase:
-                return self._record(values, p, ())[0], 0, None
             if not pool:
-                return 0, permutation_sign(pivot_of, minor) * product[0] % p, None
+                return (0 if phase else None), None
             piv = pivot_of[col] = min(pool, key=lambda i: (len(slots[i]), i))
             if not runs[phase] or last_update.get(piv, -1) >= start:
                 start = k
@@ -535,7 +559,8 @@ class _Evaluator:
             for c in prow:
                 holders[c].discard(piv)
             pslot = prow.pop(col)
-            product[phase] = product[phase] * vals[pslot] % p
+            if phase:
+                ratio = ratio * vals[pslot] % p
             inv = pow(vals[pslot], -1, p)
             updates = []
             for i in sorted(live):
@@ -553,27 +578,26 @@ class _Evaluator:
             live.clear()
             runs[phase][-1][0].append(pslot)
             runs[phase][-1][1].append((tuple(prow.values()), tuple(updates)))
-        sign2 = permutation_sign(pivot_of, minor)
-        sign1 = permutation_sign(pivot_of, range(n))
-        return (sign1 * product[0] * product[1] % p, sign2 * product[0] % p,
-                (*runs, len(vals) - len(self.entry_form), sign2, sign1))
+        sign = (permutation_sign(pivot_of, minor)
+                * permutation_sign(pivot_of, range(n)))
+        return sign * ratio % p, (*runs, len(vals) - len(self.entry_form), sign)
 
-    def dets(self, values, p):
-        """(det M1, det M2) mod p at the point ``values``."""
+    def ratio(self, values, p):
+        """det M1 / det M2 mod p at the point ``values``; None where det M2
+        vanishes."""
         entries = [sum(v * values[s] for s, v in form) % p
                    for form in self.distinct]
         vals = [entries[i] for i in self.entry_form]
         if self.schedule is not None:
-            minor_runs, rest_runs, fill, sign2, sign1 = self.schedule
+            minor_runs, rest_runs, fill, sign = self.schedule
             work = vals + [0] * fill
-            det2 = _replay(minor_runs, work, p)
-            quotient = det2 and _replay(rest_runs, work, p)
+            quotient = _replay(minor_runs, work, p) and _replay(rest_runs, work, p)
             if quotient:
-                return sign1 * det2 * quotient % p, sign2 * det2 % p
-        det1, det2, schedule = self._record(vals, p)
+                return sign * quotient % p
+        ratio, schedule = self._record(vals, p)
         if self.schedule is None:
             self.schedule = schedule
-        return det1, det2
+        return ratio
 
 
 def _replay(runs, vals, p):
@@ -600,20 +624,6 @@ def _replay(runs, vals, p):
                     for d, v in zip(target, prow):
                         vals[d] = (vals[d] - f * v) % p
     return det
-
-
-def _ratio(evaluator, values, p):
-    """det M1 / det M2 at one point mod p; None where det M2 vanishes.
-
-    A det M2 that is not the zero polynomial has degree m2 in the
-    symbols, so at a uniformly random point of (GF(p)*)^n it vanishes with
-    probability at most m2 / (p - 1), below m2 / 2^29 at a sequence prime;
-    the callers then draw a new line or scaling.
-    """
-    det1, det2 = evaluator.dets(values, p)
-    if not det2:
-        return None
-    return det1 * pow(det2, -1, p) % p
 
 
 def _blocks(pair):
@@ -656,28 +666,6 @@ def _dense_terms(blocks):
     return math.prod(math.comb(len(syms) + deg - 1, deg) for syms, deg in blocks)
 
 
-def _fits_degree_on_line(evaluator, degree, rng):
-    """Whether det M1 / det M2 on one random affine line a + t b fits a
-    polynomial of the quotient's degree D, modulo MINOR_CHECK_PRIME: its
-    (D+1)-th finite difference over t = 0..D+1 vanishes.  A polynomial
-    quotient always passes, so a failure proves that det M2 does not divide
-    det M1."""
-    p, symbols = MINOR_CHECK_PRIME, evaluator.symbols
-    for _ in range(MAX_SCALINGS):
-        a = {s: rng.randrange(p) for s in symbols}
-        b = {s: rng.randrange(p) for s in symbols}
-        diff = 0
-        for t in range(degree + 2):
-            value = _ratio(evaluator, {s: a[s] + t * b[s] for s in symbols}, p)
-            if value is None:
-                break
-            sign = -1 if (degree + 1 - t) & 1 else 1
-            diff += sign * math.comb(degree + 1, t) * value
-        else:
-            return diff % p == 0
-    raise ZeroDenominator("non-mixed minor vanished on every line tried")
-
-
 def _coefficient_bound(evaluator, blocks):
     """A bound B = H * 2^E on the coefficients of R = det M1 / det M2 when
     R has integer coefficients: H is the product over the rows of M1 of
@@ -712,7 +700,7 @@ def _scalings(evaluator, q, p, rng):
 
 
 def _ratios(evaluator, values, q, p):
-    while (value := _ratio(evaluator, values, p)) is not None:
+    while (value := evaluator.ratio(values, p)) is not None:
         yield value
         values = {s: v * q[s] % p for s, v in values.items()}
 
@@ -825,16 +813,23 @@ def _eval_mod(poly, values, p):
                for m, c in poly.terms.items()) % p
 
 
-def _certified(poly, evaluator, rng):
-    """det M1 == poly * det M2 at two random points modulo a random prime
-    in [2^62, 2^63]."""
-    prime = next_prime(rng.randrange(1 << 62, 1 << 63))
-    for _ in range(2):
-        values = {s: rng.randrange(prime) for s in evaluator.symbols}
-        det1, det2 = evaluator.dets(values, prime)
-        if (det1 - _eval_mod(poly, values, prime) * det2) % prime:
+def _certified(poly, evaluator, rng, p):
+    """Whether det M1 / det M2 equals ``poly`` mod p at two random points
+    where det M2 does not vanish; a point where it vanishes is redrawn,
+    MAX_SCALINGS draws in all before ZeroDenominator."""
+    passed = 0
+    for _ in range(MAX_SCALINGS):
+        values = {s: rng.randrange(p) for s in evaluator.symbols}
+        value = evaluator.ratio(values, p)
+        if value is None:
+            continue
+        if value != _eval_mod(poly, values, p):
             return False
-    return True
+        passed += 1
+        if passed == 2:
+            return True
+    raise ZeroDenominator("non-mixed minor vanished at every certificate "
+                          "point tried")
 
 
 def interpolated_quotient(pair, seed=0, attempt=0):
@@ -854,7 +849,7 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     bit, is its index (Kaltofen-Lakshman-Wiley 1990).  p stays below 2^30,
     one machine digit, up to k = 24, which covers S1 (D has 19 bits); at
     k = 25 to 27 it has 31 bits, and above that about k bits (S5: 51 bits
-    for D of 45 bits).  Every draw comes from
+    for D of 45 bits).  The scalings and the certificate points come from
     ``stage_rng(seed, "interpolation-{attempt}")``.
 
     That support round gives R's terms, with coefficients in the
@@ -871,47 +866,31 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     Every prime exceeds 2^29, so a round takes at most 1 + bitlen(2 B) /
     29 primes.
 
-    Each point, the certificate's included, replays the elimination that
-    the pair's evaluator recorded, at the minor check's first point when
-    the minor is nonempty.  A replayed pivot vanishes at a point
-    with probability at most m1 / (p - 1), and det M2 with at most
+    Each point, the certificate's included, asks the pair's evaluator for
+    one ratio, replaying the elimination recorded at the minor check's
+    first point when the minor is nonempty.  A replayed pivot vanishes at
+    a point with probability at most m1 / (p - 1), and det M2 with at most
     m2 / (p - 1), below m1 / 2^29 and m2 / 2^29 at a sequence prime; the
     first costs one fresh elimination of that point, the second a new
     scaling, so neither changes the answer.  Roots of the generator come
     from one power chain of z (``roots_mod``), which draws nothing: every
     root is a 2^k-th root of unity, and the chain splits them all.
 
-    With a nonempty minor, a random line a + t b first checks that the
-    quotient is a polynomial (``_fits_degree_on_line``), modulo
-    MINOR_CHECK_PRIME = 2^61 - 1.  A dividing pair always passes.  For a
-    pair where det M2 does not divide det M1, the check's numerator
-    sum_t c_t det M1(a + t b) prod_(s != t) det M2(a + s b) is a
-    polynomial of degree at most m1 + (d + 1) m2 in (a, b), with d the
-    quotient's degree and m1, m2 the two matrix sizes; unless 2^61 - 1
-    divides all its coefficients, the check passes with probability at
-    most (m1 + (d + 1) m2) / 2^61 (Schwartz-Zippel; S5: 40743 / 2^61 <
-    2^-45).  Such a pass costs only time: the sequence cap and the
-    certificate still reject the pair.
-
-    The answer R is certified by det M1 == R * det M2 at two random
-    points modulo a random prime P in [2^62, 2^63]: for a wrong R that P
-    does not divide every coefficient of det M1 - R * det M2, a
-    polynomial of degree at most m1_dim, each point passes with
-    probability at most m1_dim / 2^62 (Schwartz-Zippel), so both with at
-    most (m1_dim / 2^62)^2, once per certificate tried.  About 2^56
-    primes lie in that range, and a coefficient of size H has at most
+    The answer R is certified by det M1 / det M2 == R at two random
+    points where det M2 does not vanish, modulo the seed's prime P in
+    [2^62, 2^63) (``rank_prime``), which no draw here depends on.  For a
+    wrong R that P does not divide every coefficient of det M1 - R * det M2,
+    a polynomial of degree at most m1, each such point passes with
+    probability at most m1 / (P - m2) < m1 / 2^61 (Schwartz-Zippel), so
+    both with at most (m1 / 2^61)^2, once per certificate tried.  About
+    2^56 primes lie in that range, and a coefficient of size H has at most
     log2(H) / 62 of them as factors.
     """
     rng = stage_rng(seed, f"interpolation-{attempt}")
-    evaluator = pair.evaluator
+    evaluator, prime = pair.evaluator, rank_prime(seed)
     blocks = _blocks(pair)
     positions, size = _term_weights(blocks)
     k = max(1, (size - 1).bit_length())
-    if pair.minor_rows:
-        degree = sum(deg for _, deg in blocks)
-        if not _fits_degree_on_line(evaluator, degree, rng):
-            raise NotDivisible("determinant quotient is not a polynomial "
-                               "on a random line")
     bound = _coefficient_bound(evaluator, blocks)
     last = 1 << 29      # each prime is the next one above the last used
     for rnd in range(CERTIFICATE_ROUNDS):
@@ -919,7 +898,7 @@ def interpolated_quotient(pair, seed=0, attempt=0):
         quotient = _interpolate(evaluator, blocks, field, rng, 2 << rnd)
         modulus = field.p
         while quotient is not None:
-            if _certified(quotient, evaluator, rng):
+            if _certified(quotient, evaluator, rng, prime):
                 if quotient.is_zero():
                     raise ZeroDenominator("determinant quotient vanished")
                 return quotient.primitive().sign_normalized()
@@ -1054,8 +1033,8 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
     with no randomness and no box budget on its exponents; its result
     reports the Newton matrix that the other route would build.  Every
     other system takes the Newton quotient: attempt a draws the lifting
-    ``subdivision-{a}`` and the minor check ``minor-check-{a}`` from the
-    one seed, and max_retries bounds the attempts of every kind together.
+    ``subdivision-{a}`` and the minor check's lines ``minor-check-{a}``
+    from the one seed, and max_retries bounds the attempts of every kind together.
     """
     supports, table = extract_supports(zpolys)
     if all(len(s.points) == 2 for s in supports):

@@ -853,10 +853,12 @@ def test_interpolated_quotient_rejects_non_dividing_liftings(monkeypatch):
     for attempt in range(6):
         pair = build_matrices(mixed_subdivision(sets, 0, attempt))
         assert (len(pair.m1), len(pair.minor_rows)) == (22, 15)
+        # the check rejects them before any interpolation point
         if attempt in (1, 3):
             with pytest.raises(NotDivisible, match="random line"):
-                interpolated_quotient(pair, 0, attempt)
+                resultant._minor_nonzero_check(pair, 0, attempt)
         else:
+            assert resultant._minor_nonzero_check(pair, 0, attempt)
             assert interpolated_quotient(pair, 0, attempt) == expected
 
 
@@ -866,32 +868,39 @@ def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
     zpolys = case_reduction("corpus4").zpolys
     expected = compute_resultant(zpolys, seed=0)
     assert expected.m2_dim > 0
-    calls, tags = [], []
-    original = resultant._ratio
+    checked, calls, tags = [], [], []
+    original_check = resultant._minor_nonzero_check
+    original = resultant._Evaluator.ratio
 
-    def vanishing_once(*args):
-        calls.append(args)
-        return None if len(calls) == 1 else original(*args)
+    def check(*args):
+        checked.append(original_check(*args))
+        return checked[-1]
+
+    def vanishing_once(self, values, p):
+        if not checked:
+            return original(self, values, p)
+        calls.append(values)
+        return None if len(calls) == 1 else original(self, values, p)
 
     def recording_rng(seed, tag):
         tags.append(tag)
         return stage_rng(seed, tag)
 
     monkeypatch.setattr(resultant, "LAPLACE_MAX_DIM", 0)
-    monkeypatch.setattr(resultant, "_fits_degree_on_line", lambda *args: True)
-    monkeypatch.setattr(resultant, "_ratio", vanishing_once)
+    monkeypatch.setattr(resultant, "_minor_nonzero_check", check)
+    monkeypatch.setattr(resultant._Evaluator, "ratio", vanishing_once)
     monkeypatch.setattr(resultant, "stage_rng", recording_rng)
     res = compute_resultant(zpolys, seed=0)
     assert res.polynomial == expected.polynomial
     assert (res.attempts, res.m1_dim, res.m2_dim) == (1, expected.m1_dim,
                                                       expected.m2_dim)
     assert tags == ["subdivision-0", "minor-check-0", "interpolation-0"]
-    assert len(calls) > 1
+    assert checked == [True] and len(calls) > 1
 
 
 def test_one_evaluator_records_once_per_attempt(monkeypatch, record_calls):
-    # the minor check's first point records the elimination that the line
-    # check, the interpolation and the certificate then replay
+    # the minor check's first point records the elimination that its line,
+    # the interpolation and the certificate then replay
     built = []
 
     class CountingEvaluator(resultant._Evaluator):
@@ -904,7 +913,26 @@ def test_one_evaluator_records_once_per_attempt(monkeypatch, record_calls):
     res = compute_resultant(case_reduction("corpus4").zpolys, seed=0)
     assert res.m2_dim > 0
     assert len(built) == res.attempts
-    assert record_calls == [None] * res.attempts
+    assert len(record_calls) == res.attempts
+
+
+def test_a_singular_minor_fails_the_check_after_every_line(monkeypatch):
+    # [[x0, x1, 0], [x0, x1, x2], [0, x3, x0]] over the minor on rows and
+    # columns 0, 1: det M2 = x0 x1 - x1 x0 is zero, det M1 = -x0 x2 x3 is
+    # not; each line stops at its first point, MAX_SCALINGS lines in all
+    pair = resultant.NewtonMatrixPair(
+        linear_pair([[{0: 1}, {1: 1}, {}], [{0: 1}, {1: 1}, {2: 1}],
+                     [{}, {3: 1}, {0: 1}]], (0, 1)).m1, (), (0, 1))
+    calls = []
+    original = resultant._Evaluator.ratio
+
+    def counting(self, values, p):
+        calls.append(p)
+        return original(self, values, p)
+
+    monkeypatch.setattr(resultant._Evaluator, "ratio", counting)
+    assert resultant._minor_nonzero_check(pair, 0, 0) is False
+    assert calls == [resultant.rank_prime(0)] * resultant.MAX_SCALINGS
 
 
 @pytest.mark.parametrize("name", ["S1", "corpus4"])
@@ -935,13 +963,19 @@ def linear_pair(entries, minor_rows):
     return SimpleNamespace(m1=m1, minor_rows=tuple(minor_rows))
 
 
+def reference_ratio(det1, det2, p):
+    """det1 / det2 mod p, or None where det2 vanishes mod p."""
+    return det1 * pow(det2, -1, p) % p if det2 % p else None
+
+
 def reference_dets(pair, values, p):
-    """det M1 and det M2 mod p by Fraction elimination of the evaluated
-    entries."""
+    """det M1 / det M2 mod p by Fraction elimination of the evaluated
+    entries, or None where det M2 vanishes."""
     rows = [[e.evaluate(values) % p if e else 0 for e in row]
             for row in pair.m1]
     minor = [[rows[r][c] for c in pair.minor_rows] for r in pair.minor_rows]
-    return int(frac_gauss_det(rows)) % p, int(frac_gauss_det(minor)) % p
+    return reference_ratio(int(frac_gauss_det(rows)),
+                           int(frac_gauss_det(minor)), p)
 
 
 FORM = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool),
@@ -979,7 +1013,7 @@ def test_replayed_dets_match_det_mod(matrix, singular, p, points):
     evaluator = resultant._Evaluator(pair)
     for point in points:
         values = {s: v % p for s, v in enumerate(point)}
-        assert evaluator.dets(values, p) == reference_dets(pair, values, p)
+        assert evaluator.ratio(values, p) == reference_dets(pair, values, p)
 
 
 def int_pair(rows, minor_rows=()):
@@ -1008,8 +1042,8 @@ def test_evaluator_dets_match_oracles_on_sparse_int_matrices(p):
             assert leibniz_det(consts).const_value() == expect
         expect2 = int(frac_gauss_det([[rows[r][c] for c in minor]
                                       for r in minor]))
-        got = resultant._Evaluator(int_pair(rows, minor)).dets({0: 1}, p)
-        assert got == (expect % p, expect2 % p)
+        got = resultant._Evaluator(int_pair(rows, minor)).ratio({0: 1}, p)
+        assert got == reference_ratio(expect, expect2, p)
         signs.add((expect > 0) - (expect < 0))
     assert signs == {-1, 0, 1}
 
@@ -1022,28 +1056,29 @@ def test_evaluator_det_sign_of_row_permutations():
         rows = [[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)]
         sign = int(frac_gauss_det(rows))
         evaluator = resultant._Evaluator(int_pair(rows))
-        assert evaluator.dets({0: 1}, P61) == (sign % P61, 1)
+        assert evaluator.ratio({0: 1}, P61) == sign % P61
     # pivots that are not on the diagonal and a negative determinant
     for rows, expect in (([[0, 2], [3, 0]], -6),
                          ([[1, 0, 1], [0, 0, 1], [0, 1, 0]], -1),
                          ([], 1)):
         evaluator = resultant._Evaluator(int_pair(rows))
-        assert evaluator.dets({0: 1}, P61) == (expect % P61, 1)
+        assert evaluator.ratio({0: 1}, P61) == expect % P61
     # a minor whose pivots come from rows off its diagonal
     evaluator = resultant._Evaluator(int_pair([[0, 2, 1], [3, 0, 0],
                                                [1, 1, 1]], (0, 1)))
-    assert evaluator.dets({0: 1}, P61) == (-3 % P61, -6 % P61)
+    assert evaluator.ratio({0: 1}, P61) == reference_ratio(-3, -6, P61)
 
 
 @pytest.fixture
 def record_calls(monkeypatch):
-    """The ``minor`` argument of every ``_Evaluator._record`` call."""
+    """The ratio that every ``_Evaluator._record`` call returns."""
     calls = []
     original = resultant._Evaluator._record
 
-    def counting(self, rows, p, minor=None):
-        calls.append(minor)
-        return original(self, rows, p, minor)
+    def counting(self, rows, p):
+        ratio, schedule = original(self, rows, p)
+        calls.append(ratio)
+        return ratio, schedule
 
     monkeypatch.setattr(resultant._Evaluator, "_record", counting)
     return calls
@@ -1060,41 +1095,42 @@ def test_a_vanishing_replayed_pivot_re_eliminates_that_point(record_calls):
     # the recorded order pivots on x0 first; x0 = 0 leaves no pivot there,
     # though det M1 = -x1 x2 does not vanish
     evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, ()))
-    assert evaluator.dets(point(1, 2, 3, 4), P61) == (P61 - 2, 1)
+    assert evaluator.ratio(point(1, 2, 3, 4), P61) == P61 - 2
     schedule = evaluator.schedule
-    assert schedule is not None and record_calls == [None]
-    assert evaluator.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 1)
-    assert record_calls == [None, None]
+    assert schedule is not None and record_calls == [P61 - 2]
+    assert evaluator.ratio(point(0, 2, 3, 4), P61) == P61 - 6
+    assert record_calls == [P61 - 2, P61 - 6]
     assert evaluator.schedule is schedule
-    assert evaluator.dets(point(5, 2, 3, 4), P61) == (14, 1)
-    assert record_calls == [None, None]
+    assert evaluator.ratio(point(5, 2, 3, 4), P61) == 14
+    assert record_calls == [P61 - 2, P61 - 6]
 
 
 def test_a_vanishing_minor_makes_the_ratio_none(record_calls):
     pair = linear_pair(TWO_BY_TWO, (0,))            # det M2 = x0
     replayed = resultant._Evaluator(pair)
-    assert resultant._ratio(replayed, point(1, 2, 3, 4), P61) == P61 - 2
-    assert resultant._ratio(replayed, point(0, 2, 3, 4), P61) is None
-    # the zero minor pivot eliminates the point once more, with an empty
-    # minor, for det M1
-    assert record_calls == [None, None, ()]
-    assert replayed.dets(point(0, 2, 3, 4), P61) == (P61 - 6, 0)
+    assert replayed.ratio(point(1, 2, 3, 4), P61) == P61 - 2
+    schedule = replayed.schedule
+    assert replayed.ratio(point(0, 2, 3, 4), P61) is None
+    # the zero minor pivot eliminates the point once more, which stops at
+    # the minor's column with no det M1 and keeps the schedule
+    assert record_calls == [P61 - 2, None]
+    assert replayed.schedule is schedule
     # at a first point where det M2 vanishes nothing is recorded yet
     fresh = resultant._Evaluator(pair)
-    assert resultant._ratio(fresh, point(0, 2, 3, 4), P61) is None
+    assert fresh.ratio(point(0, 2, 3, 4), P61) is None
     assert fresh.schedule is None
-    assert resultant._ratio(fresh, point(2, 2, 3, 4), P61) == 1
+    assert fresh.ratio(point(2, 2, 3, 4), P61) == 1
     assert fresh.schedule is not None
 
 
 def test_a_vanishing_det_m1_records_nothing():
     # det M1 = x0 x3 - x1 x2 vanishes at (1, 2, 3, 6); det M2 = x0 does not
     evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, (0,)))
-    assert evaluator.dets(point(1, 2, 3, 6), P61) == (0, 1)
+    assert evaluator.ratio(point(1, 2, 3, 6), P61) == 0
     assert evaluator.schedule is None
-    assert evaluator.dets(point(1, 2, 3, 4), P61) == (P61 - 2, 1)
+    assert evaluator.ratio(point(1, 2, 3, 4), P61) == P61 - 2
     assert evaluator.schedule is not None
-    assert evaluator.dets(point(1, 2, 3, 6), P61) == (0, 1)
+    assert evaluator.ratio(point(1, 2, 3, 6), P61) == 0
 
 
 # ------------------------------------------------- mixed-radix term decoding
@@ -1119,8 +1155,8 @@ class PlantedEvaluator:
         self.symbols = list(range(6))
         self.forms = [{0: tuple((0, c) for c in poly.terms.values())}]
 
-    def dets(self, values, p):
-        return resultant._eval_mod(self.poly, values, p), 1
+    def ratio(self, values, p):
+        return resultant._eval_mod(self.poly, values, p)
 
 
 def interpolate_planted(monkeypatch, poly, seed=0):
@@ -1130,6 +1166,39 @@ def interpolate_planted(monkeypatch, poly, seed=0):
     return interpolated_quotient(
         SimpleNamespace(minor_rows=(), evaluator=PlantedEvaluator(poly)),
         seed, 0)
+
+
+class VanishingCertificateEvaluator(PlantedEvaluator):
+    """det M2 vanishes at the first ``vanishing`` certificate points, those
+    modulo a prime above 2^62."""
+
+    def __init__(self, poly, vanishing):
+        super().__init__(poly)
+        self.vanishing, self.certificate_calls = vanishing, 0
+
+    def ratio(self, values, p):
+        if p < 1 << 62:
+            return super().ratio(values, p)
+        self.certificate_calls += 1
+        if self.certificate_calls <= self.vanishing:
+            return None
+        return super().ratio(values, p)
+
+
+def test_the_certificate_redraws_a_point_where_det_m2_vanishes(monkeypatch):
+    poly = planted({(3, 0, 0, 2, 0, 1): 4, (0, 0, 3, 1, 1, 1): -6})
+    monkeypatch.setattr(resultant, "_blocks", lambda pair: PLANTED_BLOCKS)
+    evaluator = VanishingCertificateEvaluator(poly, 1)
+    pair = SimpleNamespace(minor_rows=(), evaluator=evaluator)
+    assert interpolated_quotient(pair, 0, 0) == poly.primitive().sign_normalized()
+    assert evaluator.certificate_calls == 3
+    # a point where det M2 vanishes is no pass: after MAX_SCALINGS such
+    # draws the certificate gives up
+    evaluator = VanishingCertificateEvaluator(poly, resultant.MAX_SCALINGS)
+    pair = SimpleNamespace(minor_rows=(), evaluator=evaluator)
+    with pytest.raises(resultant.ZeroDenominator, match="certificate point"):
+        interpolated_quotient(pair, 0, 0)
+    assert evaluator.certificate_calls == resultant.MAX_SCALINGS
 
 
 def test_mixed_radix_positions_and_index_count():
