@@ -37,7 +37,7 @@ class PipelineReport:
     order_matrix: tuple = None    # None entries mean minus infinity
     jacobi: tuple = None
     modified_jacobi: tuple = None
-    alg_essential: tuple = None   # (poly index, shift) per essential row
+    alg_essential: tuple = None   # (input poly index, shift) per essential row
     m1_dim: int = None
     m2_dim: int = None
     mixed_counts: tuple = None
@@ -116,7 +116,8 @@ def run_pipeline(src, stage="resultant", seed=0, paranoid=False,
     red = algebraic_reduction(spec, spec.bounds.modified, seed=seed,
                               exact=paranoid)
     res = compute_resultant(red.zpolys, seed=seed, max_retries=max_retries)
-    report.alg_essential = red.essential_tags
+    report.alg_essential = tuple((report.super_essential[i], l)
+                                 for i, l in red.essential_tags)
     report.m1_dim = res.m1_dim
     report.m2_dim = res.m2_dim
     report.mixed_counts = res.mixed_counts

@@ -4,7 +4,8 @@ Each digest is the sha256 of ``serialize(run_pipeline(src, seed=0), "json")``
 for one benchmark case, recorded before support-matrix entries became sparse
 shift dicts (S1: before the mixed subdivision became a walk over cells;
 S6: when binomial systems gained their closed form, S6's first solved
-run).  A change that alters a byte of a report fails here.  The exact
+run; corpus2: when ``alg_essential`` began to name input polynomials,
+which moved its third row from "poly": 2 to 3).  A change that alters a byte of a report fails here.  The exact
 ``paranoid`` route must give the same bytes as the randomized one.
 """
 
@@ -25,7 +26,7 @@ DIGESTS = {
     "corpus1":
         "75581cf92b667b2b01a5daf0e9c2a3144098563d46b6a14493c87e6109d39fd8",
     "corpus2":
-        "46ebbf128571f4fce8ce776ab6078e06ccb1acda0bc98f5e557076d1fe94ba4f",
+        "55178e375fd91a692c3c85a7c8b96dcce084931e4f3331bbe5c40a3523b97453",
     "corpus3":
         "614f0c5536789226c2e74dc521e92a1b8b79131b2774ef15827a6ec94807acff",
     "corpus4":

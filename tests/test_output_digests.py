@@ -25,7 +25,7 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 BOUNDS_DIGEST = \
     "a3c3b978d5a0ff40ef1f6e94be8526c8acfb98456245d544c8d7aa3346ef9e60"
 JSON_DIGEST = \
-    "a715484a684a224d31cf2b3207405a98809997c302c03cba283fb6de14259676"
+    "7e0379cd06f981d52d63f755ad3d420eec47a2365dce5f31015807b59644650a"
 
 CASES = ("toy", "golden", "corpus1", "corpus2", "corpus3", "corpus4",
          "corpus5", "S1", "S4", "S6", "N1", "s1_4_3", "s1_4_5", "shift20",

@@ -143,6 +143,25 @@ def test_resultant_stage_full_report():
     assert set(report.timing) == {"check", "super", "bounds", "resultant"}
 
 
+@pytest.mark.parametrize("name", ["toy", "golden", "corpus1", "corpus2",
+                                  "corpus3", "corpus4", "corpus5", "s1_4_3"])
+def test_alg_essential_names_the_rows_of_the_resultant(name):
+    # the rows are (input polynomial, shift), the indices the resultant's
+    # coefficients u[i,j] shifted l times carry; corpus2's super-essential
+    # subsystem is {P0, P1, P3}, so its third row is P3, not P2
+    report = run_pipeline(parse_system((CASES / f"{name}.sys").read_text()),
+                          seed=0)
+    rows = set(report.alg_essential)
+    assert {i for i, _ in rows} <= set(report.super_essential)
+    for _, factors in resultant_terms(report):
+        for ref, _ in factors:
+            assert (ref.poly, ref.shift) in rows
+    if name == "corpus2":
+        assert report.alg_essential == ((0, 2), (1, 1), (3, 0))
+        assert ("algebraic essential system: d2P0, dP1, P3"
+                in serialize(report, "text").decode())
+
+
 @pytest.mark.parametrize("kept", [(1, 7), (1, 1)])
 def test_kept_override_must_name_distinct_variables(kept):
     # golden has the variables 1..4
