@@ -40,6 +40,18 @@ def test_resultant_text_output(toy_file, capsys):
     assert "-du[0,1]*u[1,0]" in out
 
 
+def test_readme_transcript_matches_the_cli(tmp_path, capsys):
+    # the README's example: the system after "$ cat toy.sys" and the output
+    # after "$ sdres resultant toy.sys", up to the end of the code block
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    block = readme.split("$ cat toy.sys\n", 1)[1].split("```", 1)[0]
+    system, transcript = block.split("\n$ sdres resultant toy.sys\n")
+    (tmp_path / "toy.sys").write_text(system)
+    assert main(["resultant", str(tmp_path / "toy.sys")]) == 0
+    assert capsys.readouterr().out == transcript
+
+
 def test_check_reports_no_resultant_with_exit_zero(rankdef_file, capsys):
     assert main(["check", rankdef_file]) == 0
     assert "No SDResultant" in capsys.readouterr().out

@@ -261,6 +261,76 @@ def test_resultant_vanishes_on_consistent_systems(builder):
         assert res.polynomial.evaluate(values) == 0
 
 
+# ----------------------------------------------------------- torus weights
+
+
+def torus_weights(poly, table, zpolys):
+    """Per term of ``poly``: sum_s e_s a_s over its coefficient symbols s,
+    a_s the point of s in the lattice-form ``zpolys``, and its degree in
+    each (poly, shift) block.  A resultant is homogeneous for both
+    gradings (Gelfand-Kapranov-Zelevinsky 1994, ch. 8), so every term
+    gives the same pair."""
+    point = {ref: tuple(map(int, a)) for terms in zpolys for ref, a in terms}
+    out = set()
+    for mono in poly.terms:
+        weight, degrees = [0] * len(next(iter(point.values()))), {}
+        for sid, e in mono:
+            ref = table.lookup(sid)
+            weight = [w + e * v for w, v in zip(weight, point[ref])]
+            block = (ref.poly, ref.shift)
+            degrees[block] = degrees.get(block, 0) + e
+        out.add((tuple(weight), tuple(sorted(degrees.items()))))
+    return out
+
+
+def answer_with_zpolys(monkeypatch, name, seed):
+    """The pipeline's resultant for one bench case, with the lattice-form
+    system it was computed from."""
+    calls = []
+
+    def recording(zpolys, **kwargs):
+        calls.append((zpolys, compute_resultant(zpolys, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "compute_resultant", recording)
+    run_pipeline(parse_system((CASES / f"{name}.sys").read_text()), seed=seed)
+    (zpolys, res), = calls
+    return zpolys, res
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", [
+    "toy", "golden", "corpus1", "corpus2", "corpus3", "corpus4", "corpus5",
+    "S1", "S4", "S6", "N1", "s1_4_3", "s1_4_5", "shift20", "shift30"])
+def test_every_term_has_the_same_torus_weight(monkeypatch, name, seed):
+    zpolys, res = answer_with_zpolys(monkeypatch, name, seed)
+    assert len(torus_weights(res.polynomial, res.symbols, zpolys)) == 1
+
+
+def test_torus_weights_reject_one_swapped_exponent(monkeypatch):
+    # swap the exponents of two symbols of one block, at different points,
+    # in one term of golden's answer: its block degrees stay, its weight
+    # moves by (e_t - e_s)(a_s - a_t)
+    zpolys, res = answer_with_zpolys(monkeypatch, "golden", 0)
+    point = {ref: a for terms in zpolys for ref, a in terms}
+    terms = dict(res.polynomial.terms)
+    for mono in terms:
+        exps = dict(mono)
+        pairs = [(s, t) for s in res.symbols.keys() for t in res.symbols.keys()
+                 if s.poly == t.poly and s.shift == t.shift
+                 and point[s] != point[t]
+                 and exps.get(res.symbols.id_for(s), 0)
+                 != exps.get(res.symbols.id_for(t), 0)]
+        if pairs:
+            break
+    s, t = (res.symbols.id_for(ref) for ref in pairs[0])
+    exps[s], exps[t] = exps.get(t, 0), exps.get(s, 0)
+    swapped = tuple(sorted((sid, e) for sid, e in exps.items() if e))
+    terms[swapped] = terms.pop(mono)
+    assert len(torus_weights(res.polynomial, res.symbols, zpolys)) == 1
+    assert len(torus_weights(MultiPoly(terms), res.symbols, zpolys)) == 2
+
+
 # --------------------------------------------------------- mixed-volume oracle
 
 
