@@ -408,17 +408,19 @@ def build_matrices(subdiv):
 
 
 def _minor_nonzero_check(pair, seed, attempt):
-    """Whether det M2 is nonzero, by the one check of a pair with a
-    nonempty minor: det M1 / det M2 on a random line a + t b fits a
-    polynomial of the quotient's degree d = m1 - m2, modulo the seed's
-    prime P in [2^62, 2^63) (``rank_prime``), when its (d + 1)-th finite
-    difference over t = 0..d+1 vanishes.  True when a line fits; a line
-    that does not fit proves that det M2 does not divide det M1 and raises
-    NotDivisible; a line where det M2 vanishes at some point is redrawn,
-    and after MAX_SCALINGS such lines the answer is False.  The lines come
-    from ``stage_rng(seed, "minor-check-{attempt}")``, and their first
-    point records the elimination that the pair's evaluator replays at
-    every later one.
+    """The one check of a pair with a nonempty minor, before its quotient:
+    on a random line a + t b, det M1 / det M2 must fit a polynomial of the
+    quotient's degree d = m1 - m2 modulo the seed's prime P in
+    [2^62, 2^63) (``rank_prime``), that is, its (d + 1)-th finite
+    difference over t = 0..d+1 must vanish.  The answer is
+      - True when a line fits, which proves det M2 nonzero;
+      - NotDivisible, raised when a line does not fit, which proves that
+        det M2 does not divide det M1;
+      - False when det M2 vanished at some point of each of MAX_SCALINGS
+        lines.
+    The lines come from ``stage_rng(seed, "minor-check-{attempt}")``, and
+    their first point records the elimination that the pair's evaluator
+    replays at every later one.
 
     Each point a + t b is uniform, so a nonzero det M2, of degree m2,
     vanishes somewhere on a line with probability at most (d + 2) m2 / P,
@@ -868,11 +870,11 @@ def interpolated_quotient(pair, seed=0, attempt=0):
 
     Each point, the certificate's included, asks the pair's evaluator for
     one ratio, replaying the elimination recorded at the minor check's
-    first point when the minor is nonempty.  A replayed pivot vanishes at
-    a point with probability at most m1 / (p - 1), and det M2 with at most
-    m2 / (p - 1), below m1 / 2^29 and m2 / 2^29 at a sequence prime; the
-    first costs one fresh elimination of that point, the second a new
-    scaling, so neither changes the answer.  Roots of the generator come
+    first point when the minor is nonempty; a replayed pivot that
+    vanishes costs one fresh elimination (``_Evaluator``).  A nonzero
+    det M2 vanishes at a point with probability at most m2 / (p - 1),
+    below m2 / 2^29 at a sequence prime, and costs a new scaling, so it
+    does not change the answer either.  Roots of the generator come
     from one power chain of z (``roots_mod``), which draws nothing: every
     root is a 2^k-th root of unity, and the chain splits them all.
 
