@@ -62,7 +62,8 @@ MAX_RETRIES = 8
 MAX_BOX_POINTS = 1 << 20  # lattice points in the Minkowski box
 LAPLACE_MAX_DIM = 16      # larger Newton pairs are interpolated
 CERTIFICATE_ROUNDS = 3
-MAX_SCALINGS = 8          # scalings (or lines) tried before det M2 counts as zero
+MAX_SCALINGS = 8          # draws of a scaling, line or certificate point
+                          # before det M2 counts as zero
 
 
 class SupportSet(NamedTuple):

@@ -5,8 +5,9 @@ for one benchmark case, recorded before support-matrix entries became sparse
 shift dicts (S1: before the mixed subdivision became a walk over cells;
 S6: when binomial systems gained their closed form, S6's first solved
 run; corpus2: when ``alg_essential`` began to name input polynomials,
-which moved its third row from "poly": 2 to 3).  A change that alters a byte of a report fails here.  The exact
-``paranoid`` route must give the same bytes as the randomized one.
+which moved its third row from "poly": 2 to 3).  A change that alters a
+byte of a report fails here.  The exact ``paranoid`` route must give the
+same bytes as the randomized one.
 """
 
 import hashlib

@@ -312,18 +312,16 @@ def test_torus_weights_reject_one_swapped_exponent(monkeypatch):
     # in one term of golden's answer: its block degrees stay, its weight
     # moves by (e_t - e_s)(a_s - a_t)
     zpolys, res = answer_with_zpolys(monkeypatch, "golden", 0)
+    refs = res.symbols.keys()                       # refs[sid]
     point = {ref: a for terms in zpolys for ref, a in terms}
     terms = dict(res.polynomial.terms)
-    for mono in terms:
-        exps = dict(mono)
-        pairs = [(s, t) for s in res.symbols.keys() for t in res.symbols.keys()
-                 if s.poly == t.poly and s.shift == t.shift
-                 and point[s] != point[t]
-                 and exps.get(res.symbols.id_for(s), 0)
-                 != exps.get(res.symbols.id_for(t), 0)]
-        if pairs:
-            break
-    s, t = (res.symbols.id_for(ref) for ref in pairs[0])
+    mono, s, t = next(
+        (mono, s, t) for mono in terms
+        for s, t in itertools.combinations(range(len(refs)), 2)
+        if (refs[s].poly, refs[s].shift) == (refs[t].poly, refs[t].shift)
+        and point[refs[s]] != point[refs[t]]
+        and dict(mono).get(s, 0) != dict(mono).get(t, 0))
+    exps = dict(mono)
     exps[s], exps[t] = exps.get(t, 0), exps.get(s, 0)
     swapped = tuple(sorted((sid, e) for sid, e in exps.items() if e))
     terms[swapped] = terms.pop(mono)
