@@ -11,17 +11,17 @@ of the supports over its principal minor on the non-mixed points (D'Andrea
 basis of the lifted Cayley embedding finds a first cell of the lifted
 subdivision, an integer walk on the same tableau visits the others, and
 each lattice point is placed in its cell by its barycentric coordinates.
-A pair's one evaluator asks each point one question, det M1 / det M2 or
-whether det M2 vanished: it records a sparse elimination at its first
-point, the minor check's, and replays it at every later one.  A pair with
-a nonempty minor first passes one check, that the ratio is a polynomial
-on a random line.  Pairs of at most LAPLACE_MAX_DIM rows then divide two
-Laplace expansions; larger ones are interpolated from the replays modulo
-a prime p with 2^k dividing p - 1, each term read back from a discrete
-log to an omega of order 2^k, the coefficients combined by CRT over
-further such primes, and certified at random points modulo the seed's
-prime.  The classical Sylvester determinant stays as a reference
-for univariate pairs.
+Pairs of at most LAPLACE_MAX_DIM rows divide two Laplace expansions.  A
+larger pair's one evaluator asks each point for det M1 / det M2, or
+whether det M2 vanished: each determinant is a sparse elimination recorded
+at its first nonzero point and replayed at every later one.  With a
+nonempty minor the pair first passes one check, that the ratio is a
+polynomial on a random line.  The quotient is interpolated from the
+replays modulo a prime p with 2^k dividing p - 1, each term read back
+from a discrete log to an omega of order 2^k, the coefficients combined
+by CRT over further such primes, and certified at random points modulo
+the seed's prime.  The classical Sylvester determinant stays as a
+reference for univariate pairs.
 """
 
 import itertools
@@ -100,7 +100,7 @@ class NewtonMatrixPair:
     @cached_property
     def evaluator(self):
         """The one ``_Evaluator`` that every check and point of the pair
-        calls, so its first point records the elimination for all."""
+        calls, so each determinant is recorded once for all."""
         return _Evaluator(self)
 
 
@@ -409,9 +409,10 @@ def build_matrices(subdiv):
 
 
 def _minor_nonzero_check(pair, seed, attempt):
-    """The one check of a pair with a nonempty minor, before its quotient:
-    on a random line a + t b, det M1 / det M2 must fit a polynomial of the
-    quotient's degree d = m1 - m2 modulo the seed's prime P in
+    """The one check of an interpolated pair with a nonempty minor, run
+    before its sequence (the exact division of a Laplace pair decides the
+    same): on a random line a + t b, det M1 / det M2 must fit a polynomial
+    of the quotient's degree d = m1 - m2 modulo the seed's prime P in
     [2^62, 2^63) (``rank_prime``), that is, its (d + 1)-th finite
     difference over t = 0..d+1 must vanish.  The answer is
       - True when a line fits, which proves det M2 nonzero;
@@ -419,9 +420,9 @@ def _minor_nonzero_check(pair, seed, attempt):
         det M2 does not divide det M1;
       - False when det M2 vanished at some point of each of MAX_SCALINGS
         lines.
-    The lines come from ``stage_rng(seed, "minor-check-{attempt}")``, and
-    their first point records the elimination that the pair's evaluator
-    replays at every later one.
+    The lines come from ``stage_rng(seed, "minor-check-{attempt}")``.
+    Each determinant is recorded at its first nonzero point on them, and
+    the pair's evaluator replays it at every later one.
 
     Each point a + t b is uniform, so a nonzero det M2, of degree m2,
     vanishes somewhere on a line with probability at most (d + 2) m2 / P,
@@ -459,8 +460,8 @@ def _minor_nonzero_check(pair, seed, attempt):
 
 def quotient_resultant(pair, seed=0, attempt=0):
     """det M1 / det M2, primitive and sign-normalized.  Pairs of at most
-    LAPLACE_MAX_DIM rows divide the two Laplace expansions; larger ones
-    are interpolated from modular evaluations drawn from ``seed`` and
+    LAPLACE_MAX_DIM rows divide the two Laplace expansions exactly; larger
+    ones are interpolated from modular evaluations drawn from ``seed`` and
     ``attempt``."""
     if len(pair.m1) > LAPLACE_MAX_DIM:
         return interpolated_quotient(pair, seed, attempt)
@@ -480,32 +481,22 @@ def quotient_resultant(pair, seed=0, attempt=0):
 
 class _Evaluator:
     """det M1 / det M2 of one Newton pair at points mod p, or None where
-    det M2 vanishes, by replaying one recorded elimination.
+    det M2 vanishes, from two recorded eliminations (``_Determinant``):
+    one of M1 and one of M2, its principal submatrix on the minor rows.
+    M2 goes first, and M1 only where det M2 is nonzero, with one inverse;
+    an empty minor takes det M1 alone.  Every entry is a linear form in
+    the coefficient symbols, kept as ``(sid, coeff)`` pairs, so a point
+    needs one sum of products per distinct form.
 
-    Every entry is a linear form in the coefficient symbols, kept as
-    ``(sid, coeff)`` pairs, so a point needs only sums of products.  The
-    first point where both determinants are nonzero records a pivot order
-    (``_record``): the minor's columns first, each pivoted from a minor
-    row, then the other columns.  The next column is one held by the
-    fewest rows (minimum degree, which cuts S2's update count from 16674
-    in column order to 3110), its pivot the sparsest row with a nonzero
-    there.  The symbolic fill of that order is compiled into a flat
-    schedule of slots.  Every point, at any prime, writes its entries into
-    the slots and replays the schedule: the first m2 pivots are nonzero
-    exactly where det M2 is, and the remaining ones multiply to
-    +-det M1 / det M2 (the Schur complement of M2), with no inverse of
-    det M2.  Pivots whose rows are final at the same step are inverted
-    together, with one modular inverse per run (Montgomery's trick).
-
-    The k-th pivot is the ratio of the leading minors of orders k and
-    k - 1 of M1 in the recorded order.  The order-k minor is a polynomial
-    of degree at most k, nonzero at the recording point, so at a uniformly
-    random point a replayed pivot vanishes with probability at most
-    m1 / (p - 1), and some pivot with at most m1 (m1 + 1) / (2 (p - 1))
-    (Schwartz-Zippel; S1, 72 rows: below 2^-17 at a sequence prime, all
-    above 2^29).  That costs only time: ``_record`` eliminates that one
-    point afresh, so every value stays exact, and the schedule already
-    recorded is kept.
+    The k-th pivot of a recorded order is the ratio of the leading minors
+    of orders k and k - 1 of its matrix in that order, the order-k minor
+    a polynomial of degree at most k that is nonzero at the recording
+    point.  So at a uniformly random point some replayed pivot of the two
+    vanishes with probability at most (m1 (m1 + 1) + m2 (m2 + 1)) /
+    (2 (p - 1)) (Schwartz-Zippel; S1, 72 rows: below 2^-17 at a sequence
+    prime, all above 2^29).  That costs only time: that determinant is
+    eliminated afresh at that one point, so every value stays exact, and
+    the schedule already recorded is kept.
     """
 
     def __init__(self, pair):
@@ -513,57 +504,91 @@ class _Evaluator:
             {c: tuple((m[0][0], v) for m, v in e.terms.items())
              for c, e in enumerate(row) if e}
             for row in pair.m1]
-        flat = [form for row in self.forms for form in row.values()]
-        self.distinct = list(dict.fromkeys(flat))
+        self.distinct = list(dict.fromkeys(
+            form for row in self.forms for form in row.values()))
         position = {form: i for i, form in enumerate(self.distinct)}
-        self.entry_form = [position[form] for form in flat]
-        self.minor = pair.minor_rows
         self.symbols = sorted({sid for form in self.distinct
                                for sid, _ in form})
+        self.m1 = _Determinant(self.forms, range(len(self.forms)), position)
+        self.m2 = (_Determinant(self.forms, pair.minor_rows, position)
+                   if pair.minor_rows else None)
+
+    def ratio(self, values, p):
+        """det M1 / det M2 mod p at the point ``values``; None where det M2
+        vanishes."""
+        entries = [sum(v * values[s] for s, v in form) % p
+                   for form in self.distinct]
+        if self.m2 is None:
+            return self.m1.det(entries, p)
+        if det2 := self.m2.det(entries, p):
+            return self.m1.det(entries, p) * pow(det2, -1, p) % p
+        return None
+
+
+class _Determinant:
+    """The determinant mod p of the principal submatrix on ``rows`` of the
+    matrix with nonzero entries ``forms`` (per row, column -> form), at
+    the values of the forms numbered by ``position``.  Its first nonzero
+    point records a pivot order (``_record``): the next column is one held
+    by the fewest rows (minimum degree, which cuts S2's M1 from 74165
+    updates in column order to 3120), its pivot the sparsest row with a
+    nonzero there.  Every later point, at any prime, writes its entries
+    into the schedule's slots and replays it (``_replay``)."""
+
+    def __init__(self, forms, rows, position):
+        index = {r: j for j, r in enumerate(rows)}
+        self.columns = [[index[c] for c in forms[r] if c in index]
+                        for r in rows]
+        self.entry_form = [position[forms[r][c]] for r in rows
+                           for c in forms[r] if c in index]
         self.schedule = None
 
-    def _record(self, values, p):
-        """(det M1 / det M2, schedule) mod p at the point where M1's
-        nonzero entries, row by row, take the slot values ``values``, by one
-        elimination in the pivot order chosen there.  A minor column with
-        no nonzero in a minor row makes det M2 zero: (None, None).  Any
-        other column with no nonzero makes det M1 zero: (0, None).
+    def det(self, entries, p):
+        """The determinant mod p at the form values ``entries``."""
+        vals = [entries[i] for i in self.entry_form]
+        if self.schedule is not None:
+            runs, fill, sign = self.schedule
+            if det := _replay(runs, vals + [0] * fill, p):
+                return sign * det % p
+        det, schedule = self._record(vals, p)
+        self.schedule = self.schedule or schedule
+        return det
 
-        Slots number the nonzero entries row by row, then the fill.  The
-        schedule is (the minor's runs, the other runs, fill count, sign of
-        det M1 times that of det M2).  A run is the slots of consecutive
-        pivots whose rows no pivot of the run updates, and per pivot the
-        slots of the rest of its row and, per row it updates, that row's
-        slot in the pivot column and its slots in the pivot row's columns.
-        """
-        n, minor, in_minor = len(self.forms), self.minor, set(self.minor)
+    def _record(self, values, p):
+        """(det, schedule) mod p at the slot values ``values``, by one
+        elimination in the pivot order chosen there; (0, None) when some
+        column has no nonzero left.  Slots number the nonzero entries row
+        by row, then the fill.  The schedule is (runs, fill count, sign of
+        the pivots' permutation).  A run is the slots of consecutive pivots
+        whose rows no pivot of the run updates, inverted with one modular
+        inverse (Montgomery's trick), and per pivot the slots of the rest
+        of its row and, per row it updates, that row's slot in the pivot
+        column and its slots in the pivot row's columns."""
+        n = len(self.columns)
         vals, slots, number = list(values), [], iter(range(len(values)))
         holders = [set() for _ in range(n)]   # column -> unpivoted rows
-        for i, row in enumerate(self.forms):
+        for i, row in enumerate(self.columns):
             slots.append({c: next(number) for c in row})
             for c in row:
                 holders[c].add(i)
-        runs, ratio, pivot_of, last_update = ([], []), 1, {}, {}
-        phases = [list(minor), sorted(set(range(n)) - in_minor)]
+        runs, det, pivot_of, last_update = [], 1, {}, {}
+        todo = list(range(n))
         for k in range(n):
-            phase = 0 if phases[0] else 1     # 0 while the minor's columns last
-            col = min(phases[phase], key=lambda c: (len(holders[c]), c))
-            phases[phase].remove(col)
+            col = min(todo, key=lambda c: (len(holders[c]), c))
+            todo.remove(col)
             live = holders[col]
-            pool = [i for i in live if vals[slots[i][col]]
-                    and (phase or i in in_minor)]
+            pool = [i for i in live if vals[slots[i][col]]]
             if not pool:
-                return (0 if phase else None), None
+                return 0, None
             piv = pivot_of[col] = min(pool, key=lambda i: (len(slots[i]), i))
-            if not runs[phase] or last_update.get(piv, -1) >= start:
+            if not runs or last_update.get(piv, -1) >= start:
                 start = k
-                runs[phase].append(([], []))
+                runs.append(([], []))
             prow = slots[piv]
             for c in prow:
                 holders[c].discard(piv)
             pslot = prow.pop(col)
-            if phase:
-                ratio = ratio * vals[pslot] % p
+            det = det * vals[pslot] % p
             inv = pow(vals[pslot], -1, p)
             updates = []
             for i in sorted(live):
@@ -579,28 +604,10 @@ class _Evaluator:
                 updates.append((mslot, tuple(row[c] for c in prow)))
                 last_update[i] = k
             live.clear()
-            runs[phase][-1][0].append(pslot)
-            runs[phase][-1][1].append((tuple(prow.values()), tuple(updates)))
-        sign = (permutation_sign(pivot_of, minor)
-                * permutation_sign(pivot_of, range(n)))
-        return sign * ratio % p, (*runs, len(vals) - len(self.entry_form), sign)
-
-    def ratio(self, values, p):
-        """det M1 / det M2 mod p at the point ``values``; None where det M2
-        vanishes."""
-        entries = [sum(v * values[s] for s, v in form) % p
-                   for form in self.distinct]
-        vals = [entries[i] for i in self.entry_form]
-        if self.schedule is not None:
-            minor_runs, rest_runs, fill, sign = self.schedule
-            work = vals + [0] * fill
-            quotient = _replay(minor_runs, work, p) and _replay(rest_runs, work, p)
-            if quotient:
-                return sign * quotient % p
-        ratio, schedule = self._record(vals, p)
-        if self.schedule is None:
-            self.schedule = schedule
-        return ratio
+            runs[-1][0].append(pslot)
+            runs[-1][1].append((tuple(prow.values()), tuple(updates)))
+        sign = permutation_sign(pivot_of, range(n))
+        return sign * det % p, (runs, len(vals) - len(values), sign)
 
 
 def _replay(runs, vals, p):
@@ -869,10 +876,11 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     Every prime exceeds 2^29, so a round takes at most 1 + bitlen(2 B) /
     29 primes.
 
-    Each point, the certificate's included, asks the pair's evaluator for
-    one ratio, replaying the elimination recorded at the minor check's
-    first point when the minor is nonempty; a replayed pivot that
-    vanishes costs one fresh elimination (``_Evaluator``).  A nonzero
+    A pair with a nonempty minor first passes ``_minor_nonzero_check``
+    (False raises DegenerateLifting).  Each point, the check's and the
+    certificate's included, asks the pair's evaluator for one ratio from
+    the replays of both determinants; a replayed pivot that vanishes costs
+    one fresh elimination of its determinant (``_Evaluator``).  A nonzero
     det M2 vanishes at a point with probability at most m2 / (p - 1),
     below m2 / 2^29 at a sequence prime, and costs a new scaling, so it
     does not change the answer either.  Roots of the generator come
@@ -889,6 +897,8 @@ def interpolated_quotient(pair, seed=0, attempt=0):
     2^56 primes lie in that range, and a coefficient of size H has at most
     log2(H) / 62 of them as factors.
     """
+    if not _minor_nonzero_check(pair, seed, attempt):
+        raise DegenerateLifting("non-mixed minor evaluated to zero")
     rng = stage_rng(seed, f"interpolation-{attempt}")
     evaluator, prime = pair.evaluator, rank_prime(seed)
     blocks = _blocks(pair)
@@ -926,31 +936,21 @@ def sylvester_resultant(supports):
     univariate Newton quotients are tested against."""
     if len(supports) != 2:
         raise InternalError("a Sylvester matrix needs exactly two polynomials")
-    degs = []
-    dense = []
+    dense, zero = [], MultiPoly.zero()
     for s in supports:
         low = min(p[0] for p in s.points)
         d = max(p[0] for p in s.points) - low
         if d < 1:
             raise InternalError("a Sylvester matrix needs positive degrees")
-        row = [MultiPoly.zero()] * (d + 1)
+        row = [zero] * (d + 1)
         for p, coeff in zip(s.points, s.coeffs):
             row[p[0] - low] = coeff
-        degs.append(d)
         dense.append(row)
-    d0, d1 = degs
-    size = d0 + d1
-    rows = []
-    for shift in range(d1):
-        row = [MultiPoly.zero()] * size
-        for m, coeff in enumerate(dense[0]):
-            row[shift + m] = coeff
-        rows.append(row)
-    for shift in range(d0):
-        row = [MultiPoly.zero()] * size
-        for m, coeff in enumerate(dense[1]):
-            row[shift + m] = coeff
-        rows.append(row)
+    size = sum(map(len, dense)) - 2
+    # one row per shift of each polynomial, as many as the other's degree
+    rows = [[zero] * shift + row + [zero] * (size - shift - len(row))
+            for row, other in zip(dense, dense[::-1])
+            for shift in range(len(other) - 1)]
     det = determinant(rows)
     return det.primitive().sign_normalized(), size
 
@@ -1036,8 +1036,9 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
     with no randomness and no box budget on its exponents; its result
     reports the Newton matrix that the other route would build.  Every
     other system takes the Newton quotient: attempt a draws the lifting
-    ``subdivision-{a}`` and the minor check's lines ``minor-check-{a}``
-    from the one seed, and max_retries bounds the attempts of every kind together.
+    ``subdivision-{a}``, and an interpolated pair its check's lines
+    ``minor-check-{a}``, from the one seed; max_retries bounds the
+    attempts of every kind together.
     """
     supports, table = extract_supports(zpolys)
     if all(len(s.points) == 2 for s in supports):
@@ -1048,8 +1049,6 @@ def compute_resultant(zpolys, seed=0, max_retries=MAX_RETRIES):
         try:
             subdiv = mixed_subdivision(supports, seed, attempt)
             pair = build_matrices(subdiv)
-            if not _minor_nonzero_check(pair, seed, attempt):
-                raise DegenerateLifting("non-mixed minor evaluated to zero")
             poly = quotient_resultant(pair, seed, attempt)
             return ResultantResult(
                 poly, table, len(pair.m1), len(pair.minor_rows),

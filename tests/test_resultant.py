@@ -14,6 +14,7 @@ for binomial systems is checked against the Newton route, the Sylvester
 determinant and random solutions of its system (``vanishing``).
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -329,6 +330,67 @@ def test_torus_weights_reject_one_swapped_exponent(monkeypatch):
     assert len(torus_weights(MultiPoly(terms), res.symbols, zpolys)) == 2
 
 
+def extreme_term(res, zpolys, seed):
+    """The product of the mixed rows' diagonal entries of the Newton matrix
+    that gave ``res``, as a monomial, and the lift of each coefficient
+    symbol in that attempt's lifting, drawn again from
+    ``stage_rng(seed, "subdivision-{a}")`` in ``mixed_subdivision``'s
+    order: k perturbation numerators, then one lift per support point."""
+    supports, _ = extract_supports(zpolys)
+    attempt = res.attempts - 1
+    pair = build_matrices(mixed_subdivision(supports, seed, attempt))
+    rng = stage_rng(seed, f"subdivision-{attempt}")
+    for _ in supports[1:]:
+        rng.randint(1, resultant.DELTA_NUM_BOUND)
+    lift = {}
+    for s in supports:
+        for coeff in s.coeffs:
+            (sid,) = coeff.symbols()
+            lift[sid] = rng.randint(0, resultant.LIFT_BOUND)
+    minor = set(pair.minor_rows)
+    diagonal = math.prod((row[r] for r, row in enumerate(pair.m1)
+                          if r not in minor), start=MultiPoly.const(1))
+    (mono,) = diagonal.terms
+    return mono, lift
+
+
+def is_lift_minimal(poly, mono, lift):
+    """Whether ``mono`` is a term of ``poly`` with coefficient +-1 whose
+    lift sum_s e_s lift_s is below that of every other term."""
+    def weight(m):
+        return sum(e * lift[s] for s, e in m)
+
+    return poly.terms.get(mono) in (1, -1) and all(
+        weight(m) > weight(mono) for m in poly.terms if m != mono)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("name", ["golden", "corpus1", "corpus4", "corpus5",
+                                  "s1_4_5", "S1"])
+def test_the_mixed_diagonal_is_the_lift_minimal_term(monkeypatch, name, seed):
+    # for the lifting that answered, the initial term of R is +- the
+    # product of the mixed rows' diagonal entries (Sturmfels 1994)
+    zpolys, res = answer_with_zpolys(monkeypatch, name, seed)
+    assert is_lift_minimal(res.polynomial, *extreme_term(res, zpolys, seed))
+
+
+def test_the_lift_minimal_check_rejects_one_swapped_exponent(monkeypatch):
+    # swap the exponent of one diagonal symbol with that of a symbol of
+    # the same block in golden's extreme term
+    zpolys, res = answer_with_zpolys(monkeypatch, "golden", 0)
+    mono, lift = extreme_term(res, zpolys, 0)
+    refs = res.symbols.keys()                       # refs[sid]
+    block = [(ref.poly, ref.shift) for ref in refs]
+    exps = dict(mono)
+    s, t = next((s, t) for s in exps for t in range(len(refs))
+                if t not in exps and block[s] == block[t])
+    exps[t] = exps.pop(s)
+    terms = dict(res.polynomial.terms)
+    terms[tuple(sorted(exps.items()))] = terms.pop(mono)
+    assert is_lift_minimal(res.polynomial, mono, lift)
+    assert not is_lift_minimal(MultiPoly(terms), mono, lift)
+
+
 # --------------------------------------------------------- mixed-volume oracle
 
 
@@ -448,13 +510,14 @@ def perturbed_reconstruct(*args):
 @pytest.mark.parametrize(
     "stubs",
     [(("_is_fine", lambda *args: False),),
-     (("_minor_nonzero_check", lambda *args: False),),
+     (("LAPLACE_MAX_DIM", 0), ("_minor_nonzero_check", lambda *args: False)),
      (("LAPLACE_MAX_DIM", 0), ("_reconstruct", perturbed_reconstruct))],
     ids=["_is_fine", "_minor_nonzero_check", "certificate"])
 def test_one_retry_budget_over_one_seed(monkeypatch, stubs):
     # every degenerate attempt, whichever check rejects it, spends the same
     # budget and draws a fresh lifting from the same seed; an interpolated
-    # quotient with one wrong coefficient never passes its certificate
+    # quotient with one wrong coefficient never passes its certificate.
+    # Only interpolated pairs run the line check, so its stub needs one.
     draws = []
 
     def recording_rng(seed, tag):
@@ -470,8 +533,8 @@ def test_one_retry_budget_over_one_seed(monkeypatch, stubs):
          (CoeffRef(0, 2, 0), (2,))),
         ((CoeffRef(1, 0, 0), (0,)), (CoeffRef(1, 1, 0), (1,))),
     )
-    with pytest.raises(RetriesExhausted,
-                       match="certificate" if len(stubs) > 1 else None):
+    with pytest.raises(RetriesExhausted, match="certificate"
+                       if stubs[-1][0] == "_reconstruct" else None):
         compute_resultant(zp, seed=3)
     assert len(set(draws)) == len(draws) == MAX_RETRIES
     assert {seed for seed, _ in draws} == {3}
@@ -967,21 +1030,22 @@ def test_vanishing_minor_redraws_scaling_without_an_attempt(monkeypatch):
 
 
 def test_one_evaluator_records_once_per_attempt(monkeypatch, record_calls):
-    # the minor check's first point records the elimination that its line,
-    # the interpolation and the certificate then replay
+    # each determinant is recorded at its first nonzero point on the check's
+    # lines, and the interpolation and the certificate then replay it
     built = []
 
     class CountingEvaluator(resultant._Evaluator):
         def __init__(self, pair):
-            built.append(pair)
             super().__init__(pair)
+            built.append(self)
 
     monkeypatch.setattr(resultant, "LAPLACE_MAX_DIM", 0)
     monkeypatch.setattr(resultant, "_Evaluator", CountingEvaluator)
     res = compute_resultant(case_reduction("corpus4").zpolys, seed=0)
     assert res.m2_dim > 0
     assert len(built) == res.attempts
-    assert len(record_calls) == res.attempts
+    assert sorted(id(det) for det, _ in record_calls) == sorted(
+        id(det) for evaluator in built for det in (evaluator.m1, evaluator.m2))
 
 
 def test_a_singular_minor_fails_the_check_after_every_line(monkeypatch):
@@ -1139,16 +1203,16 @@ def test_evaluator_det_sign_of_row_permutations():
 
 @pytest.fixture
 def record_calls(monkeypatch):
-    """The ratio that every ``_Evaluator._record`` call returns."""
+    """(determinant, value) for every ``_Determinant._record`` call."""
     calls = []
-    original = resultant._Evaluator._record
+    original = resultant._Determinant._record
 
-    def counting(self, rows, p):
-        ratio, schedule = original(self, rows, p)
-        calls.append(ratio)
-        return ratio, schedule
+    def counting(self, values, p):
+        det, schedule = original(self, values, p)
+        calls.append((self, det))
+        return det, schedule
 
-    monkeypatch.setattr(resultant._Evaluator, "_record", counting)
+    monkeypatch.setattr(resultant._Determinant, "_record", counting)
     return calls
 
 
@@ -1163,42 +1227,78 @@ def test_a_vanishing_replayed_pivot_re_eliminates_that_point(record_calls):
     # the recorded order pivots on x0 first; x0 = 0 leaves no pivot there,
     # though det M1 = -x1 x2 does not vanish
     evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, ()))
+    m1 = evaluator.m1
     assert evaluator.ratio(point(1, 2, 3, 4), P61) == P61 - 2
-    schedule = evaluator.schedule
-    assert schedule is not None and record_calls == [P61 - 2]
+    schedule = m1.schedule
+    assert schedule is not None and record_calls == [(m1, P61 - 2)]
     assert evaluator.ratio(point(0, 2, 3, 4), P61) == P61 - 6
-    assert record_calls == [P61 - 2, P61 - 6]
-    assert evaluator.schedule is schedule
+    assert record_calls == [(m1, P61 - 2), (m1, P61 - 6)]
+    assert m1.schedule is schedule
     assert evaluator.ratio(point(5, 2, 3, 4), P61) == 14
-    assert record_calls == [P61 - 2, P61 - 6]
+    assert record_calls == [(m1, P61 - 2), (m1, P61 - 6)]
 
 
 def test_a_vanishing_minor_makes_the_ratio_none(record_calls):
     pair = linear_pair(TWO_BY_TWO, (0,))            # det M2 = x0
     replayed = resultant._Evaluator(pair)
+    m1, m2 = replayed.m1, replayed.m2
     assert replayed.ratio(point(1, 2, 3, 4), P61) == P61 - 2
-    schedule = replayed.schedule
+    schedules = m1.schedule, m2.schedule
+    assert record_calls == [(m2, 1), (m1, P61 - 2)]
     assert replayed.ratio(point(0, 2, 3, 4), P61) is None
-    # the zero minor pivot eliminates the point once more, which stops at
-    # the minor's column with no det M1 and keeps the schedule
-    assert record_calls == [P61 - 2, None]
-    assert replayed.schedule is schedule
+    # the zero pivot eliminates M2 at that point once more, which finds
+    # det M2 = 0; M1 is not evaluated there, and both schedules are kept
+    assert record_calls == [(m2, 1), (m1, P61 - 2), (m2, 0)]
+    assert m1.schedule is schedules[0] and m2.schedule is schedules[1]
     # at a first point where det M2 vanishes nothing is recorded yet
     fresh = resultant._Evaluator(pair)
     assert fresh.ratio(point(0, 2, 3, 4), P61) is None
-    assert fresh.schedule is None
+    assert fresh.m1.schedule is None and fresh.m2.schedule is None
     assert fresh.ratio(point(2, 2, 3, 4), P61) == 1
-    assert fresh.schedule is not None
+    assert fresh.m1.schedule is not None and fresh.m2.schedule is not None
 
 
 def test_a_vanishing_det_m1_records_nothing():
     # det M1 = x0 x3 - x1 x2 vanishes at (1, 2, 3, 6); det M2 = x0 does not
     evaluator = resultant._Evaluator(linear_pair(TWO_BY_TWO, (0,)))
     assert evaluator.ratio(point(1, 2, 3, 6), P61) == 0
-    assert evaluator.schedule is None
+    assert evaluator.m1.schedule is None
+    assert evaluator.m2.schedule is not None
     assert evaluator.ratio(point(1, 2, 3, 4), P61) == P61 - 2
-    assert evaluator.schedule is not None
+    assert evaluator.m1.schedule is not None
     assert evaluator.ratio(point(1, 2, 3, 6), P61) == 0
+
+
+def minor_alone(pair):
+    """The pair whose M1 is ``pair``'s M2 and whose minor is empty."""
+    rows = pair.minor_rows
+    return resultant.NewtonMatrixPair(
+        tuple(tuple(pair.m1[r][c] for c in rows) for r in rows), (), ())
+
+
+@pytest.mark.parametrize("name", ["corpus4", "golden"])
+def test_each_determinant_is_recorded_as_if_alone(monkeypatch, name):
+    # two free eliminations: M1's schedule does not depend on the minor,
+    # and M2's is the one that M2 gets as the M1 of a pair of its own
+    # (golden: the 22-row pair over a 15-row minor of a finer perturbation)
+    if name == "golden":
+        monkeypatch.setattr(resultant, "DELTA_NUM_BOUND", 1 << 19)
+        reduction = golden_reduction()
+    else:
+        reduction = case_reduction(name)
+    sets, _ = extract_supports(reduction.zpolys)
+    pair = build_matrices(mixed_subdivision(sets, 0))
+    assert pair.minor_rows
+    free = dataclasses.replace(pair, minor_rows=())
+    alone = minor_alone(pair)
+    p = resultant.rank_prime(0)
+    rng = random.Random(114)
+    values = {s: rng.randrange(p) for s in pair.evaluator.symbols}
+    for each in (pair, free, alone):
+        assert each.evaluator.ratio(values, p) is not None
+    assert pair.evaluator.m1.schedule is not None
+    assert pair.evaluator.m1.schedule == free.evaluator.m1.schedule
+    assert pair.evaluator.m2.schedule == alone.evaluator.m1.schedule
 
 
 # ------------------------------------------------- mixed-radix term decoding
